@@ -175,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     oexact = osub.add_parser("exact")
     oexact.add_argument("--matrix", action="append", required=True,
                         help="repeat for one block per color")
-    oexact.add_argument("--k", type=int, default=0,
+    oexact.add_argument("--k", type=int, default=None,
                         help="with a single --matrix: use k identical copies")
     oexact.add_argument("--cap", type=int, default=None, help="enumeration cap on k^m")
     oexact.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     ocolor = osub.add_parser("color")
     ocolor.add_argument("--matrix", action="append", required=True)
-    ocolor.add_argument("--k", type=int, default=0)
+    ocolor.add_argument("--k", type=int, default=None)
     ocolor.add_argument("--zeta", default="100")
     ocolor.add_argument("--cap", type=int, default=None, help="exact oracle width cap")
     _add_oracle_flags(ocolor)
@@ -270,10 +270,12 @@ def _cmd_wdisc(args) -> CommandOutcome:
 
 
 def _blocks_from_args(args):
+    if args.k is not None and args.k < 1:
+        raise InputError("--k must be >= 1")
     matrices = [_load_matrix(path) for path in args.matrix]
-    if args.k and len(matrices) == 1:
+    if args.k is not None and len(matrices) == 1:
         return matrices * args.k
-    if args.k and args.k != len(matrices):
+    if args.k is not None and args.k != len(matrices):
         raise InputError("--k disagrees with the number of --matrix blocks")
     return matrices
 
@@ -308,6 +310,8 @@ def _cmd_certify(args) -> CommandOutcome:
         payload = report.to_json_dict()
         return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(payload))
     # hadamard-lemma: seeded random vectors plus all unit vectors.
+    if args.trials < 1:
+        raise InputError("--trials must be >= 1")
     w = lift_w(hadamard_sylvester(args.n.bit_length() - 1))
     rng = random.Random(args.seed)
     failures = 0

@@ -346,33 +346,60 @@ def _descent(values, columns, x, budget, nodes):
     """Steepest-descent on single-bit flips and 1<->0 pair swaps, in place.
 
     Returns the number of moves used; candidate evaluations accumulate in
-    nodes[0]. Ties pick the smallest column index (pair), so runs are
-    reproducible.
+    nodes[0], one per flip and one per pair swap considered in each move.
+    Each move takes the first candidate, in scan order (flips by column,
+    then swaps by (one, zero) column pair), whose max |row value| is
+    strictly below the best score so far, so runs are reproducible.
+
+    Early reject: a candidate's score is the max over rows, so it is at
+    least its value on any one row. Rows are checked worst first, and a
+    candidate is dropped as soon as one row reaches the best score. Every
+    dropped candidate provably scores >= best_score and could never have
+    been taken, so the moves and the tie-break are those of the full scan.
     """
     n = len(values)
     m = len(columns)
     used = 0
     while used < budget:
-        current = max(abs(v) for v in values)
-        best_score = current
+        order = sorted(range(n), key=lambda i: -abs(values[i]))
+        worst, rest = order[0], order[1:]
+        value_worst = values[worst]
+        best_score = abs(value_worst)
         best_move = None
+        ones = [j for j in range(m) if x[j] == 1]
+        zeros = [j for j in range(m) if x[j] == 0]
+        nodes[0] += m + len(ones) * len(zeros)
         for j in range(m):
             col = columns[j]
             sign = -1 if x[j] == 0 else 1
-            score = max(abs(values[i] + sign * col[i]) for i in range(n))
-            nodes[0] += 1
-            if score < best_score:
+            score = abs(value_worst + sign * col[worst])
+            if score >= best_score:
+                continue
+            for i in rest:
+                v = abs(values[i] + sign * col[i])
+                if v >= best_score:
+                    break
+                if v > score:
+                    score = v
+            else:
                 best_score = score
                 best_move = (j,)
-        ones = [j for j in range(m) if x[j] == 1]
-        zeros = [j for j in range(m) if x[j] == 0]
+        zeros_worst = [(b, columns[b][worst]) for b in zeros]
         for a in ones:
             ca = columns[a]
-            for b in zeros:
+            base = value_worst + ca[worst]
+            for b, cb_worst in zeros_worst:
+                score = abs(base - cb_worst)
+                if score >= best_score:
+                    continue
                 cb = columns[b]
-                score = max(abs(values[i] + ca[i] - cb[i]) for i in range(n))
-                nodes[0] += 1
-                if score < best_score:
+                for i in rest:
+                    v = abs(values[i] + ca[i] - cb[i])
+                    if v >= best_score:
+                        break
+                    if v > score:
+                        score = v
+                else:
                     best_score = score
                     best_move = (a, b)
         if best_move is None:
@@ -405,13 +432,19 @@ def wdisc_heuristic(matrix: RatMatrix, p: Fraction, config: OracleConfig = Oracl
     rng = random.Random(config.seed)
     columns, start, denom = _scale_weighted(matrix, p)
     m = matrix.cols
+    pn, pd = p.numerator, p.denominator
     nodes = [0]
 
     best_scaled = None
     best_x = None
     budget_left = config.budget
     while budget_left > 0:
-        x = [1 if rng.random() < p else 0 for j in range(m)]
+        # Each bit is 1 iff rng.random() < p, compared exactly in integers
+        # instead of through a Fraction built per draw.
+        x = []
+        for _ in range(m):
+            num, den = rng.random().as_integer_ratio()
+            x.append(1 if num * pd < pn * den else 0)
         values = list(start)
         for j in range(m):
             if x[j]:

@@ -1,10 +1,12 @@
 """Independent brute-force references the solver tests compare against.
 
-Everything here enumerates the full search space in lexicographic order with
+The exact references enumerate the full search space in lexicographic order;
+the local-search reference scores every row of every candidate move. All use
 textbook Fraction arithmetic, sharing no code with the package's search
 internals. Keep it slow and obvious.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,6 +26,76 @@ def naive_wdisc(matrix, p):
         if best is None or value < best[0]:
             best = (value, bits)
     return best
+
+
+def naive_descent(values, columns, x, budget, nodes):
+    """Steepest descent over flips and 1<->0 pair swaps, scoring every row of
+    every candidate; the first strict improvement in scan order wins."""
+    n = len(values)
+    m = len(columns)
+    used = 0
+    while used < budget:
+        best_score = max(abs(v) for v in values)
+        best_move = None
+        for j in range(m):
+            sign = -1 if x[j] == 0 else 1
+            score = max(abs(values[i] + sign * columns[j][i]) for i in range(n))
+            nodes[0] += 1
+            if score < best_score:
+                best_score, best_move = score, (j,)
+        ones = [j for j in range(m) if x[j] == 1]
+        zeros = [j for j in range(m) if x[j] == 0]
+        for a in ones:
+            for b in zeros:
+                score = max(abs(values[i] + columns[a][i] - columns[b][i]) for i in range(n))
+                nodes[0] += 1
+                if score < best_score:
+                    best_score, best_move = score, (a, b)
+        if best_move is None:
+            break
+        if len(best_move) == 1:
+            j = best_move[0]
+            sign = -1 if x[j] == 0 else 1
+            for i in range(n):
+                values[i] += sign * columns[j][i]
+            x[j] ^= 1
+        else:
+            a, b = best_move
+            for i in range(n):
+                values[i] += columns[a][i] - columns[b][i]
+            x[a], x[b] = 0, 1
+        used += 1
+    return used
+
+
+def naive_wdisc_heuristic(matrix, p, kind, budget, seed):
+    """(value, witness, nodes) of the seeded restart local search, in Fractions.
+
+    Row values are row . (p*1 - x) directly; selecting column j subtracts
+    column j. Same restart rule as the package: a restart draws each bit as
+    1 with probability p, every restart costs one budget unit, and "greedy"
+    stops after the first descent.
+    """
+    p = Fraction(p)
+    rng = random.Random(seed)
+    m = matrix.cols
+    columns = [[Fraction(row[j]) for row in matrix.entries] for j in range(m)]
+    start = [p * sum(Fraction(e) for e in row) for row in matrix.entries]
+    nodes = [0]
+    best = None
+    budget_left = budget
+    while budget_left > 0:
+        x = [1 if rng.random() < p else 0 for _ in range(m)]
+        values = [v - sum((columns[j][i] for j in range(m) if x[j]), start=ZERO)
+                  for i, v in enumerate(start)]
+        budget_left -= naive_descent(values, columns, x, budget_left, nodes)
+        value = max(abs(v) for v in values)
+        if best is None or value < best[0]:
+            best = (value, tuple(x))
+        if kind == "greedy":
+            break
+        budget_left -= 1
+    return best[0], best[1], nodes[0]
 
 
 def naive_odisc(blocks):

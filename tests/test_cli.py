@@ -175,6 +175,20 @@ def test_exit_codes():
     assert outcome.exit_code == 3
 
 
+def test_non_positive_counts_rejected(tmp_path):
+    for trials in ("0", "-5"):
+        outcome = invoke("certify", "hadamard-lemma", "--n", "4", "--trials", trials)
+        assert (outcome.exit_code, outcome.stdout) == (2, "")
+        assert "--trials must be >= 1" in outcome.stderr
+    path = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
+    for how in ("exact", "color"):
+        for k in ("0", "-1"):
+            outcome = invoke("odisc", how, "--matrix", path, "--k", k)
+            assert (outcome.exit_code, outcome.stdout) == (2, "")
+            assert "--k must be >= 1" in outcome.stderr
+        assert payload(invoke("odisc", how, "--matrix", path, "--k", "1"))["value"] == "0"
+
+
 def test_threads_do_not_change_output(tmp_path):
     amat = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
     instance_path = tmp_path / "inst.json"

@@ -19,7 +19,7 @@ from disclab import (
 )
 
 from conftest import random_01_matrix, random_rational_matrix
-from naive import naive_odisc, naive_wdisc
+from naive import naive_odisc, naive_wdisc, naive_wdisc_heuristic
 
 
 def test_eval_weighted_pinned(w2):
@@ -128,6 +128,30 @@ def test_wdisc_heuristic_never_below_exact(w4):
     exact = wdisc_exact(stacked, Fraction(1, 4)).value
     heur = wdisc_heuristic(stacked, Fraction(1, 4), OracleConfig(kind="local-search", budget=500, seed=1))
     assert heur.value == exact  # finds the optimum here, and never goes below
+
+
+def _descent_case_matrix(rng):
+    """Small matrix with duplicate columns, tied entries and sometimes an all-zero row."""
+    rows = rng.randint(1, 4)
+    palette = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
+    distinct = [[rng.choice(palette) for _ in range(rows)] for _ in range(rng.randint(1, 8))]
+    columns = [rng.choice(distinct) for _ in range(rng.randint(1, 14))]
+    entries = [[col[i] for col in columns] for i in range(rows)]
+    if rng.random() < 0.3:
+        entries.insert(rng.randint(0, rows), [Fraction(0)] * len(columns))
+    return RatMatrix.from_rows(entries)
+
+
+def test_wdisc_heuristic_matches_naive_descent():
+    rng = random.Random(31)
+    for p in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+        for kind in ("greedy", "local-search"):
+            for budget in (1, 64, 300):
+                for seed in range(3):
+                    matrix = _descent_case_matrix(rng)
+                    heur = wdisc_heuristic(matrix, p, OracleConfig(kind=kind, budget=budget, seed=seed))
+                    expected = naive_wdisc_heuristic(matrix, p, kind, budget, seed)
+                    assert (heur.value, heur.witness, heur.nodes_explored) == expected
 
 
 def test_wdisc_heuristic_deterministic(w4):
