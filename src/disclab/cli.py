@@ -9,9 +9,9 @@ error, 3 budget exceeded. Stdout carries one JSON object (CSV for
 experiment); diagnostics go to stderr. All rationals travel as "a/b"
 strings; no floats appear unless --float-view asks for a convenience column.
 Output bytes depend only on argv and input files: randomness is pinned by
---seed and worker results merge in a fixed order, so --threads never changes
-output. The DISCLAB_CAP environment variable overrides the default
-enumeration cap wherever --cap is not given.
+--seed and every search runs sequentially. --threads is still accepted where
+it once chose a worker count, and has no effect. The DISCLAB_CAP environment
+variable overrides the default enumeration cap wherever --cap is not given.
 """
 
 from __future__ import annotations
@@ -124,6 +124,11 @@ def _add_oracle_flags(parser, default_kind="exact"):
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_threads_flag(parser):
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored: searches run sequentially")
+
+
 def _power_of_two(value: str) -> int:
     n = int(value)
     if n < 1 or n & (n - 1) != 0:
@@ -178,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     oexact.add_argument("--k", type=int, default=None,
                         help="with a single --matrix: use k identical copies")
     oexact.add_argument("--cap", type=int, default=None, help="enumeration cap on k^m")
-    oexact.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    _add_threads_flag(oexact)
     ocolor = osub.add_parser("color")
     ocolor.add_argument("--matrix", action="append", required=True)
     ocolor.add_argument("--k", type=int, default=None)
@@ -196,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmc.add_argument("--k", type=int, required=True)
     cmc.add_argument("--n", type=_power_of_two, required=True)
     cmc.add_argument("--cap", type=int, default=None, help="enumeration cap on k^m")
-    cmc.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    _add_threads_flag(cmc)
     clem = certsub.add_parser("hadamard-lemma")
     clem.add_argument("--n", type=_power_of_two, required=True)
     clem.add_argument("--trials", type=int, default=1000)
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     fminc.add_argument("--instance", required=True)
     fminc.add_argument("--notion", choices=["ef", "prop", "cd"], required=True)
     fminc.add_argument("--cap", type=int, default=None)
-    fminc.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    _add_threads_flag(fminc)
     falloc = fdsub.add_parser("allocate")
     falloc.add_argument("--instance", required=True)
     falloc.add_argument("--zeta", default="100")
@@ -237,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--iters", type=int, default=2000)
     experiment.add_argument("--cap", type=int, default=None)
-    experiment.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    _add_threads_flag(experiment)
     experiment.add_argument("--csv", default="", help="also write the CSV here")
     experiment.add_argument("--timings", action="store_true",
                             help="append a wall_ms column (breaks byte determinism)")
@@ -284,7 +289,7 @@ def _cmd_odisc(args) -> CommandOutcome:
     blocks = _blocks_from_args(args)
     if args.how == "exact":
         cap = args.cap if args.cap is not None else _default_cap()
-        result = odisc_exact(blocks, cap=cap, threads=args.threads)
+        result = odisc_exact(blocks, cap=cap)
         return CommandOutcome(EXIT_OK, _dump(result.to_json_dict()))
     coloring, certificate = odisc_color(blocks, _recursion_config(args))
     payload = {
@@ -304,8 +309,7 @@ def _cmd_certify(args) -> CommandOutcome:
         return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(payload))
     if args.what == "multicolor-lb":
         report = certify_multicolor_lb(
-            args.k, args.n, enumeration_cap=args.cap if args.cap is not None else _default_cap(),
-            threads=args.threads,
+            args.k, args.n, enumeration_cap=args.cap if args.cap is not None else _default_cap()
         )
         payload = report.to_json_dict()
         return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(payload))
@@ -353,9 +357,7 @@ def _cmd_fd(args) -> CommandOutcome:
     if args.what == "minc":
         instance = FairDivInstance.from_json_dict(_load_json(args.instance))
         cap = args.cap if args.cap is not None else _default_cap()
-        c_star, witness = brute_force_min_c(
-            instance, args.notion.upper(), cap=cap, threads=args.threads
-        )
+        c_star, witness = brute_force_min_c(instance, args.notion.upper(), cap=cap)
         payload = {"notion": args.notion.upper(), "c_star": c_star,
                    "witness": witness.to_json_dict()}
         return CommandOutcome(EXIT_OK, _dump(payload))
@@ -428,9 +430,7 @@ def _cmd_experiment(args) -> CommandOutcome:
                 if k ** construction.matrix.cols > cap:
                     record["status"] = "skipped:budget"
                 else:
-                    report = certify_multicolor_lb(
-                        k, n, enumeration_cap=cap, threads=args.threads
-                    )
+                    report = certify_multicolor_lb(k, n, enumeration_cap=cap)
                     record["value"] = format_rational(report.exact_value)
                     record["exact"] = True
                     record["pass"] = report.passed

@@ -4,9 +4,10 @@ Instances hold k groups of agents; an allocation hands each group one bundle
 of a partition of the goods. Three approximate fairness notions are checked
 exactly: envy-freeness, proportionality, and consensus division, each "up to
 c goods". For additive utilities, removing the c highest-valued goods (as
-seen by the evaluating agent) is the best possible removal, so every check
-reduces to exact rational comparisons against top-c prefix sums; that also
-makes the minimal c monotone, so it is found by binary search.
+seen by the evaluating agent) is the best possible removal, so every
+comparison reduces to covering an exact rational deficit with a top-c prefix
+sum. The minimal c of an allocation is therefore read off those prefixes
+directly, and checking a given c is comparing it with that minimum.
 
 The generators build the complement-pair instances whose minimal c is forced
 up by the weighted discrepancy of an embedded matrix, and the allocator runs
@@ -19,7 +20,6 @@ a PROP(2H) allocation (verified before returning).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,10 +117,15 @@ class Allocation:
 
     @classmethod
     def from_bundles(cls, bundles, m: int) -> "Allocation":
-        parsed = tuple(tuple(sorted(int(g) for g in bundle)) for bundle in bundles)
+        if not isinstance(bundles, (list, tuple)):
+            raise InputError("bundles must be a list of good-index lists")
         seen = [False] * m
-        for bundle in parsed:
+        for bundle in bundles:
+            if not isinstance(bundle, (list, tuple)):
+                raise InputError(f"bundle {bundle!r} is not a list of good indices")
             for g in bundle:
+                if not isinstance(g, int) or isinstance(g, bool):
+                    raise InputError(f"good index {g!r} is not an integer")
                 if not 0 <= g < m:
                     raise InputError(f"good index {g} out of range")
                 if seen[g]:
@@ -129,7 +134,7 @@ class Allocation:
         if not all(seen):
             missing = [g for g, s in enumerate(seen) if not s]
             raise InputError(f"goods not allocated: {missing}")
-        return cls(bundles=parsed)
+        return cls(bundles=tuple(tuple(sorted(bundle)) for bundle in bundles))
 
     def to_json_dict(self) -> dict:
         return {"bundles": [list(bundle) for bundle in self.bundles]}
@@ -159,33 +164,26 @@ def _values_of(agent, goods) -> Fraction:
     return sum((agent[g] for g in goods), start=_ZERO)
 
 
-def _drop_top(agent, goods, c: int) -> Fraction:
-    """Bundle value after removing the agent's c most valued goods in it."""
-    if c <= 0:
-        return _values_of(agent, goods)
-    values = sorted((agent[g] for g in goods), reverse=True)
-    return sum(values[c:], start=_ZERO)
-
-
 def _check_allocation(instance: FairDivInstance, allocation: Allocation):
     if len(allocation.bundles) != instance.k:
         raise DimensionMismatchError(
             f"allocation has {len(allocation.bundles)} bundles, instance k={instance.k}"
         )
-    seen = [False] * instance.m
-    for bundle in allocation.bundles:
-        for g in bundle:
-            if not 0 <= g < instance.m:
-                raise InputError(f"good index {g} out of range")
-            if seen[g]:
-                raise InputError(f"good {g} allocated twice")
-            seen[g] = True
-    if not all(seen):
-        raise InputError("allocation does not cover the instance's goods")
+    Allocation.from_bundles(allocation.bundles, instance.m)
 
 
 def check_fairness(instance: FairDivInstance, allocation: Allocation, notion: FairnessNotion) -> bool:
     """Exactly decide EFc / PROPc / CDc for the allocation.
+
+    Every comparison behind the notion passes with c removals exactly when
+    it passes with any larger c, so the allocation passes iff its minimal c
+    is at most notion.c.
+    """
+    return min_c_for_allocation(instance, allocation, notion.tag) <= notion.c
+
+
+def min_c_for_allocation(instance: FairDivInstance, allocation: Allocation, tag: str) -> int:
+    """Smallest c for which the allocation is EFc / PROPc / CDc.
 
     EFc compares every agent's own bundle against every other bundle with its
     c best goods (per that agent) removed; PROPc compares against the 1/k
@@ -193,56 +191,14 @@ def check_fairness(instance: FairDivInstance, allocation: Allocation, notion: Fa
     comparison for every agent in the instance against every ordered bundle
     pair, regardless of the agent's group.
     """
+    if tag not in NOTION_TAGS:
+        raise InputError(f"unknown fairness notion {tag!r}")
     _check_allocation(instance, allocation)
     bundles = allocation.bundles
-    k = instance.k
-    c = notion.c
-    if notion.tag == "EF":
-        for i, _j, agent in instance.agents():
-            own = _values_of(agent, bundles[i])
-            for other in range(k):
-                if other == i:
-                    continue
-                if own < _drop_top(agent, bundles[other], c):
-                    return False
-        return True
-    if notion.tag == "PROP":
-        for i, _j, agent in instance.agents():
-            own = _values_of(agent, bundles[i])
-            share = sum(agent, start=_ZERO) / k
-            inside = set(bundles[i])
-            outside = [g for g in range(instance.m) if g not in inside]
-            best_removal = sum(sorted((agent[g] for g in outside), reverse=True)[:c], start=_ZERO)
-            if own < share - best_removal:
-                return False
-        return True
-    # CD: every agent judges every ordered pair of bundles.
-    for _i, _j, agent in instance.agents():
-        values = [_values_of(agent, bundle) for bundle in bundles]
-        for i in range(k):
-            for other in range(k):
-                if other == i:
-                    continue
-                if values[i] < _drop_top(agent, bundles[other], c):
-                    return False
-    return True
-
-
-def min_c_for_allocation(instance: FairDivInstance, allocation: Allocation, tag: str) -> int:
-    """Smallest c making the allocation pass; binary search on the monotone c."""
-    _check_allocation(instance, allocation)
-    lo, hi = 0, instance.m
-    if check_fairness(instance, allocation, FairnessNotion(tag, 0)):
-        return 0
-    if not check_fairness(instance, allocation, FairnessNotion(tag, hi)):
-        raise VerificationError("fairness must hold once every good is removable")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if check_fairness(instance, allocation, FairnessNotion(tag, mid)):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    agents = list(instance.agents())
+    values = [[_values_of(agent, bundle) for bundle in bundles] for _i, _j, agent in agents]
+    shares = [sum(agent, start=_ZERO) / instance.k for _i, _j, agent in agents]
+    return _min_c_from_state(instance, tag, bundles, values, shares, agents)
 
 
 def _removal_prefixes(agent, goods):
@@ -266,13 +222,11 @@ def _smallest_c(prefixes, deficit):
 
 
 def _min_c_from_state(instance, tag, bundles, values, shares, agents):
-    """Minimal c for the current enumeration state.
+    """Minimal c for one allocation, given per-agent bundle values and shares.
 
-    Uses the incrementally maintained per-agent bundle values: each fairness
-    comparison reduces to covering a value deficit with a top-c removal, so
-    the minimal c is the max over agent/bundle pairs of the least prefix
-    covering the pair's deficit. Agrees with min_c_for_allocation by
-    construction (the public checker is the independent route).
+    Each fairness comparison reduces to covering a value deficit with a
+    top-c removal, so the minimal c is the max over agent/bundle pairs of the
+    least prefix covering the pair's deficit.
     """
     k = instance.k
     need = 0
@@ -298,32 +252,43 @@ def _min_c_from_state(instance, tag, bundles, values, shares, agents):
     return need
 
 
-def _min_c_partition(instance, tag, first_bundle):
-    """Best (c, assignment) over all allocations whose good 0 sits in first_bundle."""
+def brute_force_min_c(
+    instance: FairDivInstance,
+    tag: str,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple:
+    """Exact minimum of min_c over all k^m allocations, with its witness.
+
+    One sequential search enumerates allocations as base-k assignment vectors
+    (good 0 most significant), keeping per-agent bundle values incrementally
+    and stopping at the first allocation with c = 0; the witness is the
+    lexicographically least minimizer.
+    """
+    if tag not in NOTION_TAGS:
+        raise InputError(f"unknown fairness notion {tag!r}")
     k = instance.k
     m = instance.m
+    total = k**m
+    if total > cap:
+        raise CapExceededError(f"k^m = {total} exceeds enumeration cap {cap}")
+
     bundles = [[] for _ in range(k)]
-    # Incremental per-agent bundle values, updated as goods are pushed/popped.
     agents = list(instance.agents())
     values = [[_ZERO] * k for _ in agents]
     shares = [sum(agent, start=_ZERO) / k for _i, _j, agent in agents]
     assignment = [0] * m
     best = [None, None]
 
-    def leaf():
-        c = _min_c_from_state(instance, tag, bundles, values, shares, agents)
-        if best[0] is None or c < best[0]:
-            best[0] = c
-            best[1] = tuple(assignment)
-
     def descend(good):
         if best[0] == 0:
             return
         if good == m:
-            leaf()
+            c = _min_c_from_state(instance, tag, bundles, values, shares, agents)
+            if best[0] is None or c < best[0]:
+                best[0] = c
+                best[1] = tuple(assignment)
             return
-        choices = (first_bundle,) if good == 0 and first_bundle is not None else range(k)
-        for b in choices:
+        for b in range(k):
             bundles[b].append(good)
             assignment[good] = b
             for a, (_i, _j, agent) in enumerate(agents):
@@ -332,50 +297,12 @@ def _min_c_partition(instance, tag, first_bundle):
             bundles[b].pop()
             for a, (_i, _j, agent) in enumerate(agents):
                 values[a][b] -= agent[good]
-        return
 
     descend(0)
-    return best[0], best[1]
-
-
-def brute_force_min_c(
-    instance: FairDivInstance,
-    tag: str,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-) -> tuple:
-    """Exact minimum of min_c over all k^m allocations, with its witness.
-
-    Allocations are enumerated as base-k assignment vectors (good 0 most
-    significant); the witness is the lexicographically least minimizer. With
-    threads > 1 the enumeration splits on good 0's bundle and partition
-    results merge in bundle order, so the outcome is thread-count independent.
-    """
-    if tag not in NOTION_TAGS:
-        raise InputError(f"unknown fairness notion {tag!r}")
-    total = instance.k**instance.m
-    if total > cap:
-        raise CapExceededError(f"k^m = {total} exceeds enumeration cap {cap}")
-
-    if threads > 1 and instance.k > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda b: _min_c_partition(instance, tag, b),
-                    range(instance.k),
-                )
-            )
-        best_c, best_assignment = results[0]
-        for c, assignment in results[1:]:
-            if c < best_c:
-                best_c, best_assignment = c, assignment
-    else:
-        best_c, best_assignment = _min_c_partition(instance, tag, None)
-
-    bundles = [[] for _ in range(instance.k)]
-    for good, b in enumerate(best_assignment):
-        bundles[b].append(good)
-    return best_c, Allocation(bundles=tuple(tuple(b) for b in bundles))
+    witness = [[] for _ in range(k)]
+    for good, b in enumerate(best[1]):
+        witness[b].append(good)
+    return best[0], Allocation(bundles=tuple(tuple(b) for b in witness))
 
 
 # ---------------------------------------------------------------------------

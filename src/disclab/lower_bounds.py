@@ -168,7 +168,6 @@ def certify_multicolor_lb(
     n: int,
     config: OracleConfig = OracleConfig(),
     enumeration_cap: int = None,
-    threads: int = 1,
 ) -> CertReport:
     """Certify the multicolor chain odisc >= wdisc >= sqrt(n-1)/8 at p = 1/k.
 
@@ -180,7 +179,7 @@ def certify_multicolor_lb(
     if k < 2:
         raise InputError("multicolor certification needs k >= 2")
     construction = build_stacked(Fraction(1, k), n)
-    kwargs = {"config": config, "threads": threads}
+    kwargs = {"config": config}
     if enumeration_cap is not None:
         kwargs["cap"] = enumeration_cap
     colored = odisc_exact([construction.matrix] * k, **kwargs)

@@ -17,14 +17,10 @@ from fractions import Fraction
 from .errors import CapExceededError, DimensionMismatchError, InputError
 from .rational import format_rational, parse_rational
 
-#: Selection vectors are 0/1 tuples, colorings are tuples with values in 1..k,
-#: multiplicity vectors are tuples of nonnegative ints. Plain tuples keep the
-#: hot solver loops free of wrapper overhead.
-SelectionVector = tuple
-Coloring = tuple
-MultiplicityVector = tuple
-
-DEFAULT_MAX_LOG2_ORDER = 20
+#: Largest Sylvester order built, as a power of two. Cells are Python objects,
+#: so `construct w` peaks at about 150 MB at order 2^10 and four times that at
+#: 2^11; larger orders are refused before any cell is built.
+MAX_LOG2_ORDER = 11
 DEFAULT_WIDTH_CAP = 1_000_000
 
 _ZERO = Fraction(0)
@@ -37,9 +33,6 @@ class SignMatrix:
 
     order: int
     entries: tuple
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def check_orthogonal(self) -> bool:
         """Verify H * H^T == order * I exactly."""
@@ -107,9 +100,6 @@ class RatMatrix:
                     raise InputError(f"entry {cell} outside [0, 1]")
         return cls(rows=n, cols=m, entries=parsed)
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 
@@ -160,7 +150,7 @@ def _read_matrix_dict(data: dict):
     return rows, cols, raw
 
 
-def hadamard_sylvester(log2_order: int, max_log2_order: int = DEFAULT_MAX_LOG2_ORDER) -> SignMatrix:
+def hadamard_sylvester(log2_order: int) -> SignMatrix:
     """Sylvester-doubled +1/-1 matrix of order 2**log2_order.
 
     The order-1 case is [[+1]]; each doubling maps H to [[H, H], [H, -H]].
@@ -168,10 +158,8 @@ def hadamard_sylvester(log2_order: int, max_log2_order: int = DEFAULT_MAX_LOG2_O
     """
     if log2_order < 0:
         raise InputError("log2_order must be nonnegative")
-    if log2_order > max_log2_order:
-        raise CapExceededError(
-            f"log2_order {log2_order} exceeds cap {max_log2_order}"
-        )
+    if log2_order > MAX_LOG2_ORDER:
+        raise CapExceededError(f"log2_order {log2_order} exceeds cap {MAX_LOG2_ORDER}")
     block = [[1]]
     for _ in range(log2_order):
         block = [row + row for row in block] + [
@@ -217,7 +205,7 @@ def stack_vertical(blocks) -> RatMatrix:
     return RatMatrix(rows=len(entries), cols=cols, entries=entries)
 
 
-def transfer_z(x, n: int, t: int) -> MultiplicityVector:
+def transfer_z(x, n: int, t: int) -> tuple:
     """Collapse a selection over t stacked copies into per-column multiplicities.
 
     For x of length n*t over the stacked matrix A = [W | ... | W], returns z

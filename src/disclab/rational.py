@@ -10,6 +10,7 @@ only produce one-sided rational approximations for reporting.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -21,20 +22,29 @@ Rational = Fraction
 #: tolerance stated in this package (1e-9 for bounds, 1e-6 for references).
 _SQRT_SCALE = 10**12
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def parse_rational(text) -> Fraction:
-    """Parse "a/b" or "a" (also bare ints) into a canonical Fraction."""
+    """Parse "a/b" or "a" (also bare ints, not bools) into a canonical Fraction.
+
+    Decimals, exponents, signs on the denominator and JSON booleans are
+    rejected: the exchange format is integer numerator over integer
+    denominator, nothing else.
+    """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise InputError(f"expected rational string, got {type(text).__name__}")
+    stripped = text.strip()
+    if _RATIONAL.fullmatch(stripped) is None:
+        raise InputError(f"not a rational: {text!r}")
     try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational: {text!r}") from exc
-    return value
+        return Fraction(stripped)
+    except ZeroDivisionError as exc:
+        raise InputError(f"zero denominator: {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:

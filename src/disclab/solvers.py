@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -496,20 +495,15 @@ def odisc_exact(
     config: OracleConfig = OracleConfig(),
     cap: int = DEFAULT_ENUMERATION_CAP,
     symmetric_pruning: bool = False,
-    threads: int = 1,
 ) -> OdiscResult:
     """Exact minimum over all k^m colorings of the asymmetric discrepancy.
 
-    Colorings are explored in mixed-radix order (earlier columns more
-    significant, colors ascending) with incremental per-color row sums and
-    interval pruning, so the returned witness is the lexicographically
-    smallest optimal coloring. `symmetric_pruning` skips colorings that are
-    color-permutations of earlier ones; it is only sound when all blocks are
-    identical, and is off by default.
-
-    With threads > 1 the search is partitioned by the first column's color
-    and partition results are merged in color order, so the outcome does not
-    depend on the thread count.
+    Colorings are explored in one sequential search in mixed-radix order
+    (earlier columns more significant, colors ascending) with incremental
+    per-color row sums and interval pruning, so the returned witness is the
+    lexicographically smallest optimal coloring. `symmetric_pruning` skips
+    colorings that are color-permutations of earlier ones; it is only sound
+    when all blocks are identical, and is off by default.
     """
     blocks = _check_blocks(blocks)
     k = len(blocks)
@@ -524,26 +518,12 @@ def odisc_exact(
                 raise InputError("symmetric pruning needs identical blocks")
 
     scaled_rows, denom = _scale_blocks(blocks)
-
-    if threads > 1 and not symmetric_pruning and m >= 1 and k >= 2:
-        def solve_branch(first_color):
-            return _odisc_dfs(scaled_rows, k, m, False, first_color)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            branch_results = list(pool.map(solve_branch, range(1, k + 1)))
-        best_scaled, best_chi = branch_results[0]
-        for scaled, chi in branch_results[1:]:
-            if scaled < best_scaled:
-                best_scaled, best_chi = scaled, chi
-    else:
-        best_scaled, best_chi = _odisc_dfs(scaled_rows, k, m, symmetric_pruning, None)
-
+    best_scaled, best_chi = _odisc_dfs(scaled_rows, k, m, symmetric_pruning)
     return OdiscResult(value=Fraction(best_scaled, denom), witness=best_chi, exact=True)
 
 
-def _odisc_dfs(scaled_rows, k, m, symmetric_pruning, forced_first):
-    """Search colorings; returns (scaled value, coloring). `forced_first`
-    pins column 0's color, which is how the thread partitions split."""
+def _odisc_dfs(scaled_rows, k, m, symmetric_pruning):
+    """Search colorings; returns (scaled value, coloring)."""
     # Per scaled row: current value T - k * (selected mass of its color),
     # and the remaining selectable mass k * suffix sum.
     suffix = []
@@ -583,10 +563,7 @@ def _odisc_dfs(scaled_rows, k, m, symmetric_pruning, forced_first):
         color_cap = k
         if symmetric_pruning:
             color_cap = min(k, used_colors + 1)
-        colors = range(1, color_cap + 1)
-        if depth == 0 and forced_first is not None:
-            colors = (forced_first,)
-        for color in colors:
+        for color in range(1, color_cap + 1):
             chi[depth] = color
             child = list(values)
             for r, (s, ints, _t) in enumerate(scaled_rows):

@@ -155,3 +155,23 @@ def naive_is_prop(instance, bundles, c):
         if not ok:
             return False
     return True
+
+
+def naive_is_cd(instance, bundles, c):
+    """CDc: every agent, whatever its group, judges every ordered bundle pair."""
+    for _i, _j, agent in instance.agents():
+        for own in range(instance.k):
+            value = sum((agent[g] for g in bundles[own]), start=ZERO)
+            for other in range(instance.k):
+                if other != own and value < best_removal(agent, bundles[other], c):
+                    return False
+    return True
+
+
+NAIVE_CHECKS = {"EF": naive_is_ef, "PROP": naive_is_prop, "CD": naive_is_cd}
+
+
+def naive_min_c(instance, bundles, tag):
+    """Least c the subset-enumerating check passes (every good removed always passes)."""
+    check = NAIVE_CHECKS[tag]
+    return next(c for c in range(instance.m + 1) if check(instance, bundles, c))

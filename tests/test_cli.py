@@ -189,6 +189,25 @@ def test_non_positive_counts_rejected(tmp_path):
         assert payload(invoke("odisc", how, "--matrix", path, "--k", "1"))["value"] == "0"
 
 
+def test_non_rational_inputs_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    for entries in ([[True, "1e-1"]], [["1/2", "0.5"]], [[1, 0.5]]):
+        path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": entries}))
+        outcome = invoke("wdisc", "exact", "--matrix", str(path), "--p", "1/2")
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), entries
+    good = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
+    for p in ("0.5", "1e-1", "+1/2"):
+        outcome = invoke("wdisc", "exact", "--matrix", good, "--p", p)
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), p
+
+
+def test_hadamard_order_cap_refuses_before_building():
+    for argv in (["construct", "hadamard"], ["construct", "w"], ["certify", "hadamard-lemma"]):
+        outcome = invoke(*argv, "--n", "4096")
+        assert (outcome.exit_code, outcome.stdout) == (3, ""), argv
+        assert "exceeds cap" in outcome.stderr
+
+
 def test_threads_do_not_change_output(tmp_path):
     amat = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
     instance_path = tmp_path / "inst.json"

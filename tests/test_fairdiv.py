@@ -22,9 +22,9 @@ from disclab import (
     min_c_for_allocation,
     wdisc_exact,
 )
-from disclab.fairdiv import _drop_top, build_agent_scaling
+from disclab.fairdiv import _removal_prefixes, build_agent_scaling
 
-from naive import best_removal, naive_is_ef, naive_is_prop
+from naive import best_removal, naive_is_cd, naive_is_ef, naive_is_prop, naive_min_c
 
 EXACT = RecursionConfig(oracle=OracleConfig(kind="exact"))
 LOCAL = RecursionConfig(oracle=OracleConfig(kind="local-search", budget=400, seed=0))
@@ -93,8 +93,10 @@ def test_top_removal_is_optimal():
         m = rng.randint(1, 8)
         agent = [Fraction(rng.randint(0, 4), 4) for _ in range(m)]
         goods = tuple(g for g in range(m) if rng.random() < 0.7)
+        total = sum((agent[g] for g in goods), start=Fraction(0))
+        prefixes = _removal_prefixes(agent, goods)
         for c in range(0, len(goods) + 1):
-            assert _drop_top(agent, goods, c) == best_removal(agent, goods, c)
+            assert total - prefixes[c] == best_removal(agent, goods, c)
 
 
 def test_check_fairness_matches_subset_semantics():
@@ -107,6 +109,7 @@ def test_check_fairness_matches_subset_semantics():
             bundles = alloc.bundles
             assert check_fairness(inst, alloc, FairnessNotion("EF", c)) == naive_is_ef(inst, bundles, c)
             assert check_fairness(inst, alloc, FairnessNotion("PROP", c)) == naive_is_prop(inst, bundles, c)
+            assert check_fairness(inst, alloc, FairnessNotion("CD", c)) == naive_is_cd(inst, bundles, c)
 
 
 def test_min_c_examples():
@@ -125,11 +128,7 @@ def test_min_c_matches_linear_scan():
         inst = random_instance(rng)
         alloc = random_allocation(rng, inst)
         for tag in ("EF", "PROP", "CD"):
-            expected = next(
-                c for c in range(inst.m + 1)
-                if check_fairness(inst, alloc, FairnessNotion(tag, c))
-            )
-            assert min_c_for_allocation(inst, alloc, tag) == expected
+            assert min_c_for_allocation(inst, alloc, tag) == naive_min_c(inst, alloc.bundles, tag)
 
 
 def test_brute_force_pinned():
@@ -155,7 +154,7 @@ def test_brute_force_witness_is_lex_least():
         for assignment in product(range(inst.k), repeat=inst.m):
             bundles = [[g for g in range(inst.m) if assignment[g] == b] for b in range(inst.k)]
             allocation = Allocation.from_bundles(bundles, inst.m)
-            c = min_c_for_allocation(inst, allocation, tag)
+            c = naive_min_c(inst, allocation.bundles, tag)
             assert c >= c_star
             if c == c_star:
                 assert allocation == witness
@@ -163,7 +162,8 @@ def test_brute_force_witness_is_lex_least():
 
 
 def test_brute_force_leaf_matches_public_checker():
-    """The enumeration's incremental-value fast path equals min_c_for_allocation."""
+    """The enumeration's incremental-value leaf and the public min-c both
+    equal the subset-enumerating reference."""
     from disclab.fairdiv import _min_c_from_state
 
     rng = random.Random(62)
@@ -179,16 +179,9 @@ def test_brute_force_leaf_matches_public_checker():
             ]
             allocation = Allocation.from_bundles(bundles, inst.m)
             for tag in ("EF", "PROP", "CD"):
-                fast = _min_c_from_state(inst, tag, bundles, values, shares, agents)
-                assert fast == min_c_for_allocation(inst, allocation, tag)
-
-
-def test_brute_force_threads_agree():
-    rng = random.Random(15)
-    for _ in range(5):
-        inst = random_instance(rng, m=3)
-        for tag in ("EF", "PROP"):
-            assert brute_force_min_c(inst, tag, threads=1) == brute_force_min_c(inst, tag, threads=4)
+                expected = naive_min_c(inst, bundles, tag)
+                assert _min_c_from_state(inst, tag, bundles, values, shares, agents) == expected
+                assert min_c_for_allocation(inst, allocation, tag) == expected
 
 
 def test_ef_implies_prop_and_cd_implies_ef():
@@ -393,6 +386,9 @@ def test_allocation_validation():
         Allocation.from_bundles([[0], []], 2)
     with pytest.raises(InputError):
         Allocation.from_bundles([[0, 3], [1]], 3)
+    for bad in ([[True], [1]], [["0"], [1]], [[0.0], [1]], [0, [1]], "01"):
+        with pytest.raises(InputError):
+            Allocation.from_bundles(bad, 2)
 
 
 def test_instance_validation():

@@ -57,6 +57,8 @@ def test_first_row_and_column_all_ones():
 def test_order_cap():
     with pytest.raises(CapExceededError):
         hadamard_sylvester(21)
+    with pytest.raises(CapExceededError):
+        hadamard_sylvester(12)
     with pytest.raises(InputError):
         hadamard_sylvester(-1)
 

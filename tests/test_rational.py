@@ -12,12 +12,17 @@ from disclab import InputError, format_rational, parse_rational, pos_part, sqrt_
     ("4", Fraction(4)),
     ("0", Fraction(0)),
     ("2/4", Fraction(1, 2)),
+    (" 3/6\n", Fraction(1, 2)),
+    (5, Fraction(5)),
 ])
 def test_parse(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "a/b", "1/0", "1.5.2", None])
+@pytest.mark.parametrize("bad", [
+    "", "a/b", "1/0", "1.5.2", None,
+    True, False, "1e-1", "0.5", 0.5, "+1", "1/-2", "1 / 2", "1_000", "\u0663",
+])
 def test_parse_rejects(bad):
     with pytest.raises(InputError):
         parse_rational(bad)

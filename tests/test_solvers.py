@@ -219,17 +219,6 @@ def test_odisc_symmetric_pruning_same_value(w2, w4):
         odisc_exact([w2, w4.restrict_columns([0, 1])], symmetric_pruning=True)
 
 
-def test_odisc_threads_deterministic():
-    rng = random.Random(31)
-    for _ in range(8):
-        k = rng.randint(2, 3)
-        cols = rng.randint(2, 5)
-        blocks = [random_01_matrix(rng, rng.randint(1, 2), cols) for _ in range(k)]
-        sequential = odisc_exact(blocks, threads=1)
-        parallel = odisc_exact(blocks, threads=4)
-        assert sequential == parallel
-
-
 def test_multicolor_at_least_weighted():
     """k-coloring cannot beat the one-sided weighted relaxation at p = 1/k."""
     rng = random.Random(13)
