@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -45,6 +46,7 @@ from .lower_bounds import (
     certify_wdisc_lb,
     check_hadamard_lemma,
     lb_value,
+    stacked_shape,
 )
 from .matrices import RatMatrix, hadamard_sylvester, lift_w
 from .rational import format_rational, parse_rational
@@ -53,6 +55,7 @@ from .solvers import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_EXACT_WIDTH_CAP,
     OracleConfig,
+    check_exact_width,
     eval_asymmetric,
     odisc_exact,
     oracle_solve,
@@ -252,6 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses, built once per process. Parsing leaves it
+    unchanged, and no command mutates its `args` or their defaults."""
+    return build_parser()
+
+
 def _cmd_construct(args) -> CommandOutcome:
     if args.what == "stacked":
         construction = build_stacked(args.p, args.n)
@@ -413,11 +423,14 @@ def _cmd_experiment(args) -> CommandOutcome:
             "reference_bound": "", "status": "ok", "pass": "",
         }
         try:
-            construction = build_stacked(p, n)
-            record["t"] = construction.t
-            record["cols"] = construction.matrix.cols
+            _p, t = stacked_shape(p, n)
+            record["t"] = t
+            record["cols"] = n * t
             if mode == "wdisc":
                 config = OracleConfig(kind=solver, budget=args.iters, seed=args.seed)
+                if config.kind == "exact":
+                    check_exact_width(n * t, config)
+                construction = build_stacked(p, n)
                 result = oracle_solve(construction.matrix, construction.p, config)
                 record["value"] = format_rational(result.value)
                 record["exact"] = result.exact
@@ -427,13 +440,10 @@ def _cmd_experiment(args) -> CommandOutcome:
                     )
             else:
                 record["reference_bound"] = format_rational(reference_bound(k, n))
-                if k ** construction.matrix.cols > cap:
-                    record["status"] = "skipped:budget"
-                else:
-                    report = certify_multicolor_lb(k, n, enumeration_cap=cap)
-                    record["value"] = format_rational(report.exact_value)
-                    record["exact"] = True
-                    record["pass"] = report.passed
+                report = certify_multicolor_lb(k, n, enumeration_cap=cap)
+                record["value"] = format_rational(report.exact_value)
+                record["exact"] = True
+                record["pass"] = report.passed
         except CapExceededError:
             record["status"] = "skipped:budget"
         if record["status"] == "ok":
@@ -462,9 +472,8 @@ def _cmd_experiment(args) -> CommandOutcome:
 
 def run(argv) -> CommandOutcome:
     """Execute one CLI invocation and report (exit code, stdout, stderr)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return CommandOutcome(exc.code if exc.code else EXIT_OK)
     try:

@@ -5,9 +5,14 @@ of a partition of the goods. Three approximate fairness notions are checked
 exactly: envy-freeness, proportionality, and consensus division, each "up to
 c goods". For additive utilities, removing the c highest-valued goods (as
 seen by the evaluating agent) is the best possible removal, so every
-comparison reduces to covering an exact rational deficit with a top-c prefix
-sum. The minimal c of an allocation is therefore read off those prefixes
-directly, and checking a given c is comparing it with that minimum.
+comparison reduces to covering a value deficit with a top-c removal. One
+integer routine (`_MinC`) does this for every caller: each agent is scaled
+once so that utilities, bundle values and the 1/k share are ints, and its
+goods are ranked once, so a top-c removal is a scan of that ranking that
+stops when the deficit is covered. The same routine bounds c from below on
+a partial allocation (the unplaced goods can shrink a deficit by at most
+their value), which prunes the exact minimum search over all allocations;
+checking a given c is comparing it with the allocation's minimum.
 
 The generators build the complement-pair instances whose minimal c is forced
 up by the weighted discrepancy of an embedded matrix, and the allocator runs
@@ -20,6 +25,7 @@ a PROP(2H) allocation (verified before returning).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,12 +38,21 @@ from .errors import (
 from .matrices import RatMatrix
 from .rational import format_rational, parse_rational, pos_part
 from .recursive_coloring import RecursionConfig, odisc_color
-from .solvers import DEFAULT_ENUMERATION_CAP, eval_asymmetric
+from .solvers import DEFAULT_ENUMERATION_CAP, check_enumeration, eval_asymmetric
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 NOTION_TAGS = ("EF", "PROP", "CD")
+
+
+def _check_nesting(groups):
+    """Reject anything but a list of groups, each a list of utility lists."""
+    if not isinstance(groups, (list, tuple)) or not all(
+        isinstance(group, (list, tuple)) and all(isinstance(agent, (list, tuple)) for agent in group)
+        for group in groups
+    ):
+        raise InputError("groups must be a list of groups, each a list of utility lists")
 
 
 @dataclass(frozen=True)
@@ -51,6 +66,7 @@ class FairDivInstance:
 
     @classmethod
     def from_groups(cls, groups) -> "FairDivInstance":
+        _check_nesting(groups)
         parsed = tuple(
             tuple(tuple(Fraction(u) for u in agent) for agent in group)
             for group in groups
@@ -95,6 +111,7 @@ class FairDivInstance:
             groups = data["groups"]
         except (KeyError, TypeError) as exc:
             raise InputError("instance JSON needs a groups field") from exc
+        _check_nesting(groups)
         instance = cls.from_groups(
             [[[parse_rational(u) for u in agent] for agent in group] for group in groups]
         )
@@ -102,7 +119,7 @@ class FairDivInstance:
             if field in data:
                 declared = data[field]
                 actual = getattr(instance, field)
-                if isinstance(actual, tuple):
+                if isinstance(actual, tuple) and isinstance(declared, list):
                     declared = tuple(declared)
                 if declared != actual:
                     raise InputError(f"declared {field} does not match groups")
@@ -191,65 +208,101 @@ def min_c_for_allocation(instance: FairDivInstance, allocation: Allocation, tag:
     comparison for every agent in the instance against every ordered bundle
     pair, regardless of the agent's group.
     """
-    if tag not in NOTION_TAGS:
-        raise InputError(f"unknown fairness notion {tag!r}")
+    core = _MinC(instance, tag)
     _check_allocation(instance, allocation)
-    bundles = allocation.bundles
-    agents = list(instance.agents())
-    values = [[_values_of(agent, bundle) for bundle in bundles] for _i, _j, agent in agents]
-    shares = [sum(agent, start=_ZERO) / instance.k for _i, _j, agent in agents]
-    return _min_c_from_state(instance, tag, bundles, values, shares, agents)
+    assignment = [0] * instance.m
+    for b, bundle in enumerate(allocation.bundles):
+        for g in bundle:
+            assignment[g] = b
+    values = [
+        [sum(units[g] for g in bundle) for bundle in allocation.bundles]
+        for _i, units, _share, _ranking in core.agents
+    ]
+    return core.bound(assignment, values, [0] * len(values), instance.m + 1)
 
 
-def _removal_prefixes(agent, goods):
-    """Cumulative best-first removal sums: prefixes[c] = value of the c most
-    valued goods (under `agent`) among `goods`."""
-    ranked = sorted((agent[g] for g in goods), reverse=True)
-    prefixes = [_ZERO]
-    for u in ranked:
-        prefixes.append(prefixes[-1] + u)
-    return prefixes
+def _cover(units, ranking, assignment, bundles, deficit, limit):
+    """Least c whose c most valued goods among those assigned to `bundles`
+    sum to at least `deficit`, or `limit` once c reaches it.
 
-
-def _smallest_c(prefixes, deficit):
-    """Least c with prefixes[c] >= deficit (deficit is always reachable)."""
-    if deficit <= _ZERO:
+    `ranking` lists the agent's valued goods best first, so the scan skips
+    goods assigned elsewhere (or unplaced) and stops as soon as the deficit
+    is covered; no sort happens here.
+    """
+    if deficit <= 0:
         return 0
-    for c, covered in enumerate(prefixes):
-        if covered >= deficit:
-            return c
+    c = 0
+    for g in ranking:
+        if assignment[g] in bundles:
+            c += 1
+            deficit -= units[g]
+            if deficit <= 0 or c >= limit:
+                return c
     raise VerificationError("removal deficit not coverable")
 
 
-def _min_c_from_state(instance, tag, bundles, values, shares, agents):
-    """Minimal c for one allocation, given per-agent bundle values and shares.
+class _MinC:
+    """One instance and notion scaled to integers for the min-c routine.
 
-    Each fairness comparison reduces to covering a value deficit with a
-    top-c removal, so the minimal c is the max over agent/bundle pairs of the
-    least prefix covering the pair's deficit.
+    Each agent is scaled by k times the lcm of its utility denominators, so
+    its utilities, every bundle value and its 1/k share are ints.
+    `agents[a]` is (group, units, share, ranking) with `ranking` the goods
+    agent a values above 0, ordered by (-utility, index): the c best goods
+    of any set are its first c members in that order.
     """
-    k = instance.k
-    need = 0
-    if tag == "PROP":
-        for a, (i, _j, agent) in enumerate(agents):
-            outside = [g for b in range(k) if b != i for g in bundles[b]]
-            prefixes = _removal_prefixes(agent, outside)
-            need = max(need, _smallest_c(prefixes, shares[a] - values[a][i]))
+
+    def __init__(self, instance: FairDivInstance, tag: str):
+        if tag not in NOTION_TAGS:
+            raise InputError(f"unknown fairness notion {tag!r}")
+        k = instance.k
+        self.tag = tag
+        self.agents = []
+        for i, _j, agent in instance.agents():
+            scale = k * math.lcm(*(u.denominator for u in agent))
+            units = [u.numerator * (scale // u.denominator) for u in agent]
+            ranking = sorted((g for g in range(instance.m) if units[g] > 0),
+                             key=lambda g: (-units[g], g))
+            self.agents.append((i, units, sum(units) // k, ranking))
+        self.alone = [(b,) for b in range(k)]
+        self.outside = [tuple(o for o in range(k) if o != b) for b in range(k)]
+
+    def bound(self, assignment, values, remaining, limit):
+        """Lower bound on min c over every completion of a partial allocation.
+
+        `assignment[g]` is good g's bundle (-1 while unplaced), `values[a][b]`
+        agent a's value of the goods placed in bundle b, and `remaining[a]`
+        its value of the unplaced goods. Placing those goods lowers a pair's
+        deficit by at most remaining[a] and only adds goods to the removal
+        side, which never lowers the c it needs, so each pair needs at least
+        the least c whose top-c removal from its placed goods covers the
+        deficit minus remaining[a]:
+
+        - EF/CD (own, other): removal from `other`, deficit
+          v(other) - v(own); CD takes the worst own, the least-valued bundle.
+        - PROP: removal from the goods outside the own bundle, deficit
+          share - v(own).
+
+        With nothing unplaced this is the allocation's exact min c. Returns
+        `limit` as soon as one pair reaches it.
+        """
+        need = 0
+        for (i, units, share, ranking), vals, slack in zip(self.agents, values, remaining):
+            if self.tag == "PROP":
+                c = _cover(units, ranking, assignment, self.outside[i],
+                           share - vals[i] - slack, limit)
+                if c > need:
+                    need = c
+            else:
+                base = (vals[i] if self.tag == "EF" else min(vals)) + slack
+                for other, value in enumerate(vals):
+                    if value > base:
+                        c = _cover(units, ranking, assignment, self.alone[other],
+                                   value - base, limit)
+                        if c > need:
+                            need = c
+            if need >= limit:
+                return limit
         return need
-    for a, (i, _j, agent) in enumerate(agents):
-        own_range = range(k) if tag == "CD" else (i,)
-        for other in range(k):
-            prefixes = None
-            for own in own_range:
-                if own == other:
-                    continue
-                deficit = values[a][other] - values[a][own]
-                if deficit <= _ZERO:
-                    continue
-                if prefixes is None:
-                    prefixes = _removal_prefixes(agent, bundles[other])
-                need = max(need, _smallest_c(prefixes, deficit))
-    return need
 
 
 def brute_force_min_c(
@@ -259,50 +312,56 @@ def brute_force_min_c(
 ) -> tuple:
     """Exact minimum of min_c over all k^m allocations, with its witness.
 
-    One sequential search enumerates allocations as base-k assignment vectors
-    (good 0 most significant), keeping per-agent bundle values incrementally
-    and stopping at the first allocation with c = 0; the witness is the
-    lexicographically least minimizer.
+    One sequential branch and bound assigns goods in base-k order (good 0
+    most significant, bundles ascending) on the integer-scaled instance,
+    keeping per-agent bundle values incrementally. After each placement the
+    `_MinC.bound` lower bound over every completion is computed, scanning
+    stops once it reaches the incumbent, and the subtree is pruned when it
+    does; at a leaf the same routine gives the exact c. Only a strictly
+    smaller c replaces the incumbent and the search stops at c = 0, so the
+    witness is the lexicographically least minimizer. `cap` bounds k^m, the
+    size of the unpruned search.
     """
-    if tag not in NOTION_TAGS:
-        raise InputError(f"unknown fairness notion {tag!r}")
+    core = _MinC(instance, tag)
     k = instance.k
     m = instance.m
-    total = k**m
-    if total > cap:
-        raise CapExceededError(f"k^m = {total} exceeds enumeration cap {cap}")
+    check_enumeration(k, m, cap)
 
-    bundles = [[] for _ in range(k)]
-    agents = list(instance.agents())
-    values = [[_ZERO] * k for _ in agents]
-    shares = [sum(agent, start=_ZERO) / k for _i, _j, agent in agents]
-    assignment = [0] * m
-    best = [None, None]
+    by_good = [[units[g] for _i, units, _s, _r in core.agents] for g in range(m)]
+    remaining = [[0] * len(core.agents)]
+    for units in reversed(by_good):
+        remaining.append([r + u for r, u in zip(remaining[-1], units)])
+    remaining.reverse()  # remaining[g][a]: agent a's value of goods g..m-1
+    values = [[0] * k for _ in core.agents]
+    assignment = [-1] * m
+    best_c = m + 1  # every allocation has c <= m: removing all goods passes
+    best = None
 
     def descend(good):
-        if best[0] == 0:
-            return
-        if good == m:
-            c = _min_c_from_state(instance, tag, bundles, values, shares, agents)
-            if best[0] is None or c < best[0]:
-                best[0] = c
-                best[1] = tuple(assignment)
-            return
+        nonlocal best_c, best
+        units = by_good[good]
+        slack = remaining[good + 1]
         for b in range(k):
-            bundles[b].append(good)
             assignment[good] = b
-            for a, (_i, _j, agent) in enumerate(agents):
-                values[a][b] += agent[good]
-            descend(good + 1)
-            bundles[b].pop()
-            for a, (_i, _j, agent) in enumerate(agents):
-                values[a][b] -= agent[good]
+            for vals, u in zip(values, units):
+                vals[b] += u
+            c = core.bound(assignment, values, slack, best_c)
+            if c < best_c:
+                if good + 1 == m:
+                    best_c, best = c, tuple(assignment)
+                else:
+                    descend(good + 1)
+            for vals, u in zip(values, units):
+                vals[b] -= u
+            if best_c == 0:
+                break
+        assignment[good] = -1
 
     descend(0)
     witness = [[] for _ in range(k)]
-    for good, b in enumerate(best[1]):
+    for good, b in enumerate(best):
         witness[b].append(good)
-    return best[0], Allocation(bundles=tuple(tuple(b) for b in witness))
+    return best_c, Allocation(bundles=tuple(tuple(b) for b in witness))
 
 
 # ---------------------------------------------------------------------------

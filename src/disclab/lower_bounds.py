@@ -17,10 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
-from .matrices import RatMatrix, hadamard_sylvester, lift_w, stack_horizontal
+from .errors import CapExceededError, InputError
+from .matrices import MAX_LOG2_ORDER, RatMatrix, hadamard_sylvester, lift_w, stack_horizontal
 from .rational import format_rational, sqrt_lower
-from .solvers import OracleConfig, odisc_exact, wdisc_exact
+from .solvers import (
+    DEFAULT_ENUMERATION_CAP,
+    OracleConfig,
+    check_enumeration,
+    check_exact_width,
+    odisc_exact,
+    wdisc_exact,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,21 +87,31 @@ class CertReport:
         return data
 
 
-def build_stacked(p: Fraction, n: int) -> StackedConstruction:
-    """Assemble the stacked instance for weight p and power-of-two order n.
+def stacked_shape(p: Fraction, n: int) -> tuple:
+    """(p, t) of the stacked instance for weight p and order n, built or not.
 
     p above 1/2 is mirrored to 1 - p first (the weighted discrepancy is
     symmetric under that swap); afterwards t = floor(1/(2p)) guarantees
-    1/4 <= p*t <= 1/2.
+    1/4 <= p*t <= 1/2. The width n*t is known here, so callers check their
+    caps before any cell is built; an order beyond the Hadamard cap is
+    refused here for the same reason.
     """
     p = Fraction(p)
     if not _ZERO < p < _ONE:
         raise InputError(f"p must lie strictly between 0 and 1, got {p}")
     log2 = _require_power_of_two(n)
+    if log2 > MAX_LOG2_ORDER:
+        raise CapExceededError(f"log2_order {log2} exceeds cap {MAX_LOG2_ORDER}")
     if p > _HALF:
         p = 1 - p
-    t = int(Fraction(1, 2) / p)  # floor of 1/(2p) for positive rationals
-    w = lift_w(hadamard_sylvester(log2))
+    return p, int(Fraction(1, 2) / p)  # t: floor of 1/(2p) for positive rationals
+
+
+def build_stacked(p: Fraction, n: int) -> StackedConstruction:
+    """Assemble the stacked instance for weight p and power-of-two order n,
+    with p and t = floor(1/(2p)) as `stacked_shape` gives them."""
+    p, t = stacked_shape(p, n)
+    w = lift_w(hadamard_sylvester(n.bit_length() - 1))
     matrix = stack_horizontal(w, t)
     assert Fraction(1, 4) <= p * t <= _HALF
     return StackedConstruction(n=n, p=p, t=t, matrix=matrix, delta=lb_value(n, "proof"))
@@ -149,8 +166,11 @@ def certify_wdisc_lb(p: Fraction, n: int, config: OracleConfig = OracleConfig())
 
     Runs the exact solver on the construction and decides the comparison on
     squares: pass iff value^2 >= (n-1)/64. Intended for n <= 8 where the
-    exhaustive-equivalent search finishes in seconds.
+    exhaustive-equivalent search finishes in seconds. A width n*t beyond
+    config.exact_width_cap is refused before the construction is built.
     """
+    _p, t = stacked_shape(p, n)
+    check_exact_width(n * t, config)
     construction = build_stacked(p, n)
     result = wdisc_exact(construction.matrix, construction.p, config)
     passed = result.value * result.value >= Fraction(n - 1, 64)
@@ -174,15 +194,16 @@ def certify_multicolor_lb(
     Builds the stacked construction at p = 1/k, solves the k-color problem
     exactly on k identical copies, and the weighted problem exactly at 1/k;
     both inequalities are checked with exact arithmetic (the last one on
-    squares). Intended for n <= 4 where k^(n*t) enumeration is immediate.
+    squares). Intended for n <= 4 where k^(n*t) enumeration is immediate;
+    k^(n*t) beyond the enumeration cap is refused before anything is built.
     """
     if k < 2:
         raise InputError("multicolor certification needs k >= 2")
+    _p, t = stacked_shape(Fraction(1, k), n)
+    cap = DEFAULT_ENUMERATION_CAP if enumeration_cap is None else enumeration_cap
+    check_enumeration(k, n * t, cap)
     construction = build_stacked(Fraction(1, k), n)
-    kwargs = {"config": config}
-    if enumeration_cap is not None:
-        kwargs["cap"] = enumeration_cap
-    colored = odisc_exact([construction.matrix] * k, **kwargs)
+    colored = odisc_exact([construction.matrix] * k, config=config, cap=cap)
     weighted = wdisc_exact(construction.matrix, construction.p, config)
     passed = (
         colored.value >= weighted.value

@@ -294,10 +294,27 @@ def _witness_search(columns, start, target):
         return None
 
     path = reconstruct(0, start)
+    # `reconstruct` refers to itself, so its closure is a reference cycle that
+    # only a full collection frees; empty the memo now rather than then.
+    dead.clear()
     if path is None:
         raise VerificationError("optimal value unreachable during witness rebuild")
     path.reverse()
     return tuple(path), nodes
+
+
+def check_exact_width(cols: int, config: OracleConfig) -> None:
+    """Refuse a width beyond config.exact_width_cap, the exact solver's limit;
+    callers that know the width before building a matrix check it first."""
+    if cols > config.exact_width_cap:
+        raise CapExceededError(f"width {cols} exceeds exact cap {config.exact_width_cap}")
+
+
+def check_enumeration(k: int, m: int, cap: int) -> None:
+    """Refuse an exact search over k^m colorings or allocations beyond `cap`;
+    callers that know k and m before building their input check it first."""
+    if k**m > cap:
+        raise CapExceededError(f"k^m = {k**m} exceeds enumeration cap {cap}")
 
 
 def wdisc_exact(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleConfig()) -> WdiscResult:
@@ -308,10 +325,7 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleCon
     config.exact_width_cap.
     """
     p = _check_probability(p)
-    if matrix.cols > config.exact_width_cap:
-        raise CapExceededError(
-            f"width {matrix.cols} exceeds exact cap {config.exact_width_cap}"
-        )
+    check_exact_width(matrix.cols, config)
     columns, start, denom = _scale_weighted(matrix, p)
 
     # Cheap upper bounds seed the incumbent: empty and full selections plus a
@@ -508,9 +522,7 @@ def odisc_exact(
     blocks = _check_blocks(blocks)
     k = len(blocks)
     m = blocks[0].cols
-    total = k**m
-    if total > cap:
-        raise CapExceededError(f"k^m = {total} exceeds enumeration cap {cap}")
+    check_enumeration(k, m, cap)
     if symmetric_pruning:
         reference = blocks[0].entries
         for block in blocks[1:]:

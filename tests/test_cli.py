@@ -201,11 +201,50 @@ def test_non_rational_inputs_rejected(tmp_path):
         assert (outcome.exit_code, outcome.stdout) == (2, ""), p
 
 
+def test_malformed_groups_rejected(tmp_path):
+    instance = tmp_path / "inst.json"
+    allocation = tmp_path / "alloc.json"
+    allocation.write_text(json.dumps({"bundles": [[0], []]}))
+    for data in ({"groups": 5}, {"groups": [[5]]}, {"groups": [5]}, {"groups": "11"},
+                 {"groups": [[["1"]]], "group_sizes": 5}):
+        instance.write_text(json.dumps(data))
+        for argv in (["fd", "minc", "--notion", "ef"],
+                     ["fd", "check", "--allocation", str(allocation), "--notion", "ef", "--c", "0"],
+                     ["fd", "allocate"]):
+            outcome = invoke(*argv, "--instance", str(instance))
+            assert (outcome.exit_code, outcome.stdout) == (2, ""), (data, argv)
+            assert outcome.stderr.startswith("error: "), (data, argv)
+
+
 def test_hadamard_order_cap_refuses_before_building():
     for argv in (["construct", "hadamard"], ["construct", "w"], ["certify", "hadamard-lemma"]):
         outcome = invoke(*argv, "--n", "4096")
         assert (outcome.exit_code, outcome.stdout) == (3, ""), argv
         assert "exceeds cap" in outcome.stderr
+
+
+def test_caps_refuse_before_building(monkeypatch):
+    """The stacked width n*t is known from (p, n): the exact width cap and the
+    k^(n*t) enumeration cap are checked before any construction is built, in
+    certify and in experiment rows."""
+    from disclab import cli, lower_bounds
+
+    def never(*_args):
+        raise AssertionError("build_stacked called for a refused instance")
+
+    monkeypatch.setattr(lower_bounds, "build_stacked", never)
+    monkeypatch.setattr(cli, "build_stacked", never)
+    outcome = invoke("certify", "wdisc-lb", "--p", "1/2", "--n", "1024")
+    assert (outcome.exit_code, outcome.stdout) == (3, "")
+    assert "width 1024 exceeds exact cap 24" in outcome.stderr
+    outcome = invoke("certify", "multicolor-lb", "--k", "2", "--n", "1024")
+    assert (outcome.exit_code, outcome.stdout) == (3, "")
+    assert "exceeds enumeration cap" in outcome.stderr
+    outcome = invoke("experiment", "--n", "1024", "--p", "1/2,1/5", "--k", "2")
+    assert outcome.exit_code == 3
+    rows = outcome.stdout.splitlines()[1:]
+    assert [row.split(",")[5:7] for row in rows] == [["1", "1024"], ["2", "2048"], ["1", "1024"]]
+    assert all(",skipped:budget," in row for row in rows)
 
 
 def test_threads_do_not_change_output(tmp_path):
@@ -227,13 +266,17 @@ def test_threads_do_not_change_output(tmp_path):
 
 def test_repeat_invocations_byte_identical(tmp_path):
     amat = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
-    for argv in (
+    argvs = (
         ["construct", "stacked", "--p", "2/7", "--n", "4"],
         ["certify", "hadamard-lemma", "--n", "4", "--trials", "25"],
         ["odisc", "color", "--matrix", amat, "--k", "2", "--oracle", "local-search"],
         ["experiment", "--n", "2", "--p", "1/3", "--solver", "exact,local-search"],
-    ):
-        assert run(list(argv)).stdout == run(list(argv)).stdout
+        ["experiment", "--n", "2", "--k", "2"],
+    )
+    first = [run(list(argv)).stdout for argv in argvs]
+    # the parser is shared by every call: no invocation may leak into the next
+    for argv, stdout in reversed(list(zip(argvs, first))):
+        assert run(list(argv)).stdout == stdout
 
 
 def test_disclab_cap_env(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclab import (
     Allocation,
@@ -22,7 +24,7 @@ from disclab import (
     min_c_for_allocation,
     wdisc_exact,
 )
-from disclab.fairdiv import _removal_prefixes, build_agent_scaling
+from disclab.fairdiv import _MinC, _cover, build_agent_scaling
 
 from naive import best_removal, naive_is_cd, naive_is_ef, naive_is_prop, naive_min_c
 
@@ -87,16 +89,24 @@ def test_fairness_notion_validation():
 
 
 def test_top_removal_is_optimal():
-    """Dropping the c most valued goods is the best removal (vs all subsets)."""
+    """The ranked scan finds the least c whose best removal covers a deficit
+    (vs all removal subsets), and stops at its limit."""
     rng = random.Random(6)
     for _ in range(40):
         m = rng.randint(1, 8)
         agent = [Fraction(rng.randint(0, 4), 4) for _ in range(m)]
+        inst = FairDivInstance.from_groups([[agent], [[0] * m]])
+        _i, units, _share, ranking = _MinC(inst, "EF").agents[0]
+        scale = next((units[g] / agent[g] for g in range(m) if agent[g]), Fraction(1))
         goods = tuple(g for g in range(m) if rng.random() < 0.7)
+        assignment = [0 if g in goods else -1 for g in range(m)]
         total = sum((agent[g] for g in goods), start=Fraction(0))
-        prefixes = _removal_prefixes(agent, goods)
-        for c in range(0, len(goods) + 1):
-            assert total - prefixes[c] == best_removal(agent, goods, c)
+        removed = [total - best_removal(agent, goods, c) for c in range(len(goods) + 1)]
+        for deficit in range(-1, sum(units[g] for g in goods) + 1):
+            expected = next(c for c, covered in enumerate(removed) if covered * scale >= deficit)
+            assert _cover(units, ranking, assignment, (0,), deficit, m + 1) == expected
+            limit = rng.randint(1, m + 1)
+            assert _cover(units, ranking, assignment, (0,), deficit, limit) == min(expected, limit)
 
 
 def test_check_fairness_matches_subset_semantics():
@@ -161,27 +171,69 @@ def test_brute_force_witness_is_lex_least():
                 break
 
 
-def test_brute_force_leaf_matches_public_checker():
-    """The enumeration's incremental-value leaf and the public min-c both
-    equal the subset-enumerating reference."""
-    from disclab.fairdiv import _min_c_from_state
+UTILITIES = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
 
+
+@st.composite
+def small_instances(draw):
+    """k <= 3, m <= 5; few distinct utilities so values tie, and agents that
+    value nothing at all."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    agent = st.one_of(st.just([Fraction(0)] * m), st.lists(UTILITIES, min_size=m, max_size=m))
+    groups = draw(st.lists(st.lists(agent, min_size=1, max_size=2), min_size=k, max_size=k))
+    return FairDivInstance.from_groups(groups)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.sampled_from(("EF", "PROP", "CD")))
+def test_brute_force_matches_lex_order_scan(inst, tag):
+    """(c, witness) equals the first minimizer of a lex-order scan with the
+    subset-enumerating reference."""
+    best = None
+    for assignment in product(range(inst.k), repeat=inst.m):
+        bundles = tuple(tuple(g for g in range(inst.m) if assignment[g] == b) for b in range(inst.k))
+        c = naive_min_c(inst, bundles, tag)
+        if best is None or c < best[0]:
+            best = (c, bundles)
+        if c == 0:
+            break
+    c_star, witness = brute_force_min_c(inst, tag)
+    assert (c_star, witness.bundles) == best
+
+
+def test_brute_force_leaf_matches_public_checker():
+    """The integer routine with nothing unplaced and the public min-c both
+    equal the subset-enumerating reference; on a partial allocation the
+    routine is a lower bound on every completion."""
     rng = random.Random(62)
     for _ in range(12):
         inst = random_instance(rng, m=rng.randint(2, 4))
-        agents = list(inst.agents())
-        shares = [sum(agent, start=Fraction(0)) / inst.k for _i, _j, agent in agents]
+        exact = {}
         for assignment in product(range(inst.k), repeat=inst.m):
             bundles = [[g for g in range(inst.m) if assignment[g] == b] for b in range(inst.k)]
-            values = [
-                [sum((agent[g] for g in bundle), start=Fraction(0)) for bundle in bundles]
-                for _i, _j, agent in agents
-            ]
             allocation = Allocation.from_bundles(bundles, inst.m)
             for tag in ("EF", "PROP", "CD"):
+                core = _MinC(inst, tag)
+                values = [[sum(units[g] for g in bundle) for bundle in bundles]
+                          for _i, units, _s, _r in core.agents]
                 expected = naive_min_c(inst, bundles, tag)
-                assert _min_c_from_state(inst, tag, bundles, values, shares, agents) == expected
+                exact[tag, assignment] = expected
+                zeros = [0] * len(values)
+                assert core.bound(list(assignment), values, zeros, inst.m + 1) == expected
                 assert min_c_for_allocation(inst, allocation, tag) == expected
+        for tag in ("EF", "PROP", "CD"):
+            core = _MinC(inst, tag)
+            for placed in range(inst.m):
+                for prefix in product(range(inst.k), repeat=placed):
+                    assignment = list(prefix) + [-1] * (inst.m - placed)
+                    values = [[sum(units[g] for g in range(placed) if prefix[g] == b)
+                               for b in range(inst.k)] for _i, units, _s, _r in core.agents]
+                    remaining = [sum(units[placed:]) for _i, units, _s, _r in core.agents]
+                    bound = core.bound(assignment, values, remaining, inst.m + 1)
+                    completions = [c for (t, full), c in exact.items()
+                                   if t == tag and full[:placed] == prefix]
+                    assert bound <= min(completions)
 
 
 def test_ef_implies_prop_and_cd_implies_ef():

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -93,6 +94,26 @@ def test_wdisc_witness_reevaluates_to_value():
         p = Fraction(rng.randint(1, 5), rng.randint(5, 9))
         result = wdisc_exact(matrix, p)
         assert eval_weighted(matrix, p, result.witness) == result.value
+
+
+def test_wdisc_exact_leaves_no_memo_for_the_collector():
+    """The witness search's memo is freed on return: what a wdisc_exact call
+    leaves for the cycle collector is a small fixed set of closure objects,
+    not thousands of memoized states."""
+    counts = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        matrix = RatMatrix.from_rows(
+            [[Fraction(rng.randint(0, 4), 4) for _ in range(16)] for _ in range(6)]
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            wdisc_exact(matrix, Fraction(1, 2))
+            counts.append(gc.collect())
+        finally:
+            gc.enable()
+    assert len(set(counts)) == 1 and counts[0] < 200, counts
 
 
 def test_wdisc_symmetry_under_p_flip():
