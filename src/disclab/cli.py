@@ -45,6 +45,7 @@ from .lower_bounds import (
     certify_multicolor_lb,
     certify_wdisc_lb,
     check_hadamard_lemma,
+    check_multicolor_k,
     lb_value,
     stacked_shape,
 )
@@ -53,7 +54,6 @@ from .rational import format_rational, parse_rational
 from .recursive_coloring import RecursionConfig, odisc_color, reference_bound
 from .solvers import (
     DEFAULT_ENUMERATION_CAP,
-    DEFAULT_EXACT_WIDTH_CAP,
     OracleConfig,
     check_exact_width,
     eval_asymmetric,
@@ -76,7 +76,11 @@ class CommandOutcome:
     stderr: str = ""
 
 
-def _default_cap() -> int:
+def _enumeration_cap(args) -> int:
+    """--cap when given, else DISCLAB_CAP, else the default. The environment
+    is read per call, not at parse time: the parser is shared by every run."""
+    if args.cap is not None:
+        return args.cap
     raw = os.environ.get("DISCLAB_CAP")
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
@@ -100,10 +104,15 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_out(path: str, payload):
-    if path:
+def _write_out(path: str, text: str):
+    """Also write `text` to `path` when one is given."""
+    if not path:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_dump(payload))
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_matrix(path: str) -> RatMatrix:
@@ -115,6 +124,13 @@ def _oracle_config(args) -> OracleConfig:
     if getattr(args, "cap", None) is not None:
         kwargs["exact_width_cap"] = args.cap
     return OracleConfig(**kwargs)
+
+
+def _width_config(args) -> OracleConfig:
+    """The exact oracle, with --cap as its width cap when given."""
+    if args.cap is None:
+        return OracleConfig()
+    return OracleConfig(exact_width_cap=args.cap)
 
 
 def _recursion_config(args) -> RecursionConfig:
@@ -270,15 +286,15 @@ def _cmd_construct(args) -> CommandOutcome:
         payload = hadamard_sylvester(args.n.bit_length() - 1).to_json_dict()
     else:
         payload = lift_w(hadamard_sylvester(args.n.bit_length() - 1)).to_json_dict()
-    _write_out(args.out, payload)
-    return CommandOutcome(EXIT_OK, _dump(payload))
+    text = _dump(payload)
+    _write_out(args.out, text)
+    return CommandOutcome(EXIT_OK, text)
 
 
 def _cmd_wdisc(args) -> CommandOutcome:
     matrix = _load_matrix(args.matrix)
     if args.how == "exact":
-        cap = args.cap if args.cap is not None else DEFAULT_EXACT_WIDTH_CAP
-        result = wdisc_exact(matrix, args.p, OracleConfig(exact_width_cap=cap))
+        result = wdisc_exact(matrix, args.p, _width_config(args))
     else:
         result = wdisc_heuristic(matrix, args.p, _oracle_config(args))
     return CommandOutcome(EXIT_OK, _dump(result.to_json_dict()))
@@ -298,8 +314,7 @@ def _blocks_from_args(args):
 def _cmd_odisc(args) -> CommandOutcome:
     blocks = _blocks_from_args(args)
     if args.how == "exact":
-        cap = args.cap if args.cap is not None else _default_cap()
-        result = odisc_exact(blocks, cap=cap)
+        result = odisc_exact(blocks, cap=_enumeration_cap(args))
         return CommandOutcome(EXIT_OK, _dump(result.to_json_dict()))
     coloring, certificate = odisc_color(blocks, _recursion_config(args))
     payload = {
@@ -313,14 +328,11 @@ def _cmd_odisc(args) -> CommandOutcome:
 
 def _cmd_certify(args) -> CommandOutcome:
     if args.what == "wdisc-lb":
-        cap = args.cap if args.cap is not None else DEFAULT_EXACT_WIDTH_CAP
-        report = certify_wdisc_lb(args.p, args.n, OracleConfig(exact_width_cap=cap))
+        report = certify_wdisc_lb(args.p, args.n, _width_config(args))
         payload = report.to_json_dict()
         return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(payload))
     if args.what == "multicolor-lb":
-        report = certify_multicolor_lb(
-            args.k, args.n, enumeration_cap=args.cap if args.cap is not None else _default_cap()
-        )
+        report = certify_multicolor_lb(args.k, args.n, _enumeration_cap(args))
         payload = report.to_json_dict()
         return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(payload))
     # hadamard-lemma: seeded random vectors plus all unit vectors.
@@ -355,8 +367,9 @@ def _cmd_fd(args) -> CommandOutcome:
             else:
                 instance = gen_ef_lb_instance(matrix, args.k, args.sizes)
         payload = instance.to_json_dict()
-        _write_out(args.out, payload)
-        return CommandOutcome(EXIT_OK, _dump(payload))
+        text = _dump(payload)
+        _write_out(args.out, text)
+        return CommandOutcome(EXIT_OK, text)
     if args.what == "check":
         instance = FairDivInstance.from_json_dict(_load_json(args.instance))
         allocation = Allocation.from_json_dict(_load_json(args.allocation), instance.m)
@@ -366,8 +379,7 @@ def _cmd_fd(args) -> CommandOutcome:
         return CommandOutcome(EXIT_OK if ok else EXIT_CERT_FAIL, _dump(payload))
     if args.what == "minc":
         instance = FairDivInstance.from_json_dict(_load_json(args.instance))
-        cap = args.cap if args.cap is not None else _default_cap()
-        c_star, witness = brute_force_min_c(instance, args.notion.upper(), cap=cap)
+        c_star, witness = brute_force_min_c(instance, args.notion.upper(), cap=_enumeration_cap(args))
         payload = {"notion": args.notion.upper(), "c_star": c_star,
                    "witness": witness.to_json_dict()}
         return CommandOutcome(EXIT_OK, _dump(payload))
@@ -386,7 +398,9 @@ def _cmd_fd(args) -> CommandOutcome:
 
 def _experiment_rows(args):
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _enumeration_cap(args)
+    for k in args.k:
+        check_multicolor_k(k)
     rows = []
     for n in args.n:
         for p in args.p:
@@ -460,9 +474,7 @@ def _cmd_experiment(args) -> CommandOutcome:
         writer.writerow(out_row)
 
     text = buffer.getvalue()
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_out(args.csv, text)
     if completed == 0:
         return CommandOutcome(EXIT_BUDGET, text, "all sweep rows exceeded their budgets\n")
     if failed:

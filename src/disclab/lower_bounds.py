@@ -183,12 +183,13 @@ def certify_wdisc_lb(p: Fraction, n: int, config: OracleConfig = OracleConfig())
     )
 
 
-def certify_multicolor_lb(
-    k: int,
-    n: int,
-    config: OracleConfig = OracleConfig(),
-    enumeration_cap: int = None,
-) -> CertReport:
+def check_multicolor_k(k: int) -> None:
+    """Refuse fewer than two colors: the chain runs at p = 1/k, inside (0, 1)."""
+    if k < 2:
+        raise InputError("multicolor certification needs k >= 2")
+
+
+def certify_multicolor_lb(k: int, n: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> CertReport:
     """Certify the multicolor chain odisc >= wdisc >= sqrt(n-1)/8 at p = 1/k.
 
     Builds the stacked construction at p = 1/k, solves the k-color problem
@@ -197,14 +198,12 @@ def certify_multicolor_lb(
     squares). Intended for n <= 4 where k^(n*t) enumeration is immediate;
     k^(n*t) beyond the enumeration cap is refused before anything is built.
     """
-    if k < 2:
-        raise InputError("multicolor certification needs k >= 2")
+    check_multicolor_k(k)
     _p, t = stacked_shape(Fraction(1, k), n)
-    cap = DEFAULT_ENUMERATION_CAP if enumeration_cap is None else enumeration_cap
-    check_enumeration(k, n * t, cap)
+    check_enumeration(k, n * t, enumeration_cap)
     construction = build_stacked(Fraction(1, k), n)
-    colored = odisc_exact([construction.matrix] * k, config=config, cap=cap)
-    weighted = wdisc_exact(construction.matrix, construction.p, config)
+    colored = odisc_exact([construction.matrix] * k, cap=enumeration_cap)
+    weighted = wdisc_exact(construction.matrix, construction.p)
     passed = (
         colored.value >= weighted.value
         and weighted.value * weighted.value >= Fraction(n - 1, 64)

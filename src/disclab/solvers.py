@@ -216,17 +216,25 @@ def _group_columns(columns):
     return groups
 
 
-def _value_search(groups, start, seed_value):
-    """Exact minimum of max |row value| over all selection counts per group."""
+def _remaining(columns, n):
+    """remaining[d][i]: what columns d, d+1, ... can still subtract from row i."""
+    remaining = [(0,) * n]
+    for col in reversed(columns):
+        remaining.append(tuple(r + c for r, c in zip(remaining[-1], col)))
+    remaining.reverse()
+    return remaining
+
+
+def _value_search(groups, start):
+    """Exact minimum of max |row value| over all selection counts per group.
+
+    The incumbent starts at the empty selection's value, the first leaf in
+    search order."""
     n = len(start)
     depth_total = len(groups)
-    suffix = [(0,) * n]
-    for col, _first, count in reversed(groups):
-        prev = suffix[-1]
-        suffix.append(tuple(prev[i] + count * col[i] for i in range(n)))
-    suffix.reverse()
+    suffix = _remaining([tuple(count * c for c in col) for col, _first, count in groups], n)
 
-    best = seed_value
+    best = max(abs(v) for v in start)
     nodes = 0
 
     def descend(depth, values):
@@ -260,11 +268,7 @@ def _witness_search(columns, start, target):
     """
     n = len(start)
     m = len(columns)
-    suffix = [(0,) * n]
-    for col in reversed(columns):
-        prev = suffix[-1]
-        suffix.append(tuple(prev[i] + col[i] for i in range(n)))
-    suffix.reverse()
+    suffix = _remaining(columns, n)
 
     dead = set()
     nodes = 0
@@ -320,27 +324,15 @@ def check_enumeration(k: int, m: int, cap: int) -> None:
 def wdisc_exact(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleConfig()) -> WdiscResult:
     """Exact minimum of ||A(p*1 - x)||_inf over x in {0,1}^m.
 
-    Exhaustive-equivalent branch and bound; ties among optimal witnesses are
-    broken toward the lexicographically smallest x. Refuses widths beyond
-    config.exact_width_cap.
+    Exhaustive-equivalent branch and bound in two passes: the value search
+    over merged duplicate columns, its incumbent starting at the empty
+    selection, then the witness search for the lexicographically smallest x
+    attaining that value. Refuses widths beyond config.exact_width_cap.
     """
     p = _check_probability(p)
     check_exact_width(matrix.cols, config)
     columns, start, denom = _scale_weighted(matrix, p)
-
-    # Cheap upper bounds seed the incumbent: empty and full selections plus a
-    # short seeded descent. All are valid selections, so exactness holds.
-    seed_value = max(abs(v) for v in start)
-    full = [v - sum(col[i] for col in columns) for i, v in enumerate(start)]
-    seed_value = min(seed_value, max(abs(v) for v in full))
-    probe = wdisc_heuristic(
-        matrix, p, OracleConfig(kind="local-search", budget=64, seed=0)
-    )
-    probe_scaled = probe.value * denom  # integral: denom clears every denominator
-    seed_value = min(seed_value, probe_scaled.numerator)
-
-    groups = _group_columns(columns)
-    value, nodes_value = _value_search(groups, start, seed_value)
+    value, nodes_value = _value_search(_group_columns(columns), start)
     witness, nodes_witness = _witness_search(columns, start, value)
     return WdiscResult(
         value=Fraction(value, denom),
@@ -504,86 +496,62 @@ def _scale_blocks(blocks):
     return scaled_rows, lcm * k
 
 
-def odisc_exact(
-    blocks,
-    config: OracleConfig = OracleConfig(),
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    symmetric_pruning: bool = False,
-) -> OdiscResult:
+def odisc_exact(blocks, cap: int = DEFAULT_ENUMERATION_CAP) -> OdiscResult:
     """Exact minimum over all k^m colorings of the asymmetric discrepancy.
 
     Colorings are explored in one sequential search in mixed-radix order
     (earlier columns more significant, colors ascending) with incremental
     per-color row sums and interval pruning, so the returned witness is the
-    lexicographically smallest optimal coloring. `symmetric_pruning` skips
-    colorings that are color-permutations of earlier ones; it is only sound
-    when all blocks are identical, and is off by default.
+    lexicographically smallest optimal coloring. When all blocks are
+    identical, relabelling the colors keeps the value, and the lex-least
+    coloring of each relabelling class is the one that introduces its colors
+    in order 1, 2, ...; the search then visits only those colorings, which
+    leaves value and witness unchanged.
     """
     blocks = _check_blocks(blocks)
     k = len(blocks)
     m = blocks[0].cols
     check_enumeration(k, m, cap)
-    if symmetric_pruning:
-        reference = blocks[0].entries
-        for block in blocks[1:]:
-            if block.entries != reference:
-                raise InputError("symmetric pruning needs identical blocks")
-
+    symmetric = all(block.entries == blocks[0].entries for block in blocks)
     scaled_rows, denom = _scale_blocks(blocks)
-    best_scaled, best_chi = _odisc_dfs(scaled_rows, k, m, symmetric_pruning)
+    best_scaled, best_chi = _odisc_dfs(scaled_rows, k, m, symmetric)
     return OdiscResult(value=Fraction(best_scaled, denom), witness=best_chi, exact=True)
 
 
-def _odisc_dfs(scaled_rows, k, m, symmetric_pruning):
-    """Search colorings; returns (scaled value, coloring)."""
-    # Per scaled row: current value T - k * (selected mass of its color),
-    # and the remaining selectable mass k * suffix sum.
-    suffix = []
-    tail = [0] * len(scaled_rows)
-    suffix.append(tuple(tail))
-    for j in range(m - 1, -1, -1):
-        tail = [tail[r] + k * scaled_rows[r][1][j] for r in range(len(scaled_rows))]
-        suffix.append(tuple(tail))
-    suffix.reverse()
+def _odisc_dfs(scaled_rows, k, m, symmetric):
+    """Search colorings; returns (scaled value, coloring).
 
-    best = [None, None]
+    Row r's value is T - k * (mass of its block's color); every value lies in
+    [T - k*T, T], so the incumbent starts above k * max T, where every
+    coloring beats it. With `symmetric`, color c + 1 is tried only once
+    colors 1..c have appeared.
+    """
+    n = len(scaled_rows)
+    columns = [tuple(k * ints[j] for _s, ints, _t in scaled_rows) for j in range(m)]
+    suffix = _remaining(columns, n)
+    rows_of = [[r for r, (s, _ints, _t) in enumerate(scaled_rows) if s == color] for color in range(k)]
+    start = tuple(t for _s, _ints, t in scaled_rows)
+
+    best = k * max(start) + 1
+    best_chi = None
     chi = [0] * m
 
-    def leaf_value(values):
-        return max(abs(v) for v in values)
-
     def descend(depth, values, used_colors):
+        nonlocal best, best_chi
         if depth == m:
-            worst = leaf_value(values)
-            if best[0] is None or worst < best[0]:
-                best[0] = worst
-                best[1] = tuple(chi)
+            worst = max(abs(v) for v in values)
+            if worst < best:
+                best, best_chi = worst, tuple(chi)
             return
-        rem = suffix[depth]
-        if best[0] is not None:
-            limit = best[0]
-            total_sq = 0
-            bad = False
-            for r in range(len(scaled_rows)):
-                gap = _row_gap(values[r], rem[r])
-                if gap >= limit:
-                    bad = True
-                    break
-                total_sq += gap * gap
-            if bad or total_sq >= limit * limit * len(scaled_rows):
-                return
-        color_cap = k
-        if symmetric_pruning:
-            color_cap = min(k, used_colors + 1)
-        for color in range(1, color_cap + 1):
+        if _prune(values, suffix[depth], best * best, n, best):
+            return
+        col = columns[depth]
+        for color in range(1, (min(k, used_colors + 1) if symmetric else k) + 1):
             chi[depth] = color
             child = list(values)
-            for r, (s, ints, _t) in enumerate(scaled_rows):
-                if s == color - 1:
-                    child[r] = values[r] - k * ints[depth]
+            for r in rows_of[color - 1]:
+                child[r] -= col[r]
             descend(depth + 1, child, max(used_colors, color))
-        chi[depth] = 0
 
-    start = tuple(t for _s, _ints, t in scaled_rows)
     descend(0, start, 0)
-    return best[0], best[1]
+    return best, best_chi

@@ -187,6 +187,24 @@ def test_non_positive_counts_rejected(tmp_path):
             assert (outcome.exit_code, outcome.stdout) == (2, "")
             assert "--k must be >= 1" in outcome.stderr
         assert payload(invoke("odisc", how, "--matrix", path, "--k", "1"))["value"] == "0"
+    # every --k is checked before the first sweep row runs
+    for k in ("0", "1", "-1", "2,0"):
+        outcome = invoke("experiment", "--n", "2", "--p", "1/2", "--k", k)
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), k
+        assert "multicolor certification needs k >= 2" in outcome.stderr, k
+
+
+def test_unwritable_output_paths_rejected(tmp_path):
+    amat = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
+    missing = str(tmp_path / "no" / "such" / "dir" / "out")
+    for argv in (
+        ["construct", "stacked", "--p", "1/2", "--n", "2", "--out", missing],
+        ["fd", "gen", "--kind", "cd", "--matrix", amat, "--k", "2", "--out", missing],
+        ["experiment", "--n", "2", "--p", "1/2", "--csv", missing],
+    ):
+        outcome = invoke(*argv)
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), argv
+        assert outcome.stderr.startswith(f"error: cannot write {missing}"), argv
 
 
 def test_non_rational_inputs_rejected(tmp_path):

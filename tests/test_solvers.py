@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclab import (
     CapExceededError,
@@ -228,16 +230,44 @@ def test_odisc_matches_naive():
         assert eval_asymmetric(blocks, result.witness) == result.value
 
 
-def test_odisc_symmetric_pruning_same_value(w2, w4):
-    rng = random.Random(5)
-    for _ in range(10):
-        matrix = random_01_matrix(rng, rng.randint(1, 3), rng.randint(1, 5))
-        k = rng.randint(2, 3)
-        plain = odisc_exact([matrix] * k)
-        pruned = odisc_exact([matrix] * k, symmetric_pruning=True)
-        assert plain.value == pruned.value
-    with pytest.raises(InputError):
-        odisc_exact([w2, w4.restrict_columns([0, 1])], symmetric_pruning=True)
+ENTRIES = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def pooled_matrices(draw, max_rows, max_cols):
+    """Columns drawn from a pool of at most three, so duplicates and ties occur."""
+    rows = draw(st.integers(1, max_rows))
+    pool = draw(st.lists(st.lists(ENTRIES, min_size=rows, max_size=rows), min_size=1, max_size=3))
+    columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_cols))
+    return RatMatrix.from_rows([[col[i] for col in columns] for i in range(rows)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pooled_matrices(4, 8),
+       st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(1)]))
+def test_wdisc_exact_matches_naive_property(matrix, p):
+    result = wdisc_exact(matrix, p)
+    assert (result.value, result.witness) == naive_wdisc(matrix, p)
+
+
+@st.composite
+def odisc_blocks(draw):
+    """k <= 3 blocks over m <= 5 columns: k copies of one block, or k drawn
+    independently (which may still coincide)."""
+    k = draw(st.integers(1, 3))
+    first = draw(pooled_matrices(2, 5))
+    if draw(st.booleans()):
+        return [first] * k
+    cols = first.cols
+    block = st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=2)
+    return [first] + [RatMatrix.from_rows(draw(block)) for _ in range(k - 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(odisc_blocks())
+def test_odisc_exact_matches_naive_property(blocks):
+    result = odisc_exact(blocks)
+    assert (result.value, result.witness) == naive_odisc(blocks)
 
 
 def test_multicolor_at_least_weighted():
