@@ -8,10 +8,12 @@ integer problem, and the reported Fraction is exact by construction.
 
 The branch-and-bound prunes with per-row reachable intervals (entries are
 nonnegative, so selecting columns only subtracts) plus the l2/linf relation
-max_i |v_i|^2 >= (sum_i v_i^2)/n. Duplicate columns are merged for the value
-search (only the selection count within an identical-column group matters);
-the witness is reconstructed afterwards in original column order, which keeps
-the documented tie-break: the lexicographically smallest optimal x.
+max_i |v_i|^2 >= (sum_i v_i^2)/n. One search routine serves the weighted
+solver in two modes, always over merged duplicate columns (only the selection
+count within an identical-column group matters): the value search finds the
+optimum, and feasibility searches, each stopping at the first selection
+within the optimum, rebuild the witness column by column in original order.
+That keeps the documented tie-break: the lexicographically smallest optimal x.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
-from .errors import CapExceededError, DimensionMismatchError, InputError, VerificationError
+from .errors import CapExceededError, DimensionMismatchError, InputError
 from .matrices import RatMatrix
 from .rational import format_rational
 
@@ -75,6 +78,7 @@ class WdiscResult:
 class OdiscResult:
     value: Fraction
     witness: tuple
+    nodes_explored: int
     exact: bool
 
     def to_json_dict(self) -> dict:
@@ -183,36 +187,33 @@ def _scale_weighted(matrix: RatMatrix, p: Fraction):
     return columns, tuple(start), lcm * pd
 
 
-def _row_gap(value: int, remaining: int) -> int:
-    """Least |final| reachable for one row: final ranges over [value-remaining, value]."""
-    if value <= 0:
-        return -value
-    if value - remaining > 0:
-        return value - remaining
-    return 0
-
-
 def _prune(values, remaining, limit_sq, n, limit) -> bool:
-    """True when no completion can get max |row| below `limit` (exclusive)."""
+    """True when no completion can get max |row| below `limit` (exclusive).
+
+    Row i's final value ranges over [values[i] - remaining[i], values[i]], so
+    its least reachable |final| is its gap to 0 from that interval."""
     total_sq = 0
     for value, rem in zip(values, remaining):
-        gap = _row_gap(value, rem)
+        if value <= 0:
+            gap = -value
+        elif value > rem:
+            gap = value - rem
+        else:
+            continue
         if gap >= limit:
             return True
         total_sq += gap * gap
     return total_sq >= limit_sq * n
 
 
-def _group_columns(columns):
-    """Merge identical columns; order groups by descending mass, ties by index."""
-    seen = {}
-    for j, col in enumerate(columns):
-        if col in seen:
-            seen[col][1] += 1
-        else:
-            seen[col] = [j, 1]
-    groups = [(col, first, count) for col, (first, count) in seen.items()]
-    groups.sort(key=lambda g: (-sum(g[0]), g[1]))
+def _group_columns(columns, indices):
+    """Merge identical columns among `indices` into (column, its indices
+    ascending); order groups by descending mass, ties by first index."""
+    members = {}
+    for j in indices:
+        members.setdefault(columns[j], []).append(j)
+    groups = list(members.items())
+    groups.sort(key=lambda g: (-sum(g[0]), g[1][0]))
     return groups
 
 
@@ -225,86 +226,84 @@ def _remaining(columns, n):
     return remaining
 
 
-def _value_search(groups, start):
-    """Exact minimum of max |row value| over all selection counts per group.
+def _search(columns, indices, values, limit, first):
+    """Least max |row value| below `limit` over selections of the columns in
+    `indices`, from row values `values`; with `first`, the first selection
+    found below `limit` instead.
 
-    The incumbent starts at the empty selection's value, the first leaf in
-    search order."""
-    n = len(start)
-    depth_total = len(groups)
-    suffix = _remaining([tuple(count * c for c in col) for col, _first, count in groups], n)
-
-    best = max(abs(v) for v in start)
-    nodes = 0
-
-    def descend(depth, values):
-        nonlocal best, nodes
-        nodes += 1
-        if depth == depth_total:
-            worst = max(abs(v) for v in values)
-            if worst < best:
-                best = worst
-            return
-        col, _first, count = groups[depth]
-        current = list(values)
-        for picked in range(count + 1):
-            if picked:
-                for i in range(n):
-                    current[i] -= col[i]
-            if not _prune(current, suffix[depth + 1], best * best, n, best):
-                descend(depth + 1, tuple(current))
-        return
-
-    descend(0, start)
-    return best, nodes
-
-
-def _witness_search(columns, start, target):
-    """Lexicographically smallest x whose max |row value| equals `target`.
-
-    Depth-first in original column order, 0 before 1, pruning completions
-    that provably exceed target; dead (depth, state) pairs are memoized so
-    repeated states (common with duplicated columns) are not re-explored.
+    Only how many columns of an identical group are selected matters, so the
+    search branches on each group's count 0, 1, ..., groups in descending
+    mass, and prunes a branch once no completion beats the incumbent.
+    Returns (value, selected, nodes): `selected` lists the chosen indices,
+    each group's 1s on its latest indices, and is None when no selection
+    gets below `limit`.
     """
-    n = len(start)
+    groups = _group_columns(columns, indices)
+    suffix = _remaining([tuple(len(members) * c for c in col) for col, members in groups], len(values))
+    state = [limit, None, 0]  # incumbent value, its count per group, nodes
+    _descend(groups, suffix, 0, values, [0] * len(groups), state, first)
+    best, counts, nodes = state
+    if counts is None:
+        return best, None, nodes
+    selected = []
+    for (_col, members), count in zip(groups, counts):
+        selected.extend(members[len(members) - count:])
+    return best, selected, nodes
+
+
+def _descend(groups, suffix, depth, values, counts, state, first):
+    """One node of `_search`: branch on group `depth`'s count. Returns True
+    once a `first` search has its selection."""
+    state[2] += 1
+    if depth == len(groups):
+        worst = max(map(abs, values))
+        if worst < state[0]:
+            state[0] = worst
+            state[1] = tuple(counts)
+            return first
+        return False
+    col, members = groups[depth]
+    n = len(values)
+    below = suffix[depth + 1]
+    current = values
+    for count in range(len(members) + 1):
+        if count:
+            current = tuple(map(sub, current, col))
+        best = state[0]
+        if not _prune(current, below, best * best, n, best):
+            counts[depth] = count
+            if _descend(groups, suffix, depth + 1, current, counts, state, first):
+                return True
+    return False
+
+
+def _lex_least(columns, start, target, selected):
+    """Lexicographically smallest x whose max |row value| is at most `target`,
+    the optimum, given one optimal selection `selected`.
+
+    `known` stays an optimal selection that agrees with the fixed prefix.
+    Where known[d] is 0, x_d = 0 is fixed at once. Where it is 1, a `first`
+    search over columns d+1, ... with x_d = 0 decides: on success x_d = 0
+    and its selection becomes the tail of `known`, otherwise x_d = 1.
+    """
     m = len(columns)
-    suffix = _remaining(columns, n)
-
-    dead = set()
+    known = [0] * m
+    for j in selected:
+        known[j] = 1
+    values = start
     nodes = 0
-    limit = target + 1  # prune only when forced strictly above target
-
-    def reconstruct(depth, values):
-        nonlocal nodes
-        nodes += 1
-        if depth == m:
-            return [] if max(abs(v) for v in values) == target else None
-        key = (depth, values)
-        if key in dead:
-            return None
-        if not _prune(values, suffix[depth + 1], limit * limit, n, limit):
-            tail = reconstruct(depth + 1, values)
-            if tail is not None:
-                tail.append(0)
-                return tail
-        col = columns[depth]
-        taken = tuple(v - c for v, c in zip(values, col))
-        if not _prune(taken, suffix[depth + 1], limit * limit, n, limit):
-            tail = reconstruct(depth + 1, taken)
-            if tail is not None:
-                tail.append(1)
-                return tail
-        dead.add(key)
-        return None
-
-    path = reconstruct(0, start)
-    # `reconstruct` refers to itself, so its closure is a reference cycle that
-    # only a full collection frees; empty the memo now rather than then.
-    dead.clear()
-    if path is None:
-        raise VerificationError("optimal value unreachable during witness rebuild")
-    path.reverse()
-    return tuple(path), nodes
+    for d in range(m):
+        if not known[d]:
+            continue
+        _value, tail, searched = _search(columns, range(d + 1, m), values, target + 1, True)
+        nodes += searched
+        if tail is None:
+            values = tuple(map(sub, values, columns[d]))
+        else:
+            known[d:] = [0] * (m - d)
+            for j in tail:
+                known[j] = 1
+    return tuple(known), nodes
 
 
 def check_exact_width(cols: int, config: OracleConfig) -> None:
@@ -324,16 +323,19 @@ def check_enumeration(k: int, m: int, cap: int) -> None:
 def wdisc_exact(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleConfig()) -> WdiscResult:
     """Exact minimum of ||A(p*1 - x)||_inf over x in {0,1}^m.
 
-    Exhaustive-equivalent branch and bound in two passes: the value search
-    over merged duplicate columns, its incumbent starting at the empty
-    selection, then the witness search for the lexicographically smallest x
-    attaining that value. Refuses widths beyond config.exact_width_cap.
+    Exhaustive-equivalent branch and bound over merged duplicate columns in
+    two phases. The value search finds the optimum, its first leaf the empty
+    selection. The lexicographically smallest optimal x is then fixed column
+    by column: x_d = 0 whenever some completion of the prefix with x_d = 0
+    still attains the optimum, which a feasibility search decides unless the
+    optimal selection at hand already has x_d = 0. nodes_explored sums the
+    nodes of both phases. Refuses widths beyond config.exact_width_cap.
     """
     p = _check_probability(p)
     check_exact_width(matrix.cols, config)
     columns, start, denom = _scale_weighted(matrix, p)
-    value, nodes_value = _value_search(_group_columns(columns), start)
-    witness, nodes_witness = _witness_search(columns, start, value)
+    value, selected, nodes_value = _search(columns, range(matrix.cols), start, max(map(abs, start)) + 1, False)
+    witness, nodes_witness = _lex_least(columns, start, value, selected)
     return WdiscResult(
         value=Fraction(value, denom),
         witness=witness,
@@ -514,12 +516,12 @@ def odisc_exact(blocks, cap: int = DEFAULT_ENUMERATION_CAP) -> OdiscResult:
     check_enumeration(k, m, cap)
     symmetric = all(block.entries == blocks[0].entries for block in blocks)
     scaled_rows, denom = _scale_blocks(blocks)
-    best_scaled, best_chi = _odisc_dfs(scaled_rows, k, m, symmetric)
-    return OdiscResult(value=Fraction(best_scaled, denom), witness=best_chi, exact=True)
+    best_scaled, best_chi, nodes = _odisc_dfs(scaled_rows, k, m, symmetric)
+    return OdiscResult(value=Fraction(best_scaled, denom), witness=best_chi, nodes_explored=nodes, exact=True)
 
 
 def _odisc_dfs(scaled_rows, k, m, symmetric):
-    """Search colorings; returns (scaled value, coloring).
+    """Search colorings; returns (scaled value, coloring, nodes visited).
 
     Row r's value is T - k * (mass of its block's color); every value lies in
     [T - k*T, T], so the incumbent starts above k * max T, where every
@@ -535,9 +537,11 @@ def _odisc_dfs(scaled_rows, k, m, symmetric):
     best = k * max(start) + 1
     best_chi = None
     chi = [0] * m
+    nodes = 0
 
     def descend(depth, values, used_colors):
-        nonlocal best, best_chi
+        nonlocal best, best_chi, nodes
+        nodes += 1
         if depth == m:
             worst = max(abs(v) for v in values)
             if worst < best:
@@ -554,4 +558,4 @@ def _odisc_dfs(scaled_rows, k, m, symmetric):
             descend(depth + 1, child, max(used_colors, color))
 
     descend(0, start, 0)
-    return best, best_chi
+    return best, best_chi, nodes
