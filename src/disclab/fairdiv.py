@@ -333,35 +333,36 @@ def brute_force_min_c(
         remaining.append([r + u for r, u in zip(remaining[-1], units)])
     remaining.reverse()  # remaining[g][a]: agent a's value of goods g..m-1
     values = [[0] * k for _ in core.agents]
-    assignment = [-1] * m
-    best_c = m + 1  # every allocation has c <= m: removing all goods passes
-    best = None
-
-    def descend(good):
-        nonlocal best_c, best
-        units = by_good[good]
-        slack = remaining[good + 1]
-        for b in range(k):
-            assignment[good] = b
-            for vals, u in zip(values, units):
-                vals[b] += u
-            c = core.bound(assignment, values, slack, best_c)
-            if c < best_c:
-                if good + 1 == m:
-                    best_c, best = c, tuple(assignment)
-                else:
-                    descend(good + 1)
-            for vals, u in zip(values, units):
-                vals[b] -= u
-            if best_c == 0:
-                break
-        assignment[good] = -1
-
-    descend(0)
+    # every allocation has c <= m: removing all goods passes
+    state = [m + 1, None]  # incumbent c, its assignment
+    _place(core, by_good, remaining, values, [-1] * m, state, 0)
+    best_c, best = state
     witness = [[] for _ in range(k)]
     for good, b in enumerate(best):
         witness[b].append(good)
     return best_c, Allocation(bundles=tuple(tuple(b) for b in witness))
+
+
+def _place(core, by_good, remaining, values, assignment, state, good):
+    """One node of `brute_force_min_c`: place `good` in each bundle in turn."""
+    units = by_good[good]
+    slack = remaining[good + 1]
+    last = good + 1 == len(by_good)
+    for b in range(len(values[0])):
+        assignment[good] = b
+        for vals, u in zip(values, units):
+            vals[b] += u
+        c = core.bound(assignment, values, slack, state[0])
+        if c < state[0]:
+            if last:
+                state[0], state[1] = c, tuple(assignment)
+            else:
+                _place(core, by_good, remaining, values, assignment, state, good + 1)
+        for vals, u in zip(values, units):
+            vals[b] -= u
+        if state[0] == 0:
+            break
+    assignment[good] = -1
 
 
 # ---------------------------------------------------------------------------

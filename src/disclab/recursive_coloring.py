@@ -90,58 +90,58 @@ def odisc_color(blocks, config: RecursionConfig = RecursionConfig()) -> tuple:
     empty scope contributes zero everywhere.
     """
     blocks = _check_blocks(blocks)
-    k = len(blocks)
-    m = blocks[0].cols
-    assignment = [0] * m
+    assignment = [0] * blocks[0].cols
+    certificate = _split(blocks, config, assignment, 1, len(blocks), tuple(range(len(assignment))))
+    return tuple(assignment), certificate
 
-    def solve(lo: int, hi: int, columns: tuple) -> RecursionCertificate:
-        width = hi - lo + 1
-        if width == 1:
-            for j in columns:
-                assignment[j] = lo
-            return RecursionCertificate(
-                color_lo=lo,
-                color_hi=hi,
-                columns=columns,
-                k1=0,
-                k2=0,
-                oracle_value=_ZERO,
-                low=None,
-                high=None,
-                bounds=(_ZERO,),
-            )
-        k1 = width // 2
-        k2 = width - k1
-        if columns:
-            stacked = stack_vertical([blocks[s - 1] for s in range(lo, hi + 1)])
-            sub = stacked.restrict_columns(columns)
-            result = oracle_solve(sub, Fraction(k1, width), config.oracle)
-            d = result.value
-            left_cols = tuple(j for j, bit in zip(columns, result.witness) if bit)
-            right_cols = tuple(j for j, bit in zip(columns, result.witness) if not bit)
-        else:
-            d = _ZERO
-            left_cols = ()
-            right_cols = ()
-        low = solve(lo, lo + k1 - 1, left_cols)
-        high = solve(lo + k1, hi, right_cols)
-        bounds = tuple(b + d / k1 for b in low.bounds) + tuple(
-            b + d / k2 for b in high.bounds
-        )
+
+def _split(blocks, config, assignment, lo: int, hi: int, columns: tuple) -> RecursionCertificate:
+    """Color `columns` with colors lo..hi into `assignment`; returns the
+    certificate of this subtree."""
+    width = hi - lo + 1
+    if width == 1:
+        for j in columns:
+            assignment[j] = lo
         return RecursionCertificate(
             color_lo=lo,
             color_hi=hi,
             columns=columns,
-            k1=k1,
-            k2=k2,
-            oracle_value=d,
-            low=low,
-            high=high,
-            bounds=bounds,
+            k1=0,
+            k2=0,
+            oracle_value=_ZERO,
+            low=None,
+            high=None,
+            bounds=(_ZERO,),
         )
-
-    certificate = solve(1, k, tuple(range(m)))
-    return tuple(assignment), certificate
+    k1 = width // 2
+    k2 = width - k1
+    if columns:
+        stacked = stack_vertical([blocks[s - 1] for s in range(lo, hi + 1)])
+        sub = stacked.restrict_columns(columns)
+        result = oracle_solve(sub, Fraction(k1, width), config.oracle)
+        d = result.value
+        left_cols = tuple(j for j, bit in zip(columns, result.witness) if bit)
+        right_cols = tuple(j for j, bit in zip(columns, result.witness) if not bit)
+    else:
+        d = _ZERO
+        left_cols = ()
+        right_cols = ()
+    low = _split(blocks, config, assignment, lo, lo + k1 - 1, left_cols)
+    high = _split(blocks, config, assignment, lo + k1, hi, right_cols)
+    bounds = tuple(b + d / k1 for b in low.bounds) + tuple(
+        b + d / k2 for b in high.bounds
+    )
+    return RecursionCertificate(
+        color_lo=lo,
+        color_hi=hi,
+        columns=columns,
+        k1=k1,
+        k2=k2,
+        oracle_value=d,
+        low=low,
+        high=high,
+        bounds=bounds,
+    )
 
 
 def reference_bound(k: int, n1: int, config: RecursionConfig = RecursionConfig()) -> Fraction:

@@ -1,7 +1,7 @@
 """Evaluators and solvers for weighted and asymmetric (multicolor) discrepancy.
 
-The exact solvers clear denominators once up front and run the search on plain
-integers: with A = B/L entrywise and p = pn/pd, the row value
+The exact solvers run on plain integers: a matrix stores A = B/L entrywise
+(integer numerators B over one denominator L), and with p = pn/pd the row value
 row_i . (p*1 - x) equals (pn*T_i - pd * sum of selected B_ij) / (L*pd), where
 T_i is the i-th row sum of B. Minimizing the max absolute row value is then an
 integer problem, and the reported Fraction is exact by construction.
@@ -18,23 +18,20 @@ That keeps the documented tie-break: the lexicographically smallest optimal x.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import sub
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
-from .matrices import RatMatrix
+from .matrices import RatMatrix, stack_vertical
 from .rational import format_rational
 
 DEFAULT_EXACT_WIDTH_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20_000_000
 
 ORACLE_KINDS = ("exact", "greedy", "local-search")
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class OdiscResult:
 
 def _check_probability(p: Fraction) -> Fraction:
     p = Fraction(p)
-    if p < _ZERO or p > _ONE:
+    if not 0 <= p <= 1:
         raise InputError(f"p must lie in [0, 1], got {p}")
     return p
 
@@ -110,13 +107,9 @@ def eval_weighted(matrix: RatMatrix, p: Fraction, x) -> Fraction:
     """Exact max over rows of |row . (p*1 - x)|."""
     p = _check_probability(p)
     x = _check_selection(x, matrix.cols)
-    best = _ZERO
-    for row in matrix.entries:
-        total = sum((e for e, bit in zip(row, x) if bit), start=_ZERO)
-        value = abs(p * sum(row) - total)
-        if value > best:
-            best = value
-    return best
+    pn, pd = p.numerator, p.denominator
+    best = max(abs(pn * sum(row) - pd * sum(compress(row, x))) for row in matrix.nums)
+    return Fraction(best, pd * matrix.den)
 
 
 def _check_blocks(blocks) -> list:
@@ -149,15 +142,18 @@ def eval_asymmetric(blocks, chi) -> Fraction:
     blocks = _check_blocks(blocks)
     k = len(blocks)
     chi = _check_coloring(chi, blocks[0].cols, k)
-    share = Fraction(1, k)
-    best = _ZERO
-    for s, block in enumerate(blocks, start=1):
-        for row in block.entries:
-            total = sum((e for e, c in zip(row, chi) if c == s), start=_ZERO)
-            value = abs(share * sum(row) - total)
-            if value > best:
-                best = value
-    return best
+    stacked = stack_vertical(blocks)
+    picks = [[c == s for c in chi] for s in range(1, k + 1)]
+    best = max(
+        abs(sum(row) - k * sum(compress(row, picks[s])))
+        for s, row in zip(_owners(blocks), stacked.nums)
+    )
+    return Fraction(best, k * stacked.den)
+
+
+def _owners(blocks) -> list:
+    """The block index of each row of `stack_vertical(blocks)`."""
+    return [s for s, block in enumerate(blocks) for _ in range(block.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +168,10 @@ def _scale_weighted(matrix: RatMatrix, p: Fraction):
     column j subtracts from row i, start[i] the row value with nothing
     selected, and true row values = scaled values / denom.
     """
-    lcm = 1
-    for row in matrix.entries:
-        for cell in row:
-            lcm = math.lcm(lcm, cell.denominator)
     pn, pd = p.numerator, p.denominator
-    columns = []
-    for j in range(matrix.cols):
-        columns.append(tuple(pd * (row[j].numerator * (lcm // row[j].denominator)) for row in matrix.entries))
-    start = []
-    for row in matrix.entries:
-        t = sum(cell.numerator * (lcm // cell.denominator) for cell in row)
-        start.append(pn * t)
-    return columns, tuple(start), lcm * pd
+    columns = [tuple(pd * a for a in col) for col in zip(*matrix.nums)]
+    start = tuple(pn * sum(row) for row in matrix.nums)
+    return columns, start, matrix.den * pd
 
 
 def _prune(values, remaining, limit_sq, n, limit) -> bool:
@@ -466,8 +453,7 @@ def wdisc_heuristic(matrix: RatMatrix, p: Fraction, config: OracleConfig = Oracl
             break
         budget_left -= 1  # each restart costs one unit, guaranteeing progress
 
-    value = eval_weighted(matrix, p, best_x)
-    return WdiscResult(value=value, witness=best_x, nodes_explored=nodes[0], exact=False)
+    return WdiscResult(value=Fraction(best_scaled, denom), witness=best_x, nodes_explored=nodes[0], exact=False)
 
 
 def oracle_solve(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleConfig()) -> WdiscResult:
@@ -480,22 +466,6 @@ def oracle_solve(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleCo
 # ---------------------------------------------------------------------------
 # Exact multicolor / asymmetric search.
 # ---------------------------------------------------------------------------
-
-
-def _scale_blocks(blocks):
-    """Integer form of the asymmetric objective, denominator k * lcm."""
-    k = len(blocks)
-    lcm = 1
-    for block in blocks:
-        for row in block.entries:
-            for cell in row:
-                lcm = math.lcm(lcm, cell.denominator)
-    scaled_rows = []  # (block index, integer row, row sum)
-    for s, block in enumerate(blocks):
-        for row in block.entries:
-            ints = tuple(cell.numerator * (lcm // cell.denominator) for cell in row)
-            scaled_rows.append((s, ints, sum(ints)))
-    return scaled_rows, lcm * k
 
 
 def odisc_exact(blocks, cap: int = DEFAULT_ENUMERATION_CAP) -> OdiscResult:
@@ -514,48 +484,46 @@ def odisc_exact(blocks, cap: int = DEFAULT_ENUMERATION_CAP) -> OdiscResult:
     k = len(blocks)
     m = blocks[0].cols
     check_enumeration(k, m, cap)
-    symmetric = all(block.entries == blocks[0].entries for block in blocks)
-    scaled_rows, denom = _scale_blocks(blocks)
-    best_scaled, best_chi, nodes = _odisc_dfs(scaled_rows, k, m, symmetric)
-    return OdiscResult(value=Fraction(best_scaled, denom), witness=best_chi, nodes_explored=nodes, exact=True)
+    symmetric = all(block == blocks[0] for block in blocks)
+    stacked = stack_vertical(blocks)
+    best, chi, nodes = _odisc_dfs(stacked.nums, _owners(blocks), k, symmetric)
+    return OdiscResult(value=Fraction(best, k * stacked.den), witness=chi, nodes_explored=nodes, exact=True)
 
 
-def _odisc_dfs(scaled_rows, k, m, symmetric):
-    """Search colorings; returns (scaled value, coloring, nodes visited).
+def _odisc_dfs(rows, owners, k, symmetric):
+    """Search colorings of the columns of the integer rows `rows`, row r
+    belonging to block owners[r]; returns (scaled value, coloring, nodes).
 
     Row r's value is T - k * (mass of its block's color); every value lies in
     [T - k*T, T], so the incumbent starts above k * max T, where every
     coloring beats it. With `symmetric`, color c + 1 is tried only once
     colors 1..c have appeared.
     """
-    n = len(scaled_rows)
-    columns = [tuple(k * ints[j] for _s, ints, _t in scaled_rows) for j in range(m)]
-    suffix = _remaining(columns, n)
-    rows_of = [[r for r, (s, _ints, _t) in enumerate(scaled_rows) if s == color] for color in range(k)]
-    start = tuple(t for _s, _ints, t in scaled_rows)
+    columns = [tuple(k * a for a in col) for col in zip(*rows)]
+    start = tuple(map(sum, rows))
+    rows_of = [[r for r, s in enumerate(owners) if s == color] for color in range(k)]
+    state = [k * max(start) + 1, None, 0]  # incumbent value, its coloring, nodes
+    chi = [0] * len(columns)
+    _color(columns, _remaining(columns, len(rows)), rows_of, symmetric, 0, start, chi, 0, state)
+    return tuple(state)
 
-    best = k * max(start) + 1
-    best_chi = None
-    chi = [0] * m
-    nodes = 0
 
-    def descend(depth, values, used_colors):
-        nonlocal best, best_chi, nodes
-        nodes += 1
-        if depth == m:
-            worst = max(abs(v) for v in values)
-            if worst < best:
-                best, best_chi = worst, tuple(chi)
-            return
-        if _prune(values, suffix[depth], best * best, n, best):
-            return
-        col = columns[depth]
-        for color in range(1, (min(k, used_colors + 1) if symmetric else k) + 1):
-            chi[depth] = color
-            child = list(values)
-            for r in rows_of[color - 1]:
-                child[r] -= col[r]
-            descend(depth + 1, child, max(used_colors, color))
-
-    descend(0, start, 0)
-    return best, best_chi, nodes
+def _color(columns, suffix, rows_of, symmetric, depth, values, chi, used_colors, state):
+    """One node of `_odisc_dfs`: try each color for column `depth`."""
+    state[2] += 1
+    if depth == len(columns):
+        worst = max(map(abs, values))
+        if worst < state[0]:
+            state[0], state[1] = worst, tuple(chi)
+        return
+    best = state[0]
+    if _prune(values, suffix[depth], best * best, len(values), best):
+        return
+    col = columns[depth]
+    k = len(rows_of)
+    for color in range(1, (min(k, used_colors + 1) if symmetric else k) + 1):
+        chi[depth] = color
+        child = list(values)
+        for r in rows_of[color - 1]:
+            child[r] -= col[r]
+        _color(columns, suffix, rows_of, symmetric, depth + 1, child, chi, max(used_colors, color), state)

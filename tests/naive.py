@@ -20,9 +20,10 @@ def row_value(row, p, x):
 def naive_wdisc(matrix, p):
     """(value, witness) over all 2^m selections; lex-least witness."""
     p = Fraction(p)
+    rows = matrix.entries
     best = None
     for bits in product((0, 1), repeat=matrix.cols):
-        value = max(row_value(row, p, bits) for row in matrix.entries)
+        value = max(row_value(row, p, bits) for row in rows)
         if best is None or value < best[0]:
             best = (value, bits)
     return best
@@ -79,8 +80,9 @@ def naive_wdisc_heuristic(matrix, p, kind, budget, seed):
     p = Fraction(p)
     rng = random.Random(seed)
     m = matrix.cols
-    columns = [[Fraction(row[j]) for row in matrix.entries] for j in range(m)]
-    start = [p * sum(Fraction(e) for e in row) for row in matrix.entries]
+    rows = matrix.entries
+    columns = [[row[j] for row in rows] for j in range(m)]
+    start = [p * sum(row) for row in rows]
     nodes = [0]
     best = None
     budget_left = budget
@@ -103,12 +105,13 @@ def naive_odisc(blocks):
     k = len(blocks)
     m = blocks[0].cols
     share = Fraction(1, k)
+    block_rows = [block.entries for block in blocks]
     best = None
     for chi in product(range(1, k + 1), repeat=m):
         value = ZERO
-        for s, block in enumerate(blocks, start=1):
+        for s, rows in enumerate(block_rows, start=1):
             sel = [1 if c == s else 0 for c in chi]
-            for row in block.entries:
+            for row in rows:
                 value = max(value, row_value(row, share, sel))
         if best is None or value < best[0]:
             best = (value, chi)

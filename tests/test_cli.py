@@ -242,13 +242,13 @@ def test_hadamard_order_cap_refuses_before_building():
 
 
 def test_caps_refuse_before_building(monkeypatch):
-    """The stacked width n*t is known from (p, n): the exact width cap and the
-    k^(n*t) enumeration cap are checked before any construction is built, in
-    certify and in experiment rows."""
+    """The stacked width n*t is known from (p, n): the exact width cap, the
+    k^(n*t) enumeration cap and the stacking width cap are checked before any
+    construction is built, in certify, experiment rows and construct."""
     from disclab import cli, lower_bounds
 
     def never(*_args):
-        raise AssertionError("build_stacked called for a refused instance")
+        raise AssertionError("construction built for a refused instance")
 
     monkeypatch.setattr(lower_bounds, "build_stacked", never)
     monkeypatch.setattr(cli, "build_stacked", never)
@@ -263,6 +263,13 @@ def test_caps_refuse_before_building(monkeypatch):
     rows = outcome.stdout.splitlines()[1:]
     assert [row.split(",")[5:7] for row in rows] == [["1", "1024"], ["2", "2048"], ["1", "1024"]]
     assert all(",skipped:budget," in row for row in rows)
+    # construct stacked calls build_stacked itself, which must refuse the
+    # width before it builds the Hadamard matrix
+    monkeypatch.undo()
+    monkeypatch.setattr(lower_bounds, "hadamard_sylvester", never)
+    outcome = invoke("construct", "stacked", "--p", "1/10000000", "--n", "1024")
+    assert (outcome.exit_code, outcome.stdout) == (3, "")
+    assert "stacked width 5120000000 exceeds cap 1000000" in outcome.stderr
 
 
 def test_threads_do_not_change_output(tmp_path):

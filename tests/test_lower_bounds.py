@@ -5,6 +5,7 @@ import pytest
 
 from disclab import (
     InputError,
+    RatMatrix,
     build_stacked,
     certify_multicolor_lb,
     certify_wdisc_lb,
@@ -66,6 +67,12 @@ def test_hadamard_lemma_rational_vectors(w4):
     image = [sum(e * v for e, v in zip(row, z)) for row in w4.entries]
     assert lhs == sum(v * v for v in image)
     assert rhs == Fraction(4, 4) * (Fraction(1, 9) + 0 + 1)
+
+
+def test_hadamard_lemma_rational_matrix_integer_vector():
+    # W z = (1, 1/2): a rational W with an integer z must not be truncated
+    w = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), 0]])
+    assert check_hadamard_lemma(w, (1, 1)) == (Fraction(5, 4), Fraction(1, 2), True)
 
 
 def test_hadamard_lemma_validation(w2):

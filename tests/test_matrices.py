@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclab import (
     CapExceededError,
@@ -10,6 +12,7 @@ from disclab import (
     InputError,
     RatMatrix,
     SignMatrix,
+    format_rational,
     hadamard_sylvester,
     lift_w,
     stack_horizontal,
@@ -92,9 +95,10 @@ def test_stack_horizontal(w2, w4):
     assert doubled.entries == ((1, 1, 1, 1), (1, 0, 1, 0))
     tripled = stack_horizontal(w4, 3)
     assert tripled.cols == 12
-    assert tripled.column(4) == w4.column(0)
+    assert [row[4] for row in tripled.entries] == [row[0] for row in w4.entries]
+    # 4 * 250_001 columns: refused from the shape alone, before any row is built
     with pytest.raises(CapExceededError):
-        stack_horizontal(w4, 2, width_cap=7)
+        stack_horizontal(w4, 250_001)
     with pytest.raises(InputError):
         stack_horizontal(w4, 0)
 
@@ -190,3 +194,44 @@ def test_restrict_columns(w4):
         w4.restrict_columns([])
     with pytest.raises(InputError):
         w4.restrict_columns([9])
+
+
+@st.composite
+def rational_rows(draw, cols):
+    """Rows of Fractions in [0, 1] over a few shared denominators, so cells
+    repeat denominators, with all-zero and all-one rows mixed in."""
+    dens = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    cell = st.sampled_from(dens).flatmap(lambda d: st.integers(0, d).map(lambda a: Fraction(a, d)))
+    row = st.one_of(
+        st.just([Fraction(0)] * cols),
+        st.just([Fraction(1)] * cols),
+        st.lists(cell, min_size=cols, max_size=cols),
+    )
+    return draw(st.lists(row, min_size=1, max_size=4))
+
+
+@st.composite
+def representation_cases(draw):
+    cols = draw(st.integers(1, 5))
+    rows = draw(rational_rows(cols))
+    more = draw(rational_rows(cols))
+    keep = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=6))
+    copies = draw(st.integers(1, 3))
+    return rows, more, keep, copies
+
+
+@settings(max_examples=200, deadline=None)
+@given(representation_cases())
+def test_rat_matrix_representation_property(case):
+    """Integers over one least common denominator: every constructor gives the
+    matrix `from_rows` gives for the same Fractions, so equal matrices compare
+    equal, and the entries and the JSON text are exact."""
+    rows, more, keep, copies = case
+    matrix = RatMatrix.from_rows(rows)
+    assert matrix.entries == tuple(tuple(row) for row in rows)
+    data = matrix.to_json_dict()
+    assert data["entries"] == [[format_rational(cell) for cell in row] for row in rows]
+    assert RatMatrix.from_json_dict(json.loads(json.dumps(data))) == matrix
+    assert matrix.restrict_columns(keep) == RatMatrix.from_rows([[row[j] for j in keep] for row in rows])
+    assert stack_vertical([matrix, RatMatrix.from_rows(more)]) == RatMatrix.from_rows(rows + more)
+    assert stack_horizontal(matrix, copies) == RatMatrix.from_rows([row * copies for row in rows])

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from disclab import (
     CapExceededError,
     DimensionMismatchError,
+    FairDivInstance,
     InputError,
     OracleConfig,
     RatMatrix,
+    brute_force_min_c,
     build_stacked,
     eval_asymmetric,
     eval_weighted,
+    odisc_color,
     odisc_exact,
     oracle_solve,
     stack_horizontal,
@@ -99,24 +102,39 @@ def test_wdisc_witness_reevaluates_to_value():
         assert eval_weighted(matrix, p, result.witness) == result.value
 
 
-def test_wdisc_exact_leaves_nothing_for_the_collector():
+def test_wdisc_exact_leaves_nothing_for_the_collector(w4):
     """The searches recurse through module-level functions, not closures that
-    refer to themselves, so a wdisc_exact call creates no reference cycles:
-    a full collection right after it finds nothing to free."""
-    counts = []
+    refer to themselves, so a call creates no reference cycles: a full
+    collection right after it finds nothing to free. Covers wdisc_exact,
+    odisc_exact, brute_force_min_c and odisc_color."""
+    calls = []
     for seed in range(3):
         rng = random.Random(seed)
         matrix = RatMatrix.from_rows(
             [[Fraction(rng.randint(0, 4), 4) for _ in range(16)] for _ in range(6)]
         )
+        calls.append(lambda matrix=matrix: wdisc_exact(matrix, Fraction(1, 2)))
+    calls.append(lambda: odisc_exact([w4] * 3))
+    instance = FairDivInstance.from_groups(
+        [[[1, Fraction(1, 2), 0, Fraction(1, 3), 1]],
+         [[0, 1, 1, Fraction(1, 2), 0]],
+         [[Fraction(1, 4), Fraction(1, 4), 1, 0, 1]]]
+    )
+    calls.append(lambda: brute_force_min_c(instance, "CD"))
+    rng = random.Random(7)
+    for _ in range(3):
+        blocks = [random_rational_matrix(rng, 2, 6) for _ in range(3)]
+        calls.append(lambda blocks=blocks: odisc_color(blocks))
+    counts = []
+    for call in calls:
         gc.collect()
         gc.disable()
         try:
-            wdisc_exact(matrix, Fraction(1, 2))
+            call()
             counts.append(gc.collect())
         finally:
             gc.enable()
-    assert counts == [0, 0, 0], counts
+    assert counts == [0] * len(calls), counts
 
 
 def test_wdisc_symmetry_under_p_flip():
