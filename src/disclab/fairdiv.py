@@ -3,19 +3,24 @@
 Instances hold k groups of agents; an allocation hands each group one bundle
 of a partition of the goods. Three approximate fairness notions are checked
 exactly: envy-freeness, proportionality, and consensus division, each "up to
-c goods". For additive utilities, removing the c highest-valued goods (as
-seen by the evaluating agent) is the best possible removal, so every
-comparison reduces to covering a value deficit with a top-c removal. One
-integer routine (`_MinC`) does this for every caller: each agent is scaled
-once so that utilities, bundle values and the 1/k share are ints, and its
-goods are ranked once, so a top-c removal is a scan of that ranking that
-stops when the deficit is covered. The same routine bounds c from below on
-a partial allocation (the unplaced goods can shrink a deficit by at most
-their value), which prunes the exact minimum search over all allocations;
-checking a given c is comparing it with the allocation's minimum.
+c goods". An instance stores each agent's utilities once, as integer
+numerators over the agent's least common denominator, read straight from
+the input text; `FairDivInstance.groups` views them as Fractions for the
+allocator and the lemma check. For additive utilities, removing the c
+highest-valued goods (as seen by the evaluating agent) is the best possible
+removal, so every comparison reduces to covering a value deficit with a
+top-c removal. One integer routine (`_MinC`) does this for every caller:
+each agent's numerators are multiplied by k so that utilities, bundle values
+and the 1/k share are ints, and its goods are ranked once, so a top-c
+removal is a scan of that ranking that stops when the deficit is covered.
+The same routine bounds c from below on a partial allocation (the unplaced
+goods can shrink a deficit by at most their value), which prunes the exact
+minimum search over all allocations; checking a given c is comparing it
+with the allocation's minimum.
 
 The generators build the complement-pair instances whose minimal c is forced
-up by the weighted discrepancy of an embedded matrix, and the allocator runs
+up by the weighted discrepancy of an embedded matrix, each complement as
+den - a from the matrix's integer numerators, and the allocator runs
 the scale-and-color reduction: per agent, goods outside her kH most valuable
 are scaled by her kH-th value into [0,1], the per-group matrices of scaled
 vectors are colored by the recursive splitter, and H doubles until the
@@ -25,7 +30,6 @@ a PROP(2H) allocation (verified before returning).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +40,7 @@ from .errors import (
     VerificationError,
 )
 from .matrices import RatMatrix
-from .rational import format_rational, parse_rational, pos_part
+from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratio, pos_part
 from .recursive_coloring import RecursionConfig, odisc_color
 from .solvers import DEFAULT_ENUMERATION_CAP, check_enumeration, eval_asymmetric
 
@@ -57,42 +61,67 @@ def _check_nesting(groups):
 
 @dataclass(frozen=True)
 class FairDivInstance:
-    """k groups of additive agents over m goods; utilities in [0, 1]."""
+    """k groups of additive agents over m goods; utilities in [0, 1].
+
+    Agent j of group i values good g at nums[i][j][g] / dens[i][j]: integer
+    numerators over the agent's least common denominator, so the form is
+    canonical and equal instances compare equal. `from_groups` (from
+    values) and `from_json_dict` (from text) both build it through
+    `_from_ratios`; `groups` views it as Fractions.
+    """
 
     k: int
     group_sizes: tuple
     m: int
-    groups: tuple  # groups[i][j] is the utility vector of agent j in group i
+    nums: tuple
+    dens: tuple
 
     @classmethod
     def from_groups(cls, groups) -> "FairDivInstance":
+        """The instance of groups of utility vectors of values `Fraction` accepts."""
         _check_nesting(groups)
-        parsed = tuple(
-            tuple(tuple(Fraction(u) for u in agent) for agent in group)
-            for group in groups
+        return cls._from_ratios(
+            [[[as_ratio(u) for u in agent] for agent in group] for group in groups]
         )
-        if not parsed:
+
+    @classmethod
+    def _from_ratios(cls, groups) -> "FairDivInstance":
+        """The instance whose groups[i][j][g], agent j of group i's utility
+        for good g, is a (numerator, positive denominator) pair."""
+        if not groups:
             raise InputError("instance needs at least one group")
-        sizes = tuple(len(group) for group in parsed)
+        sizes = tuple(len(group) for group in groups)
         if any(size == 0 for size in sizes):
             raise InputError("every group needs at least one agent")
-        m = len(parsed[0][0])
+        m = len(groups[0][0])
         if m == 0:
             raise InputError("instance needs at least one good")
-        for group in parsed:
+        nums = []
+        dens = []
+        for group in groups:
+            group_nums = []
+            group_dens = []
             for agent in group:
                 if len(agent) != m:
                     raise DimensionMismatchError("agents disagree on the number of goods")
-                for u in agent:
-                    if u < _ZERO or u > _ONE:
-                        raise InputError(f"utility {u} outside [0, 1]")
-        return cls(k=len(parsed), group_sizes=sizes, m=m, groups=parsed)
+                for a, b in agent:
+                    if a < 0 or a > b:
+                        raise InputError(f"utility {Fraction(a, b)} outside [0, 1]")
+                agent_nums, den = over_common_denominator(agent)
+                group_nums.append(agent_nums)
+                group_dens.append(den)
+            nums.append(tuple(group_nums))
+            dens.append(tuple(group_dens))
+        return cls(k=len(groups), group_sizes=sizes, m=m, nums=tuple(nums), dens=tuple(dens))
 
-    def agents(self):
-        """Yield (group index, agent index, utility vector) over all agents."""
-        for i, group in enumerate(self.groups):
-            for j, agent in enumerate(group):
-                yield i, j, agent
+    @property
+    def groups(self) -> tuple:
+        """groups[i][j] is agent j of group i's utility vector as Fractions;
+        built on each access."""
+        return tuple(
+            tuple(tuple(Fraction(a, den) for a in agent) for agent, den in zip(group, dens))
+            for group, dens in zip(self.nums, self.dens)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,8 +129,8 @@ class FairDivInstance:
             "group_sizes": list(self.group_sizes),
             "m": self.m,
             "groups": [
-                [[format_rational(u) for u in agent] for agent in group]
-                for group in self.groups
+                [[format_ratio(a, den) for a in agent] for agent, den in zip(group, dens)]
+                for group, dens in zip(self.nums, self.dens)
             ],
         }
 
@@ -112,8 +141,8 @@ class FairDivInstance:
         except (KeyError, TypeError) as exc:
             raise InputError("instance JSON needs a groups field") from exc
         _check_nesting(groups)
-        instance = cls.from_groups(
-            [[[parse_rational(u) for u in agent] for agent in group] for group in groups]
+        instance = cls._from_ratios(
+            [[[parse_ratio(u) for u in agent] for agent in group] for group in groups]
         )
         for field in ("k", "group_sizes", "m"):
             if field in data:
@@ -244,8 +273,9 @@ def _cover(units, ranking, assignment, bundles, deficit, limit):
 class _MinC:
     """One instance and notion scaled to integers for the min-c routine.
 
-    Each agent is scaled by k times the lcm of its utility denominators, so
-    its utilities, every bundle value and its 1/k share are ints.
+    Each agent's integer numerators are multiplied by k, which scales it by
+    k times its denominator, so its utilities, every bundle value and its
+    1/k share (the plain sum of its numerators) are ints.
     `agents[a]` is (group, units, share, ranking) with `ranking` the goods
     agent a values above 0, ordered by (-utility, index): the c best goods
     of any set are its first c members in that order.
@@ -257,12 +287,12 @@ class _MinC:
         k = instance.k
         self.tag = tag
         self.agents = []
-        for i, _j, agent in instance.agents():
-            scale = k * math.lcm(*(u.denominator for u in agent))
-            units = [u.numerator * (scale // u.denominator) for u in agent]
-            ranking = sorted((g for g in range(instance.m) if units[g] > 0),
-                             key=lambda g: (-units[g], g))
-            self.agents.append((i, units, sum(units) // k, ranking))
+        for i, group in enumerate(instance.nums):
+            for nums in group:
+                units = [k * a for a in nums]
+                ranking = sorted((g for g in range(instance.m) if units[g] > 0),
+                                 key=lambda g: (-units[g], g))
+                self.agents.append((i, units, sum(nums), ranking))
         self.alone = [(b,) for b in range(k)]
         self.outside = [tuple(o for o in range(k) if o != b) for b in range(k)]
 
@@ -370,8 +400,13 @@ def _place(core, by_good, remaining, values, assignment, state, good):
 # ---------------------------------------------------------------------------
 
 
-def _complement(row) -> tuple:
-    return tuple(_ONE - u for u in row)
+def _rows_and_complements(amat: RatMatrix) -> list:
+    """Every row of `amat` as an agent, then every row's complement 1 - row,
+    each utility a (numerator, denominator) pair over amat.den."""
+    den = amat.den
+    return [[(a, den) for a in row] for row in amat.nums] + [
+        [(den - a, den) for a in row] for row in amat.nums
+    ]
 
 
 def gen_prop_lb_instance(amat: RatMatrix, k: int, i_star: int, group_sizes) -> FairDivInstance:
@@ -396,18 +431,14 @@ def gen_prop_lb_instance(amat: RatMatrix, k: int, i_star: int, group_sizes) -> F
             f"matrix rows {n_rows} exceed half the group-{i_star} size {sizes[i_star - 1]}"
         )
     m = amat.cols
-    zero = (_ZERO,) * m
-    ones = (_ONE,) * m
+    zero = [(0, 1)] * m
+    ones = [(1, 1)] * m
     groups = []
     for i in range(k):
-        if i < i_star:
-            agents = [tuple(row) for row in amat.entries]
-            agents += [_complement(row) for row in amat.entries]
-        else:
-            agents = [ones]
+        agents = _rows_and_complements(amat) if i < i_star else [ones]
         agents += [zero] * (sizes[i] - len(agents))
         groups.append(agents)
-    return FairDivInstance.from_groups(groups)
+    return FairDivInstance._from_ratios(groups)
 
 
 def gen_ef_lb_instance(amat: RatMatrix, k: int, group_sizes) -> FairDivInstance:
@@ -424,16 +455,14 @@ def gen_cd_instance(amat: RatMatrix, k: int) -> FairDivInstance:
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    agents = [tuple(row) for row in amat.entries]
-    agents += [_complement(row) for row in amat.entries]
     groups = [[] for _ in range(k)]
-    for idx, agent in enumerate(agents):
+    for idx, agent in enumerate(_rows_and_complements(amat)):
         groups[idx % k].append(agent)
-    zero = (_ZERO,) * amat.cols
+    zero = [(0, 1)] * amat.cols
     for group in groups:
         if not group:
             group.append(zero)
-    return FairDivInstance.from_groups(groups)
+    return FairDivInstance._from_ratios(groups)
 
 
 def check_lemma_prop_to_disc(
@@ -530,11 +559,12 @@ def allocate_prop_via_odisc(
     """
     k = instance.k
     m = instance.m
+    groups = instance.groups
     h = 1
     while True:
         m_pad = max(m, k * h)
         blocks = []
-        for group in instance.groups:
+        for group in groups:
             rows = []
             for agent in group:
                 padded = list(agent) + [_ZERO] * (m_pad - m)

@@ -19,7 +19,15 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import CapExceededError, InputError
-from .matrices import MAX_LOG2_ORDER, MAX_WIDTH, RatMatrix, hadamard_sylvester, lift_w, stack_horizontal
+from .matrices import (
+    MAX_CELLS,
+    MAX_LOG2_ORDER,
+    MAX_WIDTH,
+    RatMatrix,
+    hadamard_sylvester,
+    lift_w,
+    stack_horizontal,
+)
 from .rational import format_rational, sqrt_lower
 from .solvers import (
     DEFAULT_ENUMERATION_CAP,
@@ -92,8 +100,9 @@ def stacked_shape(p: Fraction, n: int) -> tuple:
     p above 1/2 is mirrored to 1 - p first (the weighted discrepancy is
     symmetric under that swap); afterwards t = floor(1/(2p)) guarantees
     1/4 <= p*t <= 1/2. The width n*t is known here, so callers check their
-    caps before any cell is built; an order beyond the Hadamard cap and a
-    width beyond the stacking cap are refused here for the same reason.
+    caps before any cell is built; an order beyond the Hadamard cap, a
+    width beyond the stacking cap and more than MAX_CELLS cells (n*n*t) are
+    refused here for the same reason.
     """
     p = Fraction(p)
     if not 0 < p < 1:
@@ -106,6 +115,8 @@ def stacked_shape(p: Fraction, n: int) -> tuple:
     t = int(Fraction(1, 2) / p)  # floor of 1/(2p) for positive rationals
     if n * t > MAX_WIDTH:
         raise CapExceededError(f"stacked width {n * t} exceeds cap {MAX_WIDTH}")
+    if n * n * t > MAX_CELLS:
+        raise CapExceededError(f"stacked cells {n * n * t} exceed cap {MAX_CELLS}")
     return p, t
 
 

@@ -7,9 +7,11 @@ vertices or goods). Both are immutable after construction and safe to share
 across threads.
 
 `RatMatrix` holds integer numerators over one least common denominator,
-scaled once in `from_rows` and kept by every helper here, so the searches
-read integers straight off `nums` and `den`. Fractions appear only where
-entries are parsed, formatted or viewed through `RatMatrix.entries`.
+scaled once where the matrix is read (`from_rows` from values,
+`from_json_dict` from text, both through `_from_ratios`) and kept by every
+helper here, so the searches read integers straight off `nums` and `den`.
+Fractions appear only in range-error messages and through
+`RatMatrix.entries`.
 
 Indices are 0-based everywhere in this package, including the JSON formats.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
-from .rational import format_rational, parse_rational
+from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratio, parse_rational
 
 #: Largest Sylvester order built, as a power of two. Memory grows with the
 #: n^2 cells: on Python 3.11 `construct w` peaks at 39 MB at order 2^10 and
@@ -30,6 +32,10 @@ from .rational import format_rational, parse_rational
 MAX_LOG2_ORDER = 11
 #: Widest horizontal stack built; `stacked_shape` checks it before building.
 MAX_WIDTH = 1_000_000
+#: Most cells a stacked matrix may have: those of the largest Sylvester order.
+MAX_CELLS = 4**MAX_LOG2_ORDER
+#: One shared string per sign-matrix value in the JSON form.
+_SIGN_TEXT = {1: "1", -1: "-1"}
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class SignMatrix:
         return {
             "rows": self.order,
             "cols": self.order,
-            "entries": [[str(e) for e in row] for row in self.entries],
+            "entries": [list(map(_SIGN_TEXT.__getitem__, row)) for row in self.entries],
         }
 
     @classmethod
@@ -94,23 +100,26 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "RatMatrix":
-        parsed = [[Fraction(cell) for cell in row] for row in rows]
-        n = len(parsed)
+        """The matrix of rows of values `Fraction` accepts."""
+        return cls._from_ratios([[as_ratio(cell) for cell in row] for row in rows])
+
+    @classmethod
+    def _from_ratios(cls, rows) -> "RatMatrix":
+        """The matrix of rows of (numerator, positive denominator) pairs."""
+        n = len(rows)
         if n == 0:
             raise InputError("matrix needs at least one row")
-        m = len(parsed[0])
+        m = len(rows[0])
         if m == 0:
             raise InputError("matrix needs at least one column")
-        for row in parsed:
+        for row in rows:
             if len(row) != m:
                 raise DimensionMismatchError("ragged rows")
-            for cell in row:
-                if cell < 0 or cell > 1:
-                    raise InputError(f"entry {cell} outside [0, 1]")
-        den = math.lcm(*{cell.denominator for row in parsed for cell in row})
-        nums = tuple(
-            tuple(cell.numerator * (den // cell.denominator) for cell in row) for row in parsed
-        )
+            for a, b in row:
+                if a < 0 or a > b:
+                    raise InputError(f"entry {Fraction(a, b)} outside [0, 1]")
+        flat, den = over_common_denominator([cell for row in rows for cell in row])
+        nums = tuple(flat[start:start + m] for start in range(0, n * m, m))
         return cls(rows=n, cols=m, nums=nums, den=den)
 
     @property
@@ -137,8 +146,8 @@ class RatMatrix:
         )
 
     def to_json_dict(self) -> dict:
-        # one Fraction and one string per distinct numerator, not per cell
-        label = functools.cache(lambda a: format_rational(Fraction(a, self.den)))
+        # one string per distinct numerator, not per cell
+        label = functools.cache(lambda a: format_ratio(a, self.den))
         return {
             "rows": self.rows,
             "cols": self.cols,
@@ -148,7 +157,7 @@ class RatMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatMatrix":
         rows, cols, raw = _read_matrix_dict(data)
-        matrix = cls.from_rows([[parse_rational(cell) for cell in row] for row in raw])
+        matrix = cls._from_ratios([[parse_ratio(cell) for cell in row] for row in raw])
         if matrix.rows != rows or matrix.cols != cols:
             raise InputError("declared dimensions do not match entries")
         return matrix

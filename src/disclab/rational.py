@@ -1,10 +1,14 @@
 """Exact rational scalars and the square-root approximations used in reports.
 
-Certification arithmetic in this package is exact: Fractions at the edges,
-integers over one common denominator inside (`RatMatrix`), both arbitrary
-precision, so no overflow handling is needed anywhere. Square roots of non-square rationals are irrational; where a
-bound involves one, the comparison itself is done on squares and these helpers
-only produce one-sided rational approximations for reporting.
+Certification arithmetic in this package is exact and arbitrary precision,
+so no overflow handling is needed anywhere. Input text is parsed straight
+into integer pairs (`parse_ratio`), which `over_common_denominator` turns
+into integer numerators over one least denominator (a `RatMatrix`, or one
+agent of a `FairDivInstance`); Fractions appear in reports, in the checkers
+and where a caller asks for them. Square roots of non-square rationals are
+irrational; where a bound involves one, the comparison itself is done on
+squares and these helpers only produce one-sided rational approximations
+for reporting.
 """
 
 from __future__ import annotations
@@ -22,37 +26,74 @@ Rational = Fraction
 #: tolerance stated in this package (1e-9 for bounds, 1e-6 for references).
 _SQRT_SCALE = 10**12
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "a/b" or "a" (also bare ints, not bools) into a canonical Fraction.
+def parse_ratio(text) -> tuple:
+    """Parse "a/b" or "a" (also bare ints and Fractions, not bools) into the
+    integer pair (a, b) as written, b > 0: "2/4" gives (2, 4).
 
     Decimals, exponents, signs on the denominator and JSON booleans are
     rejected: the exchange format is integer numerator over integer
     denominator, nothing else.
     """
+    if isinstance(text, str):
+        match = _RATIONAL.fullmatch(text.strip())
+        if match is None:
+            raise InputError(f"not a rational: {text!r}")
+        num, den = match.groups()
+        if den is None:
+            return int(num), 1
+        den = int(den)
+        if den == 0:
+            raise InputError(f"zero denominator: {text!r}")
+        return int(num), den
+    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
+        return text.numerator, text.denominator
+    raise InputError(f"expected rational string, got {type(text).__name__}")
+
+
+def parse_rational(text) -> Fraction:
+    """`parse_ratio` as a canonical Fraction."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise InputError(f"expected rational string, got {type(text).__name__}")
-    stripped = text.strip()
-    if _RATIONAL.fullmatch(stripped) is None:
-        raise InputError(f"not a rational: {text!r}")
-    try:
-        return Fraction(stripped)
-    except ZeroDivisionError as exc:
-        raise InputError(f"zero denominator: {text!r}") from exc
+    return Fraction(*parse_ratio(text))
+
+
+def as_ratio(value) -> tuple:
+    """(numerator, denominator) of anything `Fraction` accepts, lowest terms."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def over_common_denominator(pairs) -> tuple:
+    """(nums, den) with pairs[i] == nums[i] / den and den least.
+
+    `pairs` holds (numerator, positive denominator) pairs in any terms. The
+    lcm of their denominators scales them to integers, and one gcd with it
+    brings the form to lowest terms, so "2/4" and 1/2 give the same.
+    """
+    den = math.lcm(*{b for _a, b in pairs})
+    nums = [a * (den // b) for a, b in pairs]
+    common = math.gcd(den, *nums)
+    if common == 1:
+        return tuple(nums), den
+    return tuple([a // common for a in nums]), den // common
+
+
+def format_ratio(num: int, den: int) -> str:
+    """Render num/den (den > 0) in lowest terms: "a/b", or "a" when b is 1."""
+    common = math.gcd(num, den)
+    if common == den:
+        return str(num // den)
+    return f"{num // common}/{den // common}"
 
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "a/b", or "a" when the denominator is 1."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_ratio(value.numerator, value.denominator)
 
 
 def pos_part(value: Fraction) -> Fraction:

@@ -6,12 +6,12 @@ row_i . (p*1 - x) equals (pn*T_i - pd * sum of selected B_ij) / (L*pd), where
 T_i is the i-th row sum of B. Minimizing the max absolute row value is then an
 integer problem, and the reported Fraction is exact by construction.
 
-The branch-and-bound prunes with per-row reachable intervals (entries are
-nonnegative, so selecting columns only subtracts) plus the l2/linf relation
-max_i |v_i|^2 >= (sum_i v_i^2)/n. One search routine serves the weighted
-solver in two modes, always over merged duplicate columns (only the selection
-count within an identical-column group matters): the value search finds the
-optimum, and feasibility searches, each stopping at the first selection
+The branch-and-bound prunes with per-row reachable intervals: entries are
+nonnegative, so selecting columns only subtracts, and a branch is dead once
+some row can no longer get below the incumbent. One search routine serves
+the weighted solver in two modes, always over merged duplicate columns (only
+the selection count within an identical-column group matters): the value
+search finds the optimum, and feasibility searches, each stopping at the first selection
 within the optimum, rebuild the witness column by column in original order.
 That keeps the documented tie-break: the lexicographically smallest optimal x.
 """
@@ -174,23 +174,19 @@ def _scale_weighted(matrix: RatMatrix, p: Fraction):
     return columns, start, matrix.den * pd
 
 
-def _prune(values, remaining, limit_sq, n, limit) -> bool:
+def _prune(values, remaining, limit) -> bool:
     """True when no completion can get max |row| below `limit` (exclusive).
 
     Row i's final value ranges over [values[i] - remaining[i], values[i]], so
-    its least reachable |final| is its gap to 0 from that interval."""
-    total_sq = 0
+    its least reachable |final| is its gap to 0 from that interval, -values[i]
+    or values[i] - remaining[i]; the branch is dead once one gap reaches
+    `limit`, and at once when `limit` is 0."""
+    if limit <= 0:
+        return True
     for value, rem in zip(values, remaining):
-        if value <= 0:
-            gap = -value
-        elif value > rem:
-            gap = value - rem
-        else:
-            continue
-        if gap >= limit:
+        if -value >= limit or value - rem >= limit:
             return True
-        total_sq += gap * gap
-    return total_sq >= limit_sq * n
+    return False
 
 
 def _group_columns(columns, indices):
@@ -250,14 +246,12 @@ def _descend(groups, suffix, depth, values, counts, state, first):
             return first
         return False
     col, members = groups[depth]
-    n = len(values)
     below = suffix[depth + 1]
     current = values
     for count in range(len(members) + 1):
         if count:
             current = tuple(map(sub, current, col))
-        best = state[0]
-        if not _prune(current, below, best * best, n, best):
+        if not _prune(current, below, state[0]):
             counts[depth] = count
             if _descend(groups, suffix, depth + 1, current, counts, state, first):
                 return True
@@ -516,8 +510,7 @@ def _color(columns, suffix, rows_of, symmetric, depth, values, chi, used_colors,
         if worst < state[0]:
             state[0], state[1] = worst, tuple(chi)
         return
-    best = state[0]
-    if _prune(values, suffix[depth], best * best, len(values), best):
+    if _prune(values, suffix[depth], state[0]):
         return
     col = columns[depth]
     k = len(rows_of)

@@ -131,8 +131,14 @@ def best_removal(agent, goods, c):
     return best
 
 
+def _agents(instance):
+    """(group index, utility Fractions) of every agent, from one read of the
+    instance's Fraction view."""
+    return [(i, agent) for i, group in enumerate(instance.groups) for agent in group]
+
+
 def naive_is_ef(instance, bundles, c):
-    for i, _j, agent in instance.agents():
+    for i, agent in _agents(instance):
         own = sum((agent[g] for g in bundles[i]), start=ZERO)
         for other in range(instance.k):
             if other != i and own < best_removal(agent, bundles[other], c):
@@ -142,7 +148,7 @@ def naive_is_ef(instance, bundles, c):
 
 def naive_is_prop(instance, bundles, c):
     """PROPc via enumeration of removal subsets outside the bundle."""
-    for i, _j, agent in instance.agents():
+    for i, agent in _agents(instance):
         own = sum((agent[g] for g in bundles[i]), start=ZERO)
         share = sum(agent, start=ZERO) / instance.k
         owned = set(bundles[i])
@@ -162,7 +168,7 @@ def naive_is_prop(instance, bundles, c):
 
 def naive_is_cd(instance, bundles, c):
     """CDc: every agent, whatever its group, judges every ordered bundle pair."""
-    for _i, _j, agent in instance.agents():
+    for _i, agent in _agents(instance):
         for own in range(instance.k):
             value = sum((agent[g] for g in bundles[own]), start=ZERO)
             for other in range(instance.k):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from disclab.cli import run
 
 
@@ -243,9 +245,12 @@ def test_hadamard_order_cap_refuses_before_building():
 
 def test_caps_refuse_before_building(monkeypatch):
     """The stacked width n*t is known from (p, n): the exact width cap, the
-    k^(n*t) enumeration cap and the stacking width cap are checked before any
-    construction is built, in certify, experiment rows and construct."""
-    from disclab import cli, lower_bounds
+    k^(n*t) enumeration cap and the stacking width and cell caps are checked
+    before any construction is built, in certify, experiment rows and
+    construct."""
+    from fractions import Fraction
+
+    from disclab import CapExceededError, cli, lower_bounds
 
     def never(*_args):
         raise AssertionError("construction built for a refused instance")
@@ -270,6 +275,16 @@ def test_caps_refuse_before_building(monkeypatch):
     outcome = invoke("construct", "stacked", "--p", "1/10000000", "--n", "1024")
     assert (outcome.exit_code, outcome.stdout) == (3, "")
     assert "stacked width 5120000000 exceeds cap 1000000" in outcome.stderr
+    # 512,000 columns pass the width cap; 1024 x 512,000 cells do not
+    outcome = invoke("construct", "stacked", "--p", "1/1000", "--n", "1024")
+    assert (outcome.exit_code, outcome.stdout) == (3, "")
+    assert "stacked cells 524288000 exceed cap 4194304" in outcome.stderr
+    # the cell cap is the size of the largest Sylvester order, 2048 x 2048
+    assert lower_bounds.stacked_shape(Fraction(1, 8), 1024) == (Fraction(1, 8), 4)
+    assert lower_bounds.stacked_shape(Fraction(1, 3), 2048) == (Fraction(1, 3), 1)
+    for p, n in ((Fraction(1, 10), 1024), (Fraction(1, 4), 2048), (Fraction(1, 131074), 8)):
+        with pytest.raises(CapExceededError, match="stacked cells"):
+            lower_bounds.stacked_shape(p, n)
 
 
 def test_threads_do_not_change_output(tmp_path):
