@@ -102,6 +102,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a number past Python's integer string-conversion limit
+        raise InputError(f"{path} holds a number with more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _write_out(path: str, text: str):

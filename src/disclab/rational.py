@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 
 Rational = Fraction
 
@@ -35,19 +36,22 @@ def parse_ratio(text) -> tuple:
 
     Decimals, exponents, signs on the denominator and JSON booleans are
     rejected: the exchange format is integer numerator over integer
-    denominator, nothing else.
+    denominator, nothing else. A numeral longer than Python's integer
+    string-conversion limit is refused as input, not read.
     """
     if isinstance(text, str):
         match = _RATIONAL.fullmatch(text.strip())
         if match is None:
             raise InputError(f"not a rational: {text!r}")
         num, den = match.groups()
-        if den is None:
-            return int(num), 1
-        den = int(den)
+        try:
+            num = int(num)
+            den = 1 if den is None else int(den)
+        except ValueError:
+            raise InputError(f"a numeral has more than {sys.get_int_max_str_digits()} digits") from None
         if den == 0:
             raise InputError(f"zero denominator: {text!r}")
-        return int(num), den
+        return num, den
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return text.numerator, text.denominator
     raise InputError(f"expected rational string, got {type(text).__name__}")
@@ -83,11 +87,18 @@ def over_common_denominator(pairs) -> tuple:
 
 
 def format_ratio(num: int, den: int) -> str:
-    """Render num/den (den > 0) in lowest terms: "a/b", or "a" when b is 1."""
+    """Render num/den (den > 0) in lowest terms: "a/b", or "a" when b is 1.
+
+    A part longer than Python's integer string-conversion limit cannot be
+    rendered; that is a budget exceeded, not a crash."""
     common = math.gcd(num, den)
-    if common == den:
-        return str(num // den)
-    return f"{num // common}/{den // common}"
+    try:
+        if common == den:
+            return str(num // den)
+        return f"{num // common}/{den // common}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise CapExceededError(f"a rational with more than {limit} digits cannot be printed") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -8,7 +8,12 @@ integer problem, and the reported Fraction is exact by construction.
 
 The branch-and-bound prunes with per-row reachable intervals: entries are
 nonnegative, so selecting columns only subtracts, and a branch is dead once
-some row can no longer get below the incumbent. One search routine serves
+some row can no longer get below the incumbent. Every exact search keeps a
+node's row values packed into one int, a w-bit field per row (`_Packing`),
+with w fixed per call so that no borrow crosses a field: a child node is
+one subtraction of a packed column, the interval rule is two masked tests
+on the fields' top bits, and values are unpacked only at a leaf, which the
+rule admits only when it beats the incumbent. One search routine serves
 the weighted solver in two modes, always over merged duplicate columns (only
 the selection count within an identical-column group matters): the value
 search finds the optimum, and feasibility searches, each stopping at the first selection
@@ -22,7 +27,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import sub
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
 from .matrices import RatMatrix, stack_vertical
@@ -174,58 +178,102 @@ def _scale_weighted(matrix: RatMatrix, p: Fraction):
     return columns, start, matrix.den * pd
 
 
-def _prune(values, remaining, limit) -> bool:
-    """True when no completion can get max |row| below `limit` (exclusive).
+class _Packing:
+    """Row vectors of one exact search packed into one int, w bits per row.
 
-    Row i's final value ranges over [values[i] - remaining[i], values[i]], so
-    its least reachable |final| is its gap to 0 from that interval, -values[i]
-    or values[i] - remaining[i]; the branch is dead once one gap reaches
-    `limit`, and at once when `limit` is 0."""
-    if limit <= 0:
-        return True
-    for value, rem in zip(values, remaining):
-        if -value >= limit or value - rem >= limit:
-            return True
-    return False
+    Field i of a packed value vector holds v_i + 2^(w-1), so the vector is the
+    int sum_i (v_i + 2^(w-1)) * 2^(w*i), and a packed column or remaining mass
+    holds its plain entries. A child node is then one subtraction of a packed
+    column. w is fixed per call from the row values `start` at the root, each
+    row's total column mass `mass` and the initial incumbent `limit`: every
+    value the search meets lies in [start_i - mass_i, start_i], so
+    2^(w-1) > 2 * max_i(|start_i| + mass_i) + limit keeps every field of the
+    expressions below in [0, 2^w), and no borrow crosses between fields.
+
+    The row-interval rule: entries are nonnegative, so selecting only
+    subtracts, and row i of a node with values v and remaining mass R ends in
+    [v_i - R_i, v_i]. A node is admitted under incumbent `limit` >= 1 while
+    every row can still end below it, -limit < v_i and v_i - R_i < limit.
+    Packed, with low = (limit - 1) * ones and high = limit * ones, that is two
+    masked tests, (P + low) & top == top and (P - R - high) & top == 0: a
+    field's top bit says whether it is at least 2^(w-1).
+    """
+
+    __slots__ = ("width", "rows", "ones", "top")
+
+    def __init__(self, start, mass, limit: int):
+        bound = 2 * max(abs(v) + m for v, m in zip(start, mass)) + limit
+        self.width = bound.bit_length() + 1
+        self.rows = len(start)
+        self.ones = sum(1 << (self.width * i) for i in range(self.rows))
+        self.top = self.ones << (self.width - 1)
+
+    def pack(self, column) -> int:
+        """A column or mass vector, one plain field per row."""
+        return sum(c << (self.width * i) for i, c in enumerate(column))
+
+    def pack_values(self, values) -> int:
+        return self.pack(values) + self.top
+
+    def worst(self, packed: int) -> int:
+        """max |v_i| of packed row values."""
+        width = self.width
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        return max(abs(((packed >> shift) & mask) - half) for shift in range(0, width * self.rows, width))
+
+    def bars(self, limit: int) -> tuple:
+        """(low, high) of the row-interval rule under `limit`."""
+        return (limit - 1) * self.ones, limit * self.ones
+
+    def admits(self, packed: int, remaining: int, low: int, high: int) -> bool:
+        """The row-interval rule; the search loops inline it."""
+        top = self.top
+        return (packed + low) & top == top and not (packed - remaining - high) & top
 
 
-def _group_columns(columns, indices):
+def _group_columns(columns, masses, indices):
     """Merge identical columns among `indices` into (column, its indices
     ascending); order groups by descending mass, ties by first index."""
     members = {}
     for j in indices:
         members.setdefault(columns[j], []).append(j)
     groups = list(members.items())
-    groups.sort(key=lambda g: (-sum(g[0]), g[1][0]))
+    groups.sort(key=lambda g: (-masses[g[1][0]], g[1][0]))
     return groups
 
 
-def _remaining(columns, n):
-    """remaining[d][i]: what columns d, d+1, ... can still subtract from row i."""
-    remaining = [(0,) * n]
+def _remaining(columns):
+    """remaining[d]: the packed mass columns d, d+1, ... can still subtract."""
+    remaining = [0]
     for col in reversed(columns):
-        remaining.append(tuple(r + c for r, c in zip(remaining[-1], col)))
+        remaining.append(remaining[-1] + col)
     remaining.reverse()
     return remaining
 
 
-def _search(columns, indices, values, limit, first):
-    """Least max |row value| below `limit` over selections of the columns in
-    `indices`, from row values `values`; with `first`, the first selection
-    found below `limit` instead.
+def _search(packing, columns, masses, indices, values, limit, first):
+    """Least max |row value| below `limit` over selections of the packed
+    columns in `indices`, from packed row values `values`; with `first`, the
+    first selection found below `limit` instead.
 
     Only how many columns of an identical group are selected matters, so the
     search branches on each group's count 0, 1, ..., groups in descending
-    mass, and prunes a branch once no completion beats the incumbent.
-    Returns (value, selected, nodes): `selected` lists the chosen indices,
-    each group's 1s on its latest indices, and is None when no selection
-    gets below `limit`.
+    mass, and admits a branch only while some completion can beat the
+    incumbent. An admitted leaf has every |row| below the incumbent, so it
+    becomes the new one. Returns (value, selected, nodes): `selected` lists
+    the chosen indices, each group's 1s on its latest indices, and is None
+    when no selection gets below `limit`.
     """
-    groups = _group_columns(columns, indices)
-    suffix = _remaining([tuple(len(members) * c for c in col) for col, members in groups], len(values))
-    state = [limit, None, 0]  # incumbent value, its count per group, nodes
-    _descend(groups, suffix, 0, values, [0] * len(groups), state, first)
-    best, counts, nodes = state
+    groups = _group_columns(columns, masses, indices)
+    cols = [col for col, _members in groups]
+    sizes = [len(members) for _col, members in groups]
+    suffix = _remaining([size * col for col, size in zip(cols, sizes)])
+    low, high = packing.bars(limit)
+    state = [limit, None, 1, low, high]  # incumbent value, its count per group, nodes, bars
+    if packing.admits(values, suffix[0], low, high):
+        _descend(packing, cols, sizes, suffix, 0, values, [0] * len(groups), state, first)
+    best, counts, nodes = state[:3]
     if counts is None:
         return best, None, nodes
     selected = []
@@ -234,31 +282,33 @@ def _search(columns, indices, values, limit, first):
     return best, selected, nodes
 
 
-def _descend(groups, suffix, depth, values, counts, state, first):
-    """One node of `_search`: branch on group `depth`'s count. Returns True
-    once a `first` search has its selection."""
-    state[2] += 1
-    if depth == len(groups):
-        worst = max(map(abs, values))
-        if worst < state[0]:
-            state[0] = worst
-            state[1] = tuple(counts)
-            return first
-        return False
-    col, members = groups[depth]
+def _descend(packing, cols, sizes, suffix, depth, values, counts, state, first):
+    """One admitted node of `_search`: branch on group `depth`'s count.
+    Returns True once the search is over: a `first` search has its
+    selection, or the incumbent reached 0, which nothing can beat."""
+    if depth == len(cols):
+        state[0] = packing.worst(values)
+        state[1] = tuple(counts)
+        state[3], state[4] = packing.bars(state[0])
+        return first or not state[0]
+    top = packing.top
+    col = cols[depth]
     below = suffix[depth + 1]
-    current = values
-    for count in range(len(members) + 1):
+    for count in range(sizes[depth] + 1):
         if count:
-            current = tuple(map(sub, current, col))
-        if not _prune(current, below, state[0]):
-            counts[depth] = count
-            if _descend(groups, suffix, depth + 1, current, counts, state, first):
-                return True
+            values -= col
+        if (values + state[3]) & top != top:
+            break  # a row is at or below -limit, and more of the group lowers it further
+        if (values - below - state[4]) & top:
+            continue
+        state[2] += 1
+        counts[depth] = count
+        if _descend(packing, cols, sizes, suffix, depth + 1, values, counts, state, first):
+            return True
     return False
 
 
-def _lex_least(columns, start, target, selected):
+def _lex_least(packing, columns, masses, start, target, selected):
     """Lexicographically smallest x whose max |row value| is at most `target`,
     the optimum, given one optimal selection `selected`.
 
@@ -276,10 +326,10 @@ def _lex_least(columns, start, target, selected):
     for d in range(m):
         if not known[d]:
             continue
-        _value, tail, searched = _search(columns, range(d + 1, m), values, target + 1, True)
+        _value, tail, searched = _search(packing, columns, masses, range(d + 1, m), values, target + 1, True)
         nodes += searched
         if tail is None:
-            values = tuple(map(sub, values, columns[d]))
+            values -= columns[d]
         else:
             known[d:] = [0] * (m - d)
             for j in tail:
@@ -315,8 +365,13 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleCon
     p = _check_probability(p)
     check_exact_width(matrix.cols, config)
     columns, start, denom = _scale_weighted(matrix, p)
-    value, selected, nodes_value = _search(columns, range(matrix.cols), start, max(map(abs, start)) + 1, False)
-    witness, nodes_witness = _lex_least(columns, start, value, selected)
+    masses = [sum(col) for col in columns]
+    limit = max(map(abs, start)) + 1
+    packing = _Packing(start, [p.denominator * sum(row) for row in matrix.nums], limit)
+    packed = [packing.pack(col) for col in columns]
+    root = packing.pack_values(start)
+    value, selected, nodes_value = _search(packing, packed, masses, range(matrix.cols), root, limit, False)
+    witness, nodes_witness = _lex_least(packing, packed, masses, root, value, selected)
     return WdiscResult(
         value=Fraction(value, denom),
         witness=witness,
@@ -490,33 +545,45 @@ def _odisc_dfs(rows, owners, k, symmetric):
 
     Row r's value is T - k * (mass of its block's color); every value lies in
     [T - k*T, T], so the incumbent starts above k * max T, where every
-    coloring beats it. With `symmetric`, color c + 1 is tried only once
+    coloring beats it, and the root is admitted. Each column is packed once
+    per color, holding only the rows of that color's block; the remaining
+    mass counts every row. With `symmetric`, color c + 1 is tried only once
     colors 1..c have appeared.
     """
-    columns = [tuple(k * a for a in col) for col in zip(*rows)]
     start = tuple(map(sum, rows))
-    rows_of = [[r for r, s in enumerate(owners) if s == color] for color in range(k)]
-    state = [k * max(start) + 1, None, 0]  # incumbent value, its coloring, nodes
-    chi = [0] * len(columns)
-    _color(columns, _remaining(columns, len(rows)), rows_of, symmetric, 0, start, chi, 0, state)
-    return tuple(state)
+    limit = k * max(start) + 1
+    packing = _Packing(start, [k * total for total in start], limit)
+    columns = [tuple(k * a for a in col) for col in zip(*rows)]
+    by_color = [
+        [packing.pack([a if s == color else 0 for a, s in zip(col, owners)]) for col in columns]
+        for color in range(k)
+    ]
+    suffix = _remaining([packing.pack(col) for col in columns])
+    state = [limit, None, 1, *packing.bars(limit)]  # incumbent value, its coloring, nodes, bars
+    _color(packing, by_color, suffix, symmetric, 0, packing.pack_values(start), [0] * len(columns), 0, state)
+    return tuple(state[:3])
 
 
-def _color(columns, suffix, rows_of, symmetric, depth, values, chi, used_colors, state):
-    """One node of `_odisc_dfs`: try each color for column `depth`."""
-    state[2] += 1
-    if depth == len(columns):
-        worst = max(map(abs, values))
-        if worst < state[0]:
-            state[0], state[1] = worst, tuple(chi)
+def _color(packing, by_color, suffix, symmetric, depth, values, chi, used_colors, state):
+    """One admitted node of `_odisc_dfs`: try each color for column `depth`.
+
+    Every child counts as a node, admitted or not. Once the incumbent is 0
+    nothing is admitted any more, so the children left are counted and
+    skipped."""
+    if depth == len(chi):
+        state[0], state[1] = packing.worst(values), tuple(chi)
+        state[3], state[4] = packing.bars(state[0])
         return
-    if _prune(values, suffix[depth], state[0]):
-        return
-    col = columns[depth]
-    k = len(rows_of)
-    for color in range(1, (min(k, used_colors + 1) if symmetric else k) + 1):
-        chi[depth] = color
-        child = list(values)
-        for r in rows_of[color - 1]:
-            child[r] -= col[r]
-        _color(columns, suffix, rows_of, symmetric, depth + 1, child, chi, max(used_colors, color), state)
+    top = packing.top
+    below = suffix[depth + 1]
+    colors = min(len(by_color), used_colors + 1) if symmetric else len(by_color)
+    for color in range(colors):
+        state[2] += 1
+        child = values - by_color[color][depth]
+        if (child + state[3]) & top != top or (child - below - state[4]) & top:
+            continue
+        chi[depth] = color + 1
+        _color(packing, by_color, suffix, symmetric, depth + 1, child, chi, max(used_colors, color + 1), state)
+        if not state[0]:
+            state[2] += colors - 1 - color
+            return

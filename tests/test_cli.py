@@ -221,6 +221,32 @@ def test_non_rational_inputs_rejected(tmp_path):
         assert (outcome.exit_code, outcome.stdout) == (2, ""), p
 
 
+def test_numerals_past_the_digit_limit_rejected(tmp_path):
+    """Python converts ints to and from text only up to a digit limit (4,300
+    by default); input past it exits 2 and output past it exits 3, each with
+    a message and no traceback, and the process-wide limit is left alone."""
+    limit = sys.get_int_max_str_digits()
+    long = "7" * (limit + 1)
+    matrix = tmp_path / "m.json"
+    for text in (f'[["1/2", "1/{long}"]]', f'[["{long}/{long}1"]]', f"[[{long}]]"):
+        matrix.write_text(f'{{"rows": 1, "cols": {text.count(",") + 1}, "entries": {text}}}')
+        outcome = invoke("wdisc", "exact", "--matrix", str(matrix), "--p", "1/2")
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), text[:20]
+        assert outcome.stderr.startswith("error: ") and str(limit) in outcome.stderr
+    instance = tmp_path / "inst.json"
+    instance.write_text(json.dumps({"groups": [[["1", f"1/{long}"]], [["1", "0"]]]}))
+    outcome = invoke("fd", "minc", "--instance", str(instance), "--notion", "prop")
+    assert (outcome.exit_code, outcome.stdout) == (2, "")
+    assert outcome.stderr.startswith("error: ") and str(limit) in outcome.stderr
+    # Each cell is short, but the value's denominator (10^3000+1)(10^3000+3)
+    # has 6,001 digits.
+    wide = write_matrix(tmp_path, "wide.json", [[f"1/{10**3000 + 1}", f"1/{10**3000 + 3}"]])
+    outcome = invoke("wdisc", "exact", "--matrix", wide, "--p", "1/2")
+    assert (outcome.exit_code, outcome.stdout) == (3, "")
+    assert outcome.stderr.startswith("budget exceeded: ") and str(limit) in outcome.stderr
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_malformed_groups_rejected(tmp_path):
     instance = tmp_path / "inst.json"
     allocation = tmp_path / "alloc.json"

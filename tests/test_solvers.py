@@ -253,10 +253,10 @@ ENTRIES = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction
 
 
 @st.composite
-def pooled_matrices(draw, max_rows, max_cols):
+def pooled_matrices(draw, max_rows, max_cols, entries=ENTRIES):
     """Columns drawn from a pool of at most three, so duplicates and ties occur."""
     rows = draw(st.integers(1, max_rows))
-    pool = draw(st.lists(st.lists(ENTRIES, min_size=rows, max_size=rows), min_size=1, max_size=3))
+    pool = draw(st.lists(st.lists(entries, min_size=rows, max_size=rows), min_size=1, max_size=3))
     columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_cols))
     return RatMatrix.from_rows([[col[i] for col in columns] for i in range(rows)])
 
@@ -290,15 +290,15 @@ def test_wdisc_exact_matches_naive_on_stacked_w():
 
 
 @st.composite
-def odisc_blocks(draw):
+def odisc_blocks(draw, entries=ENTRIES):
     """k <= 3 blocks over m <= 5 columns: k copies of one block, or k drawn
     independently (which may still coincide)."""
     k = draw(st.integers(1, 3))
-    first = draw(pooled_matrices(2, 5))
+    first = draw(pooled_matrices(2, 5, entries))
     if draw(st.booleans()):
         return [first] * k
     cols = first.cols
-    block = st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=2)
+    block = st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=2)
     return [first] + [RatMatrix.from_rows(draw(block)) for _ in range(k - 1)]
 
 
@@ -307,6 +307,50 @@ def odisc_blocks(draw):
 def test_odisc_exact_matches_naive_property(blocks):
     result = odisc_exact(blocks)
     assert (result.value, result.witness) == naive_odisc(blocks)
+
+
+# Denominators above 2^64, so the searches' packed row fields are wider
+# than a machine word.
+WIDE = 2**70 + 1
+WIDE_ENTRIES = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, WIDE), Fraction(WIDE - 1, WIDE), Fraction(3, 2**67 + 5)]
+)
+WIDE_P = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, WIDE), Fraction(WIDE - 1, WIDE), Fraction(2**65, 3**45)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_matrices(4, 8, WIDE_ENTRIES), WIDE_P)
+def test_wdisc_exact_wide_fields_match_naive_property(matrix, p):
+    result = wdisc_exact(matrix, p)
+    assert (result.value, result.witness) == naive_wdisc(matrix, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(odisc_blocks(WIDE_ENTRIES))
+def test_odisc_exact_wide_fields_match_naive_property(blocks):
+    result = odisc_exact(blocks)
+    assert (result.value, result.witness) == naive_odisc(blocks)
+
+
+# (n, 1/p): (value, nodes_explored) of wdisc_exact on the stacked construction.
+STACKED_NODES = {
+    (8, 2): ("1", 44), (8, 3): ("2/3", 132), (8, 4): ("1", 70), (8, 5): ("6/5", 179),
+    (8, 6): ("1", 70), (8, 7): ("9/7", 119), (8, 8): ("1", 70),
+    (16, 2): ("1", 776), (16, 3): ("4/3", 1555), (16, 4): ("1", 3586), (16, 5): ("6/5", 8494),
+    (16, 6): ("1", 4396), (16, 7): ("10/7", 9905), (16, 8): ("1", 4655),
+}
+
+
+def test_wdisc_exact_nodes_pinned_on_stacked_w():
+    """The search tree does not move: node counts of both phases on the
+    stacked construction, n = 8 and 16 at p = 1/2 .. 1/8, stay as pinned."""
+    wide = OracleConfig(exact_width_cap=64)
+    for (n, den), (value, nodes) in STACKED_NODES.items():
+        p = Fraction(1, den)
+        result = wdisc_exact(build_stacked(p, n).matrix, p, wide)
+        assert (result.value, result.nodes_explored) == (Fraction(value), nodes), (n, den)
 
 
 def test_multicolor_at_least_weighted():
