@@ -16,7 +16,12 @@ removal is a scan of that ranking that stops when the deficit is covered.
 The same routine bounds c from below on a partial allocation (the unplaced
 goods can shrink a deficit by at most their value), which prunes the exact
 minimum search over all allocations; checking a given c is comparing it
-with the allocation's minimum.
+with the allocation's minimum. That search also skips allocations that are
+relabellings of one it visits first: bundles that are interchangeable (every
+bundle for CD, bundles of groups with the same agents for EF and PROP) open
+in index order, and goods that every agent values the same go to
+non-decreasing bundles. Both moves keep c and the lex-least minimizer obeys
+both rules, so the witness stays the lex-least one.
 
 The generators build the complement-pair instances whose minimal c is forced
 up by the weighted discrepancy of an embedded matrix, each complement as
@@ -351,6 +356,27 @@ def brute_force_min_c(
     smaller c replaces the incumbent and the search stops at c = 0, so the
     witness is the lexicographically least minimizer. `cap` bounds k^m, the
     size of the unpruned search.
+
+    The search visits only canonical allocations under two symmetries that
+    keep c:
+
+    - Interchangeable bundles: for CD every bundle (c does not depend on the
+      grouping), for EF and PROP the bundles of groups holding the same
+      multiset of agents. A bundle of such a class may take a good only
+      once the class's previous bundle holds one.
+    - Identical goods, valued the same by every agent: a good never goes to
+      a lower bundle than the previous good identical to it.
+
+    Relabelling the bundles of a class, or swapping two identical goods,
+    turns any allocation into one with the same c. The lex-least member of
+    such an orbit obeys both rules: if a bundle held a good before its
+    class's previous bundle, swapping the two labels would give a smaller
+    allocation (they agree up to that good, which then takes the lower
+    label), and if a good sat in a higher bundle than the previous good
+    identical to it, swapping the two goods would too. The lex-least
+    minimizer is the lex-least member of its orbit, so it is canonical,
+    and a lex-order search over the canonical allocations returns it:
+    c and the witness are those of the full search.
     """
     core = _MinC(instance, tag)
     k = instance.k
@@ -362,10 +388,17 @@ def brute_force_min_c(
     for units in reversed(by_good):
         remaining.append([r + u for r, u in zip(remaining[-1], units)])
     remaining.reverse()  # remaining[g][a]: agent a's value of goods g..m-1
+    # opener[b]: the previous bundle of b's class (-1 for the first);
+    # twin[g]: the previous good identical to g (-1 for none)
+    opener = _previous_equal(
+        [None if tag == "CD" else tuple(sorted(zip(nums, dens)))
+         for nums, dens in zip(instance.nums, instance.dens)]
+    )
+    twin = _previous_equal([tuple(units) for units in by_good])
     values = [[0] * k for _ in core.agents]
     # every allocation has c <= m: removing all goods passes
     state = [m + 1, None]  # incumbent c, its assignment
-    _place(core, by_good, remaining, values, [-1] * m, state, 0)
+    _place(core, by_good, remaining, opener, twin, values, [0] * k, [-1] * m, state, 0)
     best_c, best = state
     witness = [[] for _ in range(k)]
     for good, b in enumerate(best):
@@ -373,13 +406,29 @@ def brute_force_min_c(
     return best_c, Allocation(bundles=tuple(tuple(b) for b in witness))
 
 
-def _place(core, by_good, remaining, values, assignment, state, good):
-    """One node of `brute_force_min_c`: place `good` in each bundle in turn."""
+def _previous_equal(keys) -> list:
+    """For each position, the last earlier position with an equal key, or -1."""
+    last = {}
+    previous = []
+    for index, key in enumerate(keys):
+        previous.append(last.get(key, -1))
+        last[key] = index
+    return previous
+
+
+def _place(core, by_good, remaining, opener, twin, values, sizes, assignment, state, good):
+    """One node of `brute_force_min_c`: place `good` in each bundle the
+    symmetry rules allow, in ascending order. `sizes[b]` counts the goods
+    placed in bundle b."""
     units = by_good[good]
     slack = remaining[good + 1]
     last = good + 1 == len(by_good)
-    for b in range(len(values[0])):
+    first = assignment[twin[good]] if twin[good] >= 0 else 0
+    for b in range(first, len(sizes)):
+        if opener[b] >= 0 and not sizes[opener[b]]:
+            continue
         assignment[good] = b
+        sizes[b] += 1
         for vals, u in zip(values, units):
             vals[b] += u
         c = core.bound(assignment, values, slack, state[0])
@@ -387,9 +436,11 @@ def _place(core, by_good, remaining, values, assignment, state, good):
             if last:
                 state[0], state[1] = c, tuple(assignment)
             else:
-                _place(core, by_good, remaining, values, assignment, state, good + 1)
+                _place(core, by_good, remaining, opener, twin, values, sizes, assignment,
+                       state, good + 1)
         for vals, u in zip(values, units):
             vals[b] -= u
+        sizes[b] -= 1
         if state[0] == 0:
             break
     assignment[good] = -1

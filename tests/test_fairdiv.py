@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,6 +17,7 @@ from disclab import (
     RecursionConfig,
     allocate_prop_via_odisc,
     brute_force_min_c,
+    build_stacked,
     check_fairness,
     check_lemma_prop_to_disc,
     gen_cd_instance,
@@ -24,7 +26,7 @@ from disclab import (
     min_c_for_allocation,
     wdisc_exact,
 )
-from disclab.fairdiv import _MinC, _cover, build_agent_scaling
+from disclab.fairdiv import NOTION_TAGS, _MinC, _cover, build_agent_scaling
 
 from naive import best_removal, naive_is_cd, naive_is_ef, naive_is_prop, naive_min_c
 
@@ -185,10 +187,8 @@ def small_instances(draw):
     return FairDivInstance.from_groups(groups)
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_instances(), st.sampled_from(("EF", "PROP", "CD")))
-def test_brute_force_matches_lex_order_scan(inst, tag):
-    """(c, witness) equals the first minimizer of a lex-order scan with the
+def lex_order_scan(inst, tag):
+    """(c, bundles) of the first minimizer in base-k assignment order, by the
     subset-enumerating reference."""
     best = None
     for assignment in product(range(inst.k), repeat=inst.m):
@@ -198,8 +198,83 @@ def test_brute_force_matches_lex_order_scan(inst, tag):
             best = (c, bundles)
         if c == 0:
             break
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.sampled_from(NOTION_TAGS))
+def test_brute_force_matches_lex_order_scan(inst, tag):
+    """(c, witness) equals the first minimizer of a lex-order scan with the
+    subset-enumerating reference."""
     c_star, witness = brute_force_min_c(inst, tag)
-    assert (c_star, witness.bundles) == best
+    assert (c_star, witness.bundles) == lex_order_scan(inst, tag)
+
+
+@st.composite
+def symmetric_instances(draw):
+    """k <= 3 copies of one group, or one group plus k - 1 copies of another,
+    over m <= 5 goods drawn from a pool of at most 3 columns, so that
+    interchangeable bundles and identical goods both occur."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    pool = draw(st.integers(1, 3))
+    columns = draw(st.lists(st.integers(0, pool - 1), min_size=m, max_size=m))
+    group = st.lists(st.lists(UTILITIES, min_size=pool, max_size=pool), min_size=1, max_size=2)
+    first = draw(group)
+    copied = draw(group) if draw(st.booleans()) else first
+    groups = [first] + [copied] * (k - 1)
+    return FairDivInstance.from_groups(
+        [[[agent[q] for q in columns] for agent in agents] for agents in groups]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_instances(), st.sampled_from(NOTION_TAGS))
+def test_brute_force_matches_lex_order_scan_under_symmetry(inst, tag):
+    """The search over canonical allocations only still returns the lex-order
+    scan's (c, witness) when bundles are interchangeable and goods repeat."""
+    c_star, witness = brute_force_min_c(inst, tag)
+    assert (c_star, witness.bundles) == lex_order_scan(inst, tag)
+
+
+def assert_canonical(inst, tag, allocation):
+    """Identical goods (equal utility for every agent) sit in non-decreasing
+    bundles, and the bundles of each interchangeable class (all of them for
+    CD, groups with the same agents for EF and PROP) open in index order."""
+    agents = [agent for group in inst.groups for agent in group]
+    bundle_of = {g: b for b, bundle in enumerate(allocation.bundles) for g in bundle}
+    for g in range(inst.m):
+        for later in range(g + 1, inst.m):
+            if all(agent[g] == agent[later] for agent in agents):
+                assert bundle_of[g] <= bundle_of[later]
+    opened = [min(bundle, default=inst.m) for bundle in allocation.bundles]
+    classes = {}
+    for b, group in enumerate(inst.groups):
+        classes.setdefault(None if tag == "CD" else tuple(sorted(group)), []).append(b)
+    for members in classes.values():
+        firsts = [opened[b] for b in members]
+        assert firsts == sorted(firsts)
+
+
+def test_brute_force_reaches_stacked_w2_at_m18():
+    """Stacked W_2 at p = 1/18 (9 copies of each column, m = 18), goods in a
+    fixed shuffled order, k = 2: every notion's minimum is 1, its witness
+    re-checks to 1 and is canonical under both symmetries."""
+    amat = build_stacked(Fraction(1, 18), 2).matrix
+    order = list(range(amat.cols))
+    random.Random(18).shuffle(order)
+    amat = amat.restrict_columns(order)
+    assert amat.cols == 18
+    instances = {
+        "EF": gen_ef_lb_instance(amat, 2, (4, 1)),
+        "PROP": gen_prop_lb_instance(amat, 2, 1, (4, 1)),
+        "CD": gen_cd_instance(amat, 2),
+    }
+    for tag, inst in instances.items():
+        c_star, witness = brute_force_min_c(inst, tag)
+        assert c_star == 1
+        assert min_c_for_allocation(inst, witness, tag) == 1
+        assert_canonical(inst, tag, witness)
 
 
 def test_brute_force_leaf_matches_public_checker():
@@ -419,6 +494,58 @@ def test_agent_scaling():
     # 0/0 = 0 convention when the scale collapses
     zeros = build_agent_scaling([Fraction(0)] * 4, k=2, h=1)
     assert zeros.scale == 0 and zeros.scaled == (0, 0, 0, 0)
+
+
+def allocations_of(inst):
+    """Strategy: allocations of the instance's goods to its k bundles."""
+    return st.lists(st.integers(0, inst.k - 1), min_size=inst.m, max_size=inst.m).map(
+        lambda assignment: Allocation.from_bundles(
+            [[g for g, b in enumerate(assignment) if b == i] for i in range(inst.k)], inst.m
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.data())
+def test_check_fairness_monotone_in_c(inst, data):
+    """check_fairness fails below one c and passes from it on, and that c is
+    min_c_for_allocation."""
+    allocation = data.draw(allocations_of(inst))
+    for tag in NOTION_TAGS:
+        passes = [check_fairness(inst, allocation, FairnessNotion(tag, c)) for c in range(inst.m + 2)]
+        least = passes.index(True)
+        assert passes == [False] * least + [True] * (len(passes) - least)
+        assert least == min_c_for_allocation(inst, allocation, tag)
+
+
+@st.composite
+def rational_instances(draw):
+    """k <= 3, m <= 5, utilities any rationals in [0, 1] with denominators up
+    to 10^30."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    utility = st.fractions(min_value=0, max_value=1, max_denominator=10**30)
+    agent = st.lists(utility, min_size=m, max_size=m)
+    return FairDivInstance.from_groups(
+        draw(st.lists(st.lists(agent, min_size=1, max_size=3), min_size=k, max_size=k))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_instances(), st.data())
+def test_json_round_trip_is_exact(inst, data):
+    """Instances and allocations survive JSON text unchanged, and dumping
+    what was read back gives the same text."""
+    text = json.dumps(inst.to_json_dict())
+    back = FairDivInstance.from_json_dict(json.loads(text))
+    assert back == inst
+    assert json.dumps(back.to_json_dict()) == text
+
+    allocation = data.draw(allocations_of(inst))
+    text = json.dumps(allocation.to_json_dict())
+    back = Allocation.from_json_dict(json.loads(text), inst.m)
+    assert back == allocation
+    assert json.dumps(back.to_json_dict()) == text
 
 
 def test_instance_json_round_trip():
