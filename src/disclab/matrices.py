@@ -170,7 +170,7 @@ def _read_matrix_dict(data: dict):
         rows = int(data["rows"])
         cols = int(data["cols"])
         raw = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an infinite count
         raise InputError("matrix JSON needs rows, cols, entries") from exc
     if not isinstance(raw, list) or len(raw) != rows:
         raise InputError("entry row count does not match rows")

@@ -13,12 +13,20 @@ node's row values packed into one int, a w-bit field per row (`_Packing`),
 with w fixed per call so that no borrow crosses a field: a child node is
 one subtraction of a packed column, the interval rule is two masked tests
 on the fields' top bits, and values are unpacked only at a leaf, which the
-rule admits only when it beats the incumbent. One search routine serves
-the weighted solver in two modes, always over merged duplicate columns (only
-the selection count within an identical-column group matters): the value
-search finds the optimum, and feasibility searches, each stopping at the first selection
-within the optimum, rebuild the witness column by column in original order.
-That keeps the documented tie-break: the lexicographically smallest optimal x.
+rule admits only when it beats the incumbent. Each search is one loop over
+an explicit stack, not a recursion: per depth it keeps the packed values of
+the admitted node and the count or color tried there, plus one upper gate
+(the mass later depths can still subtract, plus the incumbent's bar), so a
+node costs a few int operations and no Python call.
+
+One search routine serves the weighted solver in two modes, always over
+merged duplicate columns (only the selection count within an
+identical-column group matters): the value search finds the optimum, and
+feasibility searches, each stopping at the first selection within the
+optimum, rebuild the witness column by column in original order, each over
+the groups of the columns after the one being fixed, derived from the
+previous column's groups. That keeps the documented tie-break: the
+lexicographically smallest optimal x.
 """
 
 from __future__ import annotations
@@ -196,7 +204,11 @@ class _Packing:
     every row can still end below it, -limit < v_i and v_i - R_i < limit.
     Packed, with low = (limit - 1) * ones and high = limit * ones, that is two
     masked tests, (P + low) & top == top and (P - R - high) & top == 0: a
-    field's top bit says whether it is at least 2^(w-1).
+    field's top bit says whether it is at least 2^(w-1). The search loops
+    apply the rule inline. Each keeps one gate per depth, R + high for the
+    mass R the later depths can still subtract, so the upper test is one
+    subtraction and one mask, and rebuilds the gates when the incumbent
+    improves.
     """
 
     __slots__ = ("width", "rows", "ones", "top")
@@ -222,14 +234,12 @@ class _Packing:
         half = 1 << (width - 1)
         return max(abs(((packed >> shift) & mask) - half) for shift in range(0, width * self.rows, width))
 
-    def bars(self, limit: int) -> tuple:
-        """(low, high) of the row-interval rule under `limit`."""
-        return (limit - 1) * self.ones, limit * self.ones
-
-    def admits(self, packed: int, remaining: int, low: int, high: int) -> bool:
-        """The row-interval rule; the search loops inline it."""
-        top = self.top
-        return (packed + low) & top == top and not (packed - remaining - high) & top
+    def bars(self, limit: int, below) -> tuple:
+        """(low, gates) of the row-interval rule under `limit`, for a search
+        whose depth d leaves the packed mass below[d] to later depths:
+        gates[d] = below[d] + high."""
+        high = limit * self.ones
+        return (limit - 1) * self.ones, [mass + high for mass in below]
 
 
 def _group_columns(columns, masses, indices):
@@ -243,74 +253,108 @@ def _group_columns(columns, masses, indices):
     return groups
 
 
-def _remaining(columns):
-    """remaining[d]: the packed mass columns d, d+1, ... can still subtract."""
-    remaining = [0]
-    for col in reversed(columns):
-        remaining.append(remaining[-1] + col)
-    remaining.reverse()
-    return remaining
+def _below(masses):
+    """below[d]: the packed mass the depths after d can still subtract, from
+    each depth's packed mass."""
+    below = [0] * len(masses)
+    for d in range(len(masses) - 1, 0, -1):
+        below[d - 1] = below[d] + masses[d]
+    return below
 
 
-def _search(packing, columns, masses, indices, values, limit, first):
-    """Least max |row value| below `limit` over selections of the packed
-    columns in `indices`, from packed row values `values`; with `first`, the
+def _drop_first(groups, masses, j):
+    """The groups of the columns after j, from `groups`, whose least index is j.
+
+    Column j leaves its group, which keeps its mass but now starts at its
+    next index, so it moves behind the groups of equal mass that start
+    before that index; the order stays (-mass, first index)."""
+    pos = next(i for i, (_col, members) in enumerate(groups) if members[0] == j)
+    col, members = groups[pos]
+    if len(members) == 1:
+        return groups[:pos] + groups[pos + 1:]
+    key = (-masses[j], members[1])
+    end = pos + 1
+    while end < len(groups) and (-masses[groups[end][1][0]], groups[end][1][0]) < key:
+        end += 1
+    return groups[:pos] + groups[pos + 1:end] + [(col, members[1:])] + groups[end:]
+
+
+def _search(packing, groups, values, limit, first):
+    """Least max |row value| below `limit` over selections of the merged
+    columns `groups`, from packed row values `values`; with `first`, the
     first selection found below `limit` instead.
 
     Only how many columns of an identical group are selected matters, so the
-    search branches on each group's count 0, 1, ..., groups in descending
-    mass, and admits a branch only while some completion can beat the
-    incumbent. An admitted leaf has every |row| below the incumbent, so it
-    becomes the new one. Returns (value, selected, nodes): `selected` lists
-    the chosen indices, each group's 1s on its latest indices, and is None
-    when no selection gets below `limit`.
+    search branches on each group's count 0, 1, ..., groups in the given
+    order (descending mass), and admits a branch only while some completion
+    can beat the incumbent. An admitted leaf has every |row| below the
+    incumbent, so it becomes the new one, and the search ends once a
+    `first` search has its selection or the incumbent reaches 0.
+
+    One loop walks the tree depth first with explicit per-depth state: the
+    packed values of the admitted node at each depth and the count tried
+    there. Each depth keeps its upper gate, the packed mass of the groups
+    after it plus the high bar, so a child's upper test is one subtraction
+    and one mask; the gates are rebuilt when the incumbent improves. The
+    root counts as a node but needs no test of its own: a depth-0 child
+    passes only where the root would, since selecting only subtracts.
+    Returns (value, selected, nodes): `selected` lists the chosen indices,
+    each group's 1s on its latest indices, and is None when no selection
+    gets below `limit`.
     """
-    groups = _group_columns(columns, masses, indices)
+    if not groups:
+        value = packing.worst(values)
+        return (value, [], 1) if value < limit else (limit, None, 1)
     cols = [col for col, _members in groups]
     sizes = [len(members) for _col, members in groups]
-    suffix = _remaining([size * col for col, size in zip(cols, sizes)])
-    low, high = packing.bars(limit)
-    state = [limit, None, 1, low, high]  # incumbent value, its count per group, nodes, bars
-    if packing.admits(values, suffix[0], low, high):
-        _descend(packing, cols, sizes, suffix, 0, values, [0] * len(groups), state, first)
-    best, counts, nodes = state[:3]
-    if counts is None:
+    below = _below([size * col for col, size in zip(cols, sizes)])
+    top = packing.top
+    low, gates = packing.bars(limit, below)
+    best, found, nodes = limit, None, 1
+    last = len(cols) - 1
+    node = [values] * len(cols)  # node[d]: the admitted child at depth d, counts[d] of its group selected
+    counts = [0] * len(cols)
+    d, count, child = 0, 0, values
+    while True:
+        if count > sizes[d] or (child + low) & top != top:
+            # Group d is spent, or a row is at or below -limit and more of
+            # the group lowers it further: back to depth d - 1.
+            if not d:
+                break
+            d -= 1
+            count = counts[d] + 1
+            child = node[d] - cols[d]
+            continue
+        if (child - gates[d]) & top:
+            count += 1
+            child -= cols[d]
+            continue
+        nodes += 1
+        counts[d] = count
+        if d == last:
+            best = packing.worst(child)
+            found = counts[:]
+            if first or not best:
+                break
+            low, gates = packing.bars(best, below)
+            count += 1
+            child -= cols[d]
+            continue
+        node[d] = child
+        d += 1
+        count = 0
+    if found is None:
         return best, None, nodes
     selected = []
-    for (_col, members), count in zip(groups, counts):
+    for (_col, members), count in zip(groups, found):
         selected.extend(members[len(members) - count:])
     return best, selected, nodes
 
 
-def _descend(packing, cols, sizes, suffix, depth, values, counts, state, first):
-    """One admitted node of `_search`: branch on group `depth`'s count.
-    Returns True once the search is over: a `first` search has its
-    selection, or the incumbent reached 0, which nothing can beat."""
-    if depth == len(cols):
-        state[0] = packing.worst(values)
-        state[1] = tuple(counts)
-        state[3], state[4] = packing.bars(state[0])
-        return first or not state[0]
-    top = packing.top
-    col = cols[depth]
-    below = suffix[depth + 1]
-    for count in range(sizes[depth] + 1):
-        if count:
-            values -= col
-        if (values + state[3]) & top != top:
-            break  # a row is at or below -limit, and more of the group lowers it further
-        if (values - below - state[4]) & top:
-            continue
-        state[2] += 1
-        counts[depth] = count
-        if _descend(packing, cols, sizes, suffix, depth + 1, values, counts, state, first):
-            return True
-    return False
-
-
-def _lex_least(packing, columns, masses, start, target, selected):
+def _lex_least(packing, columns, masses, groups, start, target, selected):
     """Lexicographically smallest x whose max |row value| is at most `target`,
-    the optimum, given one optimal selection `selected`.
+    the optimum, given one optimal selection `selected` and the groups of
+    all columns, from which the groups of columns d+1, ... are derived.
 
     `known` stays an optimal selection that agrees with the fixed prefix.
     Where known[d] is 0, x_d = 0 is fixed at once. Where it is 1, a `first`
@@ -324,9 +368,10 @@ def _lex_least(packing, columns, masses, start, target, selected):
     values = start
     nodes = 0
     for d in range(m):
+        groups = _drop_first(groups, masses, d)
         if not known[d]:
             continue
-        _value, tail, searched = _search(packing, columns, masses, range(d + 1, m), values, target + 1, True)
+        _value, tail, searched = _search(packing, groups, values, target + 1, True)
         nodes += searched
         if tail is None:
             values -= columns[d]
@@ -370,8 +415,9 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleCon
     packing = _Packing(start, [p.denominator * sum(row) for row in matrix.nums], limit)
     packed = [packing.pack(col) for col in columns]
     root = packing.pack_values(start)
-    value, selected, nodes_value = _search(packing, packed, masses, range(matrix.cols), root, limit, False)
-    witness, nodes_witness = _lex_least(packing, packed, masses, root, value, selected)
+    groups = _group_columns(packed, masses, range(matrix.cols))
+    value, selected, nodes_value = _search(packing, groups, root, limit, False)
+    witness, nodes_witness = _lex_least(packing, packed, masses, groups, root, value, selected)
     return WdiscResult(
         value=Fraction(value, denom),
         witness=witness,
@@ -549,6 +595,13 @@ def _odisc_dfs(rows, owners, k, symmetric):
     per color, holding only the rows of that color's block; the remaining
     mass counts every row. With `symmetric`, color c + 1 is tried only once
     colors 1..c have appeared.
+
+    One loop walks the tree depth first, keeping per depth the packed values
+    of the node being branched, the number of colors it may try and, in
+    chi, the color tried; the upper gates are rebuilt as in `_search` when
+    the incumbent improves. Every child counts as a node, admitted or not.
+    Once the incumbent is 0 nothing is admitted any more, so the children
+    left at every depth are counted in one step and the search ends.
     """
     start = tuple(map(sum, rows))
     limit = k * max(start) + 1
@@ -558,32 +611,40 @@ def _odisc_dfs(rows, owners, k, symmetric):
         [packing.pack([a if s == color else 0 for a, s in zip(col, owners)]) for col in columns]
         for color in range(k)
     ]
-    suffix = _remaining([packing.pack(col) for col in columns])
-    state = [limit, None, 1, *packing.bars(limit)]  # incumbent value, its coloring, nodes, bars
-    _color(packing, by_color, suffix, symmetric, 0, packing.pack_values(start), [0] * len(columns), 0, state)
-    return tuple(state[:3])
-
-
-def _color(packing, by_color, suffix, symmetric, depth, values, chi, used_colors, state):
-    """One admitted node of `_odisc_dfs`: try each color for column `depth`.
-
-    Every child counts as a node, admitted or not. Once the incumbent is 0
-    nothing is admitted any more, so the children left are counted and
-    skipped."""
-    if depth == len(chi):
-        state[0], state[1] = packing.worst(values), tuple(chi)
-        state[3], state[4] = packing.bars(state[0])
-        return
+    m = len(columns)
+    root = packing.pack_values(start)
+    below = _below([packing.pack(col) for col in columns])
     top = packing.top
-    below = suffix[depth + 1]
-    colors = min(len(by_color), used_colors + 1) if symmetric else len(by_color)
-    for color in range(colors):
-        state[2] += 1
-        child = values - by_color[color][depth]
-        if (child + state[3]) & top != top or (child - below - state[4]) & top:
+    low, gates = packing.bars(limit, below)
+    best, witness, nodes = limit, None, 1
+    node = [root] * m  # node[d]: the admitted node whose column d is being colored
+    tries = [1 if symmetric else k] * m  # tries[d]: how many colors column d may take
+    chi = [0] * m
+    last = m - 1
+    d, color = 0, 0
+    while True:
+        if color == tries[d]:
+            if not d:
+                break
+            d -= 1
+            color = chi[d]
             continue
-        chi[depth] = color + 1
-        _color(packing, by_color, suffix, symmetric, depth + 1, child, chi, max(used_colors, color + 1), state)
-        if not state[0]:
-            state[2] += colors - 1 - color
-            return
+        nodes += 1
+        child = node[d] - by_color[color][d]
+        color += 1
+        if (child + low) & top != top or (child - gates[d]) & top:
+            continue
+        chi[d] = color
+        if d == last:
+            best, witness = packing.worst(child), tuple(chi)
+            if not best:
+                nodes += sum(tries) - sum(chi)
+                break
+            low, gates = packing.bars(best, below)
+            continue
+        d += 1
+        node[d] = child
+        if symmetric:
+            tries[d] = min(k, max(tries[d - 1], color + 1))  # a new color only after the last one
+        color = 0
+    return best, witness, nodes

@@ -1,9 +1,10 @@
 """Independent brute-force references the solver tests compare against.
 
-The exact references enumerate the full search space in lexicographic order;
-the local-search reference scores every row of every candidate move. All use
-textbook Fraction arithmetic, sharing no code with the package's search
-internals. Keep it slow and obvious.
+The exact references enumerate the full search space in lexicographic order
+(the weighted one updating its row values per flipped bit rather than
+rebuilding them); the local-search reference scores every row of every
+candidate move. All use textbook Fraction arithmetic and never prune, sharing
+no code with the package's search internals. Keep them obvious.
 """
 
 import random
@@ -18,15 +19,34 @@ def row_value(row, p, x):
 
 
 def naive_wdisc(matrix, p):
-    """(value, witness) over all 2^m selections; lex-least witness."""
+    """(value, witness) over all 2^m selections; lex-least witness.
+
+    Visits the selections in `product((0, 1), repeat=m)` order, as a binary
+    counter with the last column fastest, and keeps each row's value
+    row . (p*1 - x) up to date: a bit set to 1 subtracts its column, a bit
+    cleared adds it back. Every selection is scored on every row; only a
+    strict improvement replaces the best, so the first optimum in lex order
+    is kept.
+    """
     p = Fraction(p)
     rows = matrix.entries
-    best = None
-    for bits in product((0, 1), repeat=matrix.cols):
-        value = max(row_value(row, p, bits) for row in rows)
-        if best is None or value < best[0]:
-            best = (value, bits)
-    return best
+    columns = list(zip(*rows))
+    values = [p * sum(row, start=ZERO) for row in rows]
+    bits = [0] * matrix.cols
+    best = (max(abs(v) for v in values), tuple(bits))
+    while True:
+        j = len(bits) - 1
+        while j >= 0 and bits[j]:
+            bits[j] = 0
+            values = [v + e for v, e in zip(values, columns[j])]
+            j -= 1
+        if j < 0:
+            return best
+        bits[j] = 1
+        values = [v - e for v, e in zip(values, columns[j])]
+        value = max(abs(v) for v in values)
+        if value < best[0]:
+            best = (value, tuple(bits))
 
 
 def naive_descent(values, columns, x, budget, nodes):

@@ -25,6 +25,8 @@ from disclab import (
     wdisc_heuristic,
 )
 
+from disclab.solvers import _drop_first, _group_columns
+
 from conftest import random_01_matrix, random_rational_matrix
 from naive import naive_odisc, naive_wdisc, naive_wdisc_heuristic
 
@@ -103,8 +105,8 @@ def test_wdisc_witness_reevaluates_to_value():
 
 
 def test_wdisc_exact_leaves_nothing_for_the_collector(w4):
-    """The searches recurse through module-level functions, not closures that
-    refer to themselves, so a call creates no reference cycles: a full
+    """The searches are module-level functions, not closures that refer to
+    themselves, so a call creates no reference cycles: a full
     collection right after it finds nothing to free. Covers wdisc_exact,
     odisc_exact, brute_force_min_c and odisc_color."""
     calls = []
@@ -289,6 +291,15 @@ def test_wdisc_exact_matches_naive_on_stacked_w():
             assert (result.value, result.witness) == naive_wdisc(matrix, p), (n, p)
 
 
+def test_wdisc_exact_matches_naive_on_stacked_w8():
+    """n = 8 at p = 1/2 .. 1/5: 8 rows and 8 or 16 columns."""
+    for den in range(2, 6):
+        p = Fraction(1, den)
+        matrix = build_stacked(p, 8).matrix
+        result = wdisc_exact(matrix, p)
+        assert (result.value, result.witness) == naive_wdisc(matrix, p), p
+
+
 @st.composite
 def odisc_blocks(draw, entries=ENTRIES):
     """k <= 3 blocks over m <= 5 columns: k copies of one block, or k drawn
@@ -351,6 +362,62 @@ def test_wdisc_exact_nodes_pinned_on_stacked_w():
         p = Fraction(1, den)
         result = wdisc_exact(build_stacked(p, n).matrix, p, wide)
         assert (result.value, result.nodes_explored) == (Fraction(value), nodes), (n, den)
+
+
+# (k, n): (value, nodes_explored) of odisc_exact on k copies of the stacked
+# construction at p = 1/k, the (k, n) pairs `certify multicolor-lb` solves
+# under the default enumeration cap.
+STACKED_ODISC_NODES = {
+    (2, 2): ("1/2", 4), (3, 2): ("2/3", 4), (4, 2): ("1/2", 18), (5, 2): ("4/5", 18),
+    (6, 2): ("1/2", 49), (7, 2): ("6/7", 49), (8, 2): ("1/2", 99),
+    (2, 4): ("1", 12), (3, 4): ("2/3", 17), (4, 4): ("1", 93), (5, 4): ("4/5", 140),
+    (2, 8): ("1", 48), (3, 8): ("4/3", 247), (2, 16): ("1", 804),
+}
+
+# Seeded non-identical blocks, k = 2, 3, 4 over 5, 6, 7 columns, entries in
+# {0, 1/3, 2/3, 1}: (value, nodes_explored) of odisc_exact, trial by trial.
+RANDOM_ODISC_NODES = [("1/3", 37), ("2/9", 175), ("1/4", 717), ("1/6", 15), ("1/9", 328), ("1/3", 1401)]
+
+
+def test_odisc_exact_nodes_pinned():
+    """The multicolor search tree does not move: node counts on k identical
+    stacked blocks (the symmetric search), on non-identical random blocks,
+    and where the incumbent reaches 0 and the children left are counted in
+    one step."""
+    for (k, n), (value, nodes) in STACKED_ODISC_NODES.items():
+        matrix = build_stacked(Fraction(1, k), n).matrix
+        result = odisc_exact([matrix] * k)
+        assert (result.value, result.nodes_explored) == (Fraction(value), nodes), (k, n)
+    rng = random.Random(2024)
+    for trial, (value, nodes) in enumerate(RANDOM_ODISC_NODES):
+        k, cols = 2 + trial % 3, 5 + trial % 3
+        blocks = [
+            RatMatrix.from_rows(
+                [[Fraction(rng.randint(0, 3), 3) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+            )
+            for _ in range(k)
+        ]
+        result = odisc_exact(blocks)
+        assert (result.value, result.nodes_explored) == (Fraction(value), nodes), trial
+    for k, nodes in ((3, 9), (4, 18)):
+        assert odisc_exact([RatMatrix.from_rows([[1] * k])] * k).nodes_explored == nodes
+    split = odisc_exact([RatMatrix.from_rows([[1, 1, 0, 0]]), RatMatrix.from_rows([[1, 0, 1, 0]])])
+    assert (split.value, split.witness, split.nodes_explored) == (0, (1, 2, 2, 1), 13)
+
+
+def test_derived_groups_match_regrouping():
+    """The witness rebuild derives the groups of columns d+1, ... from those
+    of columns d, ...; they equal the groups built from scratch, order
+    included, also where distinct columns tie on mass."""
+    rng = random.Random(5)
+    for _ in range(200):
+        pool = [tuple(rng.randint(0, 2) for _ in range(2)) for _ in range(rng.randint(1, 4))]
+        columns = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+        masses = [sum(col) for col in columns]
+        groups = _group_columns(columns, masses, range(len(columns)))
+        for d in range(len(columns)):
+            groups = _drop_first(groups, masses, d)
+            assert groups == _group_columns(columns, masses, range(d + 1, len(columns))), (columns, d)
 
 
 def test_multicolor_at_least_weighted():
