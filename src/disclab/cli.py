@@ -55,10 +55,8 @@ from .recursive_coloring import RecursionConfig, odisc_color, reference_bound
 from .solvers import (
     DEFAULT_ENUMERATION_CAP,
     OracleConfig,
-    check_exact_width,
     eval_asymmetric,
     odisc_exact,
-    oracle_solve,
     wdisc_exact,
     wdisc_heuristic,
 )
@@ -67,6 +65,9 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+ZETA_HELP = ("reporting constant of the reference bounds: checked to be positive, "
+             "never changes the output")
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     ocolor = osub.add_parser("color")
     ocolor.add_argument("--matrix", action="append", required=True)
     ocolor.add_argument("--k", type=int, default=None)
-    ocolor.add_argument("--zeta", default="100")
+    ocolor.add_argument("--zeta", default="100", help=ZETA_HELP)
     ocolor.add_argument("--cap", type=int, default=None, help="exact oracle width cap")
     _add_oracle_flags(ocolor)
 
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threads_flag(fminc)
     falloc = fdsub.add_parser("allocate")
     falloc.add_argument("--instance", required=True)
-    falloc.add_argument("--zeta", default="100")
+    falloc.add_argument("--zeta", default="100", help=ZETA_HELP)
     _add_oracle_flags(falloc)
     falloc.add_argument("--cap", type=int, default=None, help="exact oracle width cap")
 
@@ -407,9 +408,10 @@ def _experiment_rows(args):
     for n in args.n:
         for p in args.p:
             for solver in solvers:
-                rows.append(("wdisc", n, None, p, solver))
+                config = OracleConfig(kind=solver, budget=args.iters, seed=args.seed)
+                rows.append(("wdisc", n, None, p, solver, config))
         for k in args.k:
-            rows.append(("multicolor", n, k, Fraction(1, k), "exact"))
+            rows.append(("multicolor", n, k, Fraction(1, k), "exact", None))
     if not rows:
         raise InputError("empty sweep grid: provide --n with --p and/or --k")
     return rows, cap
@@ -429,7 +431,7 @@ def _cmd_experiment(args) -> CommandOutcome:
 
     completed = 0
     failed = 0
-    for mode, n, k, p, solver in rows:
+    for mode, n, k, p, solver, config in rows:
         started = time.perf_counter()
         record = {
             "mode": mode, "n": n, "k": k if k else "", "p": format_rational(p),
@@ -442,18 +444,16 @@ def _cmd_experiment(args) -> CommandOutcome:
             _p, t = stacked_shape(p, n)
             record["t"] = t
             record["cols"] = n * t
-            if mode == "wdisc":
-                config = OracleConfig(kind=solver, budget=args.iters, seed=args.seed)
-                if config.kind == "exact":
-                    check_exact_width(n * t, config)
+            if mode == "wdisc" and solver == "exact":
+                report = certify_wdisc_lb(p, n)
+                record["value"] = format_rational(report.exact_value)
+                record["exact"] = True
+                record["pass"] = report.passed
+            elif mode == "wdisc":
                 construction = build_stacked(p, n)
-                result = oracle_solve(construction.matrix, construction.p, config)
+                result = wdisc_heuristic(construction.matrix, construction.p, config)
                 record["value"] = format_rational(result.value)
-                record["exact"] = result.exact
-                if result.exact:
-                    record["pass"] = bool(
-                        result.value * result.value >= Fraction(n - 1, 64)
-                    )
+                record["exact"] = False
             else:
                 record["reference_bound"] = format_rational(reference_bound(k, n))
                 report = certify_multicolor_lb(k, n, enumeration_cap=cap)

@@ -6,7 +6,7 @@ exactly: envy-freeness, proportionality, and consensus division, each "up to
 c goods". An instance stores each agent's utilities once, as integer
 numerators over the agent's least common denominator, read straight from
 the input text; `FairDivInstance.groups` views them as Fractions for the
-allocator and the lemma check. For additive utilities, removing the c
+lemma check. For additive utilities, removing the c
 highest-valued goods (as seen by the evaluating agent) is the best possible
 removal, so every comparison reduces to covering a value deficit with a
 top-c removal. One integer routine (`_MinC`) does this for every caller:
@@ -26,11 +26,11 @@ both rules, so the witness stays the lex-least one.
 The generators build the complement-pair instances whose minimal c is forced
 up by the weighted discrepancy of an embedded matrix, each complement as
 den - a from the matrix's integer numerators, and the allocator runs
-the scale-and-color reduction: per agent, goods outside her kH most valuable
-are scaled by her kH-th value into [0,1], the per-group matrices of scaled
-vectors are colored by the recursive splitter, and H doubles until the
-measured asymmetric discrepancy is at most H, at which point the coloring is
-a PROP(2H) allocation (verified before returning).
+the scale-and-color reduction on the same integers: per agent, goods outside
+its kH most valuable are scaled by its kH-th value into [0,1], the per-group
+matrices of scaled vectors are colored by the recursive splitter, and H
+doubles until the measured asymmetric discrepancy is at most H, at which
+point the coloring is a PROP(2H) allocation (verified before returning).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    CapExceededError,
     DimensionMismatchError,
     InputError,
     VerificationError,
@@ -555,44 +554,19 @@ def check_lemma_prop_to_disc(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgentScaling:
-    """Per-agent split of goods into "large" and scaled "small" ones.
+def build_agent_scaling(nums, k: int, h: int) -> list:
+    """One agent's row of a round's matrix, as (numerator, denominator) pairs.
 
-    large_goods: the agent's kH most valued goods (ties to lower index).
-    top_goods:   her 2H most valued, the candidate removal set.
-    scale:       smallest utility among the large goods.
-    scaled:      per-good vector, 0 on large goods, u/scale elsewhere
-                 (0/0 = 0), always within [0, 1].
+    `nums` holds the agent's integer numerators, padded with zeros to at
+    least kH goods. Goods rank by (-utility, index); a good among the kH
+    top-ranked ones, or of utility 0, scales to 0, and every other good to
+    a/s, where s is the numerator of the kH-th ranked good. All numerators
+    share the agent's denominator d, so (a/d)/(s/d) = a/s, within [0, 1].
     """
-
-    large_goods: tuple
-    top_goods: tuple
-    scale: Fraction
-    scaled: tuple
-
-
-def build_agent_scaling(utilities, k: int, h: int) -> AgentScaling:
-    """Rank goods for one agent and scale the small ones by the kH-th value."""
-    utilities = list(utilities)
-    m = len(utilities)
-    order = sorted(range(m), key=lambda g: (-utilities[g], g))
-    large = order[: min(k * h, m)]
-    top = order[: min(2 * h, m)]
-    large_set = set(large)
-    scale = min((utilities[g] for g in large), default=_ZERO)
-    scaled = []
-    for g in range(m):
-        if g in large_set or utilities[g] == _ZERO:
-            scaled.append(_ZERO)
-        else:
-            scaled.append(utilities[g] / scale)
-    return AgentScaling(
-        large_goods=tuple(sorted(large)),
-        top_goods=tuple(sorted(top)),
-        scale=scale,
-        scaled=tuple(scaled),
-    )
+    top = sorted(range(len(nums)), key=lambda g: (-nums[g], g))[: k * h]
+    large = set(top)
+    scale = nums[top[-1]]
+    return [(0, 1) if g in large or a == 0 else (a, scale) for g, a in enumerate(nums)]
 
 
 def allocate_prop_via_odisc(
@@ -601,26 +575,22 @@ def allocate_prop_via_odisc(
     """Compute a PROP(2H) allocation by coloring scaled utility matrices.
 
     Starting at H = 1, each round pads the goods with zero-value dummies up
-    to kH, builds every agent's scaling, colors the per-group matrices of
-    scaled vectors, and measures the asymmetric discrepancy of the coloring.
-    If it is at most H the coloring (dummies stripped) is returned, after the
-    independent checker confirms PROP(2H); otherwise H doubles. Once kH is at
-    least the padded good count every scaled vector is zero, so the loop
-    always terminates. Returns (allocation, c, H) with c = 2H.
+    to kH, scales every agent's integer numerators (`build_agent_scaling`),
+    colors the per-group matrices of scaled vectors, and measures the
+    asymmetric discrepancy of the coloring. If it is at most H the coloring
+    (dummies stripped) is returned, after the independent checker confirms
+    PROP(2H); otherwise H doubles. Once kH is at least the padded good count
+    every scaled vector is zero, so the loop always terminates. Returns (allocation, c, H) with c = 2H.
     """
     k = instance.k
     m = instance.m
-    groups = instance.groups
     h = 1
     while True:
-        m_pad = max(m, k * h)
-        blocks = []
-        for group in groups:
-            rows = []
-            for agent in group:
-                padded = list(agent) + [_ZERO] * (m_pad - m)
-                rows.append(build_agent_scaling(padded, k, h).scaled)
-            blocks.append(RatMatrix.from_rows(rows))
+        padding = (0,) * max(0, k * h - m)
+        blocks = [
+            RatMatrix._from_ratios([build_agent_scaling(nums + padding, k, h) for nums in group])
+            for group in instance.nums
+        ]
         coloring, _certificate = odisc_color(blocks, config)
         achieved = eval_asymmetric(blocks, coloring)
         if achieved <= h:

@@ -167,11 +167,12 @@ def _read_matrix_dict(data: dict):
     if not isinstance(data, dict):
         raise InputError("matrix JSON must be an object")
     try:
-        rows = int(data["rows"])
-        cols = int(data["cols"])
-        raw = data["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an infinite count
+        rows, cols, raw = data["rows"], data["cols"], data["entries"]
+    except KeyError as exc:
         raise InputError("matrix JSON needs rows, cols, entries") from exc
+    for name, count in (("rows", rows), ("cols", cols)):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise InputError(f"matrix {name} must be a JSON integer, got {count!r}")
     if not isinstance(raw, list) or len(raw) != rows:
         raise InputError("entry row count does not match rows")
     for row in raw:

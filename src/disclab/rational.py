@@ -113,36 +113,34 @@ def pos_part(value: Fraction) -> Fraction:
     return value if value > zero else zero
 
 
+def _sqrt_floor(value: Fraction) -> tuple:
+    """(root, den, exact) with root/den <= sqrt(value) < (root + 1)/den,
+    and root/den == sqrt(value) when `exact` (value a rational square).
+
+    sqrt(a/b) = sqrt(a*b)/b, and isqrt floors. A non-square scales the
+    denominator by _SQRT_SCALE, for relative error below 1/_SQRT_SCALE.
+    """
+    value = Fraction(value)
+    if value < 0:
+        raise InputError("sqrt of negative value")
+    a, b = value.numerator, value.denominator
+    root = math.isqrt(a * b)
+    if root * root == a * b:
+        return root, b, True
+    return math.isqrt(a * b * _SQRT_SCALE * _SQRT_SCALE), b * _SQRT_SCALE, False
+
+
 def sqrt_lower(value: Fraction) -> Fraction:
     """Largest-practical rational r with r <= sqrt(value).
 
     Exact when `value` is a square of a rational; otherwise within relative
     error 1/_SQRT_SCALE from below. Sound for use as a certified lower bound.
     """
-    value = Fraction(value)
-    if value < 0:
-        raise InputError("sqrt of negative value")
-    if value == 0:
-        return Fraction(0)
-    # sqrt(a/b) = sqrt(a*b)/b; isqrt floors, which is the direction we need.
-    a, b = value.numerator, value.denominator
-    root = math.isqrt(a * b)
-    if root * root == a * b:
-        return Fraction(root, b)
-    scaled = math.isqrt(a * b * _SQRT_SCALE * _SQRT_SCALE)
-    return Fraction(scaled, b * _SQRT_SCALE)
+    root, den, _exact = _sqrt_floor(value)
+    return Fraction(root, den)
 
 
 def sqrt_upper(value: Fraction) -> Fraction:
     """Smallest-practical rational r with r >= sqrt(value); exact on squares."""
-    value = Fraction(value)
-    if value < 0:
-        raise InputError("sqrt of negative value")
-    if value == 0:
-        return Fraction(0)
-    a, b = value.numerator, value.denominator
-    root = math.isqrt(a * b)
-    if root * root == a * b:
-        return Fraction(root, b)
-    scaled = math.isqrt(a * b * _SQRT_SCALE * _SQRT_SCALE)
-    return Fraction(scaled + 1, b * _SQRT_SCALE)
+    root, den, exact = _sqrt_floor(value)
+    return Fraction(root if exact else root + 1, den)

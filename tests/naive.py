@@ -138,6 +138,21 @@ def naive_odisc(blocks):
     return best
 
 
+def naive_agent_scaling(utilities, k, h):
+    """One agent's utilities scaled for the allocator's round H = h: 0 on its
+    kH most valued goods (ties to the lower index) and on goods it values
+    at 0, u / scale elsewhere, where scale is the least utility among those
+    kH goods."""
+    m = len(utilities)
+    order = sorted(range(m), key=lambda g: (-utilities[g], g))
+    large = order[: min(k * h, m)]
+    scale = min((utilities[g] for g in large), default=ZERO)
+    return tuple(
+        ZERO if g in large or utilities[g] == ZERO else utilities[g] / scale
+        for g in range(m)
+    )
+
+
 def best_removal(agent, goods, c):
     """Smallest remaining bundle value over all removal sets of size <= c."""
     goods = list(goods)

@@ -221,6 +221,26 @@ def test_non_rational_inputs_rejected(tmp_path):
         assert (outcome.exit_code, outcome.stdout) == (2, ""), p
 
 
+@pytest.mark.parametrize("count", [1.9, True, " 1 "])
+@pytest.mark.parametrize("field", ["rows", "cols"])
+def test_matrix_dimensions_must_be_json_integers(tmp_path, field, count):
+    data = {"rows": 1, "cols": 1, "entries": [["1"]]}
+    data[field] = count
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    for argv in (["wdisc", "exact", "--p", "1/2"], ["odisc", "exact", "--k", "2"]):
+        outcome = invoke(*argv, "--matrix", str(path))
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), argv
+        assert outcome.stderr == f"error: matrix {field} must be a JSON integer, got {count!r}\n"
+
+
+def test_experiment_rejects_bad_oracle_settings():
+    for flags in (["--iters", "0"], ["--solver", "bogus"], ["--solver", "exact,bogus"]):
+        outcome = invoke("experiment", "--n", "2", "--p", "1/2", *flags)
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), flags
+        assert outcome.stderr.startswith("error: "), flags
+
+
 def test_numerals_past_the_digit_limit_rejected(tmp_path):
     """Python converts ints to and from text only up to a digit limit (4,300
     by default); input past it exits 2 and output past it exits 3, each with

@@ -28,7 +28,14 @@ from disclab import (
 )
 from disclab.fairdiv import NOTION_TAGS, _MinC, _cover, build_agent_scaling
 
-from naive import best_removal, naive_is_cd, naive_is_ef, naive_is_prop, naive_min_c
+from naive import (
+    best_removal,
+    naive_agent_scaling,
+    naive_is_cd,
+    naive_is_ef,
+    naive_is_prop,
+    naive_min_c,
+)
 
 EXACT = RecursionConfig(oracle=OracleConfig(kind="exact"))
 LOCAL = RecursionConfig(oracle=OracleConfig(kind="local-search", budget=400, seed=0))
@@ -482,18 +489,41 @@ def test_allocate_random_instances_verify():
 
 
 def test_agent_scaling():
-    utilities = [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(0)]
-    scaling = build_agent_scaling(utilities, k=2, h=1)
-    # kH = 2 large goods, ties to the lowest index
-    assert scaling.large_goods == (0, 1)
-    assert scaling.top_goods == (0, 1)
-    assert scaling.scale == Fraction(1, 2)
-    assert scaling.scaled == (0, 0, 1, Fraction(1, 2), 0)
-    assert all(0 <= z <= 1 for z in scaling.scaled)
+    # utilities 1, 1/2, 1/2, 1/4, 0: numerators over 4
+    scaled = build_agent_scaling([4, 2, 2, 1, 0], k=2, h=1)
+    # kH = 2 large goods, ties to the lowest index (goods 0 and 1); the
+    # scale is the 2nd ranked numerator, 2 (utility 1/2)
+    assert scaled == [(0, 1), (0, 1), (2, 2), (1, 2), (0, 1)]
+    assert [Fraction(a, b) for a, b in scaled] == [0, 0, 1, Fraction(1, 2), 0]
+    assert all(0 <= a <= b for a, b in scaled)
 
     # 0/0 = 0 convention when the scale collapses
-    zeros = build_agent_scaling([Fraction(0)] * 4, k=2, h=1)
-    assert zeros.scale == 0 and zeros.scaled == (0, 0, 0, 0)
+    assert build_agent_scaling([0] * 4, k=2, h=1) == [(0, 1)] * 4
+
+
+@st.composite
+def scaling_cases(draw):
+    """(utilities, k, h) for one agent: tied and zero utilities, all-zero
+    agents, mixed denominators, and kH from below m to well above it."""
+    m = draw(st.integers(1, 8))
+    utility = st.one_of(UTILITIES, st.fractions(min_value=0, max_value=1, max_denominator=12))
+    agent = draw(st.one_of(st.just([Fraction(0)] * m), st.lists(utility, min_size=m, max_size=m)))
+    return agent, draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaling_cases())
+def test_agent_scaling_matches_naive(case):
+    """The integer scaling of an agent's numerators, padded with dummies to
+    kH goods as the allocator pads them, is the Fraction definition, and
+    gives the same canonical matrix row."""
+    utilities, k, h = case
+    inst = FairDivInstance.from_groups([[utilities]])
+    padding = max(0, k * h - inst.m)
+    scaled = build_agent_scaling(inst.nums[0][0] + (0,) * padding, k, h)
+    expected = naive_agent_scaling(list(utilities) + [Fraction(0)] * padding, k, h)
+    assert tuple(Fraction(a, b) for a, b in scaled) == expected
+    assert RatMatrix._from_ratios([scaled]) == RatMatrix.from_rows([expected])
 
 
 def allocations_of(inst):
