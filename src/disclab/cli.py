@@ -10,8 +10,10 @@ experiment); diagnostics go to stderr. All rationals travel as "a/b"
 strings; no floats appear unless --float-view asks for a convenience column.
 Output bytes depend only on argv and input files: randomness is pinned by
 --seed and every search runs sequentially. --threads is still accepted where
-it once chose a worker count, and has no effect. The DISCLAB_CAP environment
-variable overrides the default enumeration cap wherever --cap is not given.
+it once chose a worker count, and has no effect. Every exact search has one
+cap: it is refused (exit 3) when its unpruned tree has more than 2^cap
+leaves, 2^m selections of m columns or k^m colorings and allocations. --cap
+sets it, else the DISCLAB_CAP environment variable, else DEFAULT_CAP (24).
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ from .lower_bounds import (
 )
 from .matrices import RatMatrix, hadamard_sylvester, lift_w
 from .rational import format_rational, parse_rational
-from .recursive_coloring import RecursionConfig, odisc_color, reference_bound
+from .recursive_coloring import odisc_color, reference_bound
 from .solvers import (
-    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_CAP,
     OracleConfig,
     eval_asymmetric,
     odisc_exact,
@@ -66,8 +68,7 @@ EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-ZETA_HELP = ("reporting constant of the reference bounds: checked to be positive, "
-             "never changes the output")
+CAP_HELP = f"log2 of the leaves an exact search may have (default {DEFAULT_CAP}, or DISCLAB_CAP)"
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,15 @@ class CommandOutcome:
     stderr: str = ""
 
 
-def _enumeration_cap(args) -> int:
-    """--cap when given, else DISCLAB_CAP, else the default. The environment
-    is read per call, not at parse time: the parser is shared by every run."""
+def _cap(args) -> int:
+    """log2 of the leaves an exact search may have: --cap when given, else
+    DISCLAB_CAP, else the default. The environment is read per call, not at
+    parse time: the parser is shared by every run."""
     if args.cap is not None:
         return args.cap
     raw = os.environ.get("DISCLAB_CAP")
     if raw is None:
-        return DEFAULT_ENUMERATION_CAP
+        return DEFAULT_CAP
     try:
         return int(raw)
     except ValueError as exc:
@@ -123,21 +125,7 @@ def _load_matrix(path: str) -> RatMatrix:
 
 
 def _oracle_config(args) -> OracleConfig:
-    kwargs = {"kind": args.oracle, "budget": args.iters, "seed": args.seed}
-    if getattr(args, "cap", None) is not None:
-        kwargs["exact_width_cap"] = args.cap
-    return OracleConfig(**kwargs)
-
-
-def _width_config(args) -> OracleConfig:
-    """The exact oracle, with --cap as its width cap when given."""
-    if args.cap is None:
-        return OracleConfig()
-    return OracleConfig(exact_width_cap=args.cap)
-
-
-def _recursion_config(args) -> RecursionConfig:
-    return RecursionConfig(oracle=_oracle_config(args), zeta=parse_rational(args.zeta))
+    return OracleConfig(kind=args.oracle, budget=args.iters, seed=args.seed, cap=_cap(args))
 
 
 def _add_oracle_flags(parser, default_kind="exact"):
@@ -191,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     wexact = wsub.add_parser("exact")
     wexact.add_argument("--matrix", required=True)
     wexact.add_argument("--p", type=parse_rational, required=True)
-    wexact.add_argument("--cap", type=int, default=None, help="exact width cap")
+    wexact.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     wheur = wsub.add_parser("heur")
     wheur.add_argument("--matrix", required=True)
     wheur.add_argument("--p", type=parse_rational, required=True)
@@ -204,13 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="repeat for one block per color")
     oexact.add_argument("--k", type=int, default=None,
                         help="with a single --matrix: use k identical copies")
-    oexact.add_argument("--cap", type=int, default=None, help="enumeration cap on k^m")
+    oexact.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     _add_threads_flag(oexact)
     ocolor = osub.add_parser("color")
     ocolor.add_argument("--matrix", action="append", required=True)
     ocolor.add_argument("--k", type=int, default=None)
-    ocolor.add_argument("--zeta", default="100", help=ZETA_HELP)
-    ocolor.add_argument("--cap", type=int, default=None, help="exact oracle width cap")
+    ocolor.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     _add_oracle_flags(ocolor)
 
     certify = top.add_parser("certify", help="exact lower-bound certification")
@@ -218,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     cwd = certsub.add_parser("wdisc-lb")
     cwd.add_argument("--p", type=parse_rational, required=True)
     cwd.add_argument("--n", type=_power_of_two, required=True)
-    cwd.add_argument("--cap", type=int, default=None, help="exact width cap")
+    cwd.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     cmc = certsub.add_parser("multicolor-lb")
     cmc.add_argument("--k", type=int, required=True)
     cmc.add_argument("--n", type=_power_of_two, required=True)
-    cmc.add_argument("--cap", type=int, default=None, help="enumeration cap on k^m")
+    cmc.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     _add_threads_flag(cmc)
     clem = certsub.add_parser("hadamard-lemma")
     clem.add_argument("--n", type=_power_of_two, required=True)
@@ -247,13 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     fminc = fdsub.add_parser("minc")
     fminc.add_argument("--instance", required=True)
     fminc.add_argument("--notion", choices=["ef", "prop", "cd"], required=True)
-    fminc.add_argument("--cap", type=int, default=None)
+    fminc.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     _add_threads_flag(fminc)
     falloc = fdsub.add_parser("allocate")
     falloc.add_argument("--instance", required=True)
-    falloc.add_argument("--zeta", default="100", help=ZETA_HELP)
     _add_oracle_flags(falloc)
-    falloc.add_argument("--cap", type=int, default=None, help="exact oracle width cap")
+    falloc.add_argument("--cap", type=int, default=None, help=CAP_HELP)
 
     experiment = top.add_parser("experiment", help="CSV sweep over (n, p, k, solver)")
     experiment.add_argument("--n", type=_int_list, default=[])
@@ -263,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma list of exact, greedy, local-search")
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--iters", type=int, default=2000)
-    experiment.add_argument("--cap", type=int, default=None)
+    experiment.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     _add_threads_flag(experiment)
     experiment.add_argument("--csv", default="", help="also write the CSV here")
     experiment.add_argument("--timings", action="store_true",
@@ -297,9 +283,9 @@ def _cmd_construct(args) -> CommandOutcome:
 def _cmd_wdisc(args) -> CommandOutcome:
     matrix = _load_matrix(args.matrix)
     if args.how == "exact":
-        result = wdisc_exact(matrix, args.p, _width_config(args))
+        result = wdisc_exact(matrix, args.p, _cap(args))
     else:
-        result = wdisc_heuristic(matrix, args.p, _oracle_config(args))
+        result = wdisc_heuristic(matrix, args.p, OracleConfig(kind=args.oracle, budget=args.iters, seed=args.seed))
     return CommandOutcome(EXIT_OK, _dump(result.to_json_dict()))
 
 
@@ -317,9 +303,9 @@ def _blocks_from_args(args):
 def _cmd_odisc(args) -> CommandOutcome:
     blocks = _blocks_from_args(args)
     if args.how == "exact":
-        result = odisc_exact(blocks, cap=_enumeration_cap(args))
+        result = odisc_exact(blocks, _cap(args))
         return CommandOutcome(EXIT_OK, _dump(result.to_json_dict()))
-    coloring, certificate = odisc_color(blocks, _recursion_config(args))
+    coloring, certificate = odisc_color(blocks, _oracle_config(args))
     payload = {
         "coloring": list(coloring),
         "value": format_rational(eval_asymmetric(blocks, coloring)),
@@ -331,11 +317,11 @@ def _cmd_odisc(args) -> CommandOutcome:
 
 def _cmd_certify(args) -> CommandOutcome:
     if args.what == "wdisc-lb":
-        report = certify_wdisc_lb(args.p, args.n, _width_config(args))
+        report = certify_wdisc_lb(args.p, args.n, _cap(args))
         payload = report.to_json_dict()
         return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(payload))
     if args.what == "multicolor-lb":
-        report = certify_multicolor_lb(args.k, args.n, _enumeration_cap(args))
+        report = certify_multicolor_lb(args.k, args.n, _cap(args))
         payload = report.to_json_dict()
         return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(payload))
     # hadamard-lemma: seeded random vectors plus all unit vectors.
@@ -382,13 +368,13 @@ def _cmd_fd(args) -> CommandOutcome:
         return CommandOutcome(EXIT_OK if ok else EXIT_CERT_FAIL, _dump(payload))
     if args.what == "minc":
         instance = FairDivInstance.from_json_dict(_load_json(args.instance))
-        c_star, witness = brute_force_min_c(instance, args.notion.upper(), cap=_enumeration_cap(args))
+        c_star, witness = brute_force_min_c(instance, args.notion.upper(), _cap(args))
         payload = {"notion": args.notion.upper(), "c_star": c_star,
                    "witness": witness.to_json_dict()}
         return CommandOutcome(EXIT_OK, _dump(payload))
     # allocate
     instance = FairDivInstance.from_json_dict(_load_json(args.instance))
-    allocation, c, h = allocate_prop_via_odisc(instance, _recursion_config(args))
+    allocation, c, h = allocate_prop_via_odisc(instance, _oracle_config(args))
     payload = {
         "bundles": [list(b) for b in allocation.bundles],
         "c": c,
@@ -401,7 +387,7 @@ def _cmd_fd(args) -> CommandOutcome:
 
 def _experiment_rows(args):
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
-    cap = _enumeration_cap(args)
+    cap = _cap(args)
     for k in args.k:
         check_multicolor_k(k)
     rows = []
@@ -445,7 +431,7 @@ def _cmd_experiment(args) -> CommandOutcome:
             record["t"] = t
             record["cols"] = n * t
             if mode == "wdisc" and solver == "exact":
-                report = certify_wdisc_lb(p, n)
+                report = certify_wdisc_lb(p, n, cap)
                 record["value"] = format_rational(report.exact_value)
                 record["exact"] = True
                 record["pass"] = report.passed
@@ -456,7 +442,7 @@ def _cmd_experiment(args) -> CommandOutcome:
                 record["exact"] = False
             else:
                 record["reference_bound"] = format_rational(reference_bound(k, n))
-                report = certify_multicolor_lb(k, n, enumeration_cap=cap)
+                report = certify_multicolor_lb(k, n, cap)
                 record["value"] = format_rational(report.exact_value)
                 record["exact"] = True
                 record["pass"] = report.passed

@@ -21,7 +21,10 @@ class DimensionMismatchError(InputError):
 class CapExceededError(DisclabError):
     """A configured search or construction budget would be exceeded.
 
-    Signals the caller to either raise the cap or fall back to a heuristic.
+    Raised before the work starts: by an exact search whose unpruned tree
+    would have more than 2^cap leaves (`solvers.check_search`), and by a
+    Hadamard or stacked construction beyond its size caps. Signals the
+    caller to either raise the cap or fall back to a heuristic.
     """
 
 

@@ -45,8 +45,8 @@ from .errors import (
 )
 from .matrices import RatMatrix
 from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratio, pos_part
-from .recursive_coloring import RecursionConfig, odisc_color
-from .solvers import DEFAULT_ENUMERATION_CAP, check_enumeration, eval_asymmetric
+from .recursive_coloring import odisc_color
+from .solvers import DEFAULT_CAP, OracleConfig, check_search, eval_asymmetric
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -342,7 +342,7 @@ class _MinC:
 def brute_force_min_c(
     instance: FairDivInstance,
     tag: str,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> tuple:
     """Exact minimum of min_c over all k^m allocations, with its witness.
 
@@ -353,8 +353,8 @@ def brute_force_min_c(
     stops once it reaches the incumbent, and the subtree is pruned when it
     does; at a leaf the same routine gives the exact c. Only a strictly
     smaller c replaces the incumbent and the search stops at c = 0, so the
-    witness is the lexicographically least minimizer. `cap` bounds k^m, the
-    size of the unpruned search.
+    witness is the lexicographically least minimizer. More than 2^cap
+    allocations, the leaves of the unpruned search, are refused.
 
     The search visits only canonical allocations under two symmetries that
     keep c:
@@ -380,7 +380,7 @@ def brute_force_min_c(
     core = _MinC(instance, tag)
     k = instance.k
     m = instance.m
-    check_enumeration(k, m, cap)
+    check_search(k, m, cap)
 
     by_good = [[units[g] for _i, units, _s, _r in core.agents] for g in range(m)]
     remaining = [[0] * len(core.agents)]
@@ -569,9 +569,7 @@ def build_agent_scaling(nums, k: int, h: int) -> list:
     return [(0, 1) if g in large or a == 0 else (a, scale) for g, a in enumerate(nums)]
 
 
-def allocate_prop_via_odisc(
-    instance: FairDivInstance, config: RecursionConfig = RecursionConfig()
-) -> tuple:
+def allocate_prop_via_odisc(instance: FairDivInstance, oracle: OracleConfig = OracleConfig()) -> tuple:
     """Compute a PROP(2H) allocation by coloring scaled utility matrices.
 
     Starting at H = 1, each round pads the goods with zero-value dummies up
@@ -591,7 +589,7 @@ def allocate_prop_via_odisc(
             RatMatrix._from_ratios([build_agent_scaling(nums + padding, k, h) for nums in group])
             for group in instance.nums
         ]
-        coloring, _certificate = odisc_color(blocks, config)
+        coloring, _certificate = odisc_color(blocks, oracle)
         achieved = eval_asymmetric(blocks, coloring)
         if achieved <= h:
             break

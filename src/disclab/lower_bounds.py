@@ -29,14 +29,7 @@ from .matrices import (
     stack_horizontal,
 )
 from .rational import format_rational, sqrt_lower
-from .solvers import (
-    DEFAULT_ENUMERATION_CAP,
-    OracleConfig,
-    check_enumeration,
-    check_exact_width,
-    odisc_exact,
-    wdisc_exact,
-)
+from .solvers import DEFAULT_CAP, check_search, odisc_exact, wdisc_exact
 
 _HALF = Fraction(1, 2)
 
@@ -168,18 +161,19 @@ def lb_value(n: int, variant: str) -> Fraction:
     raise InputError(f"unknown variant {variant!r}")
 
 
-def certify_wdisc_lb(p: Fraction, n: int, config: OracleConfig = OracleConfig()) -> CertReport:
+def certify_wdisc_lb(p: Fraction, n: int, cap: int = DEFAULT_CAP) -> CertReport:
     """Exactly certify wdisc of the stacked construction against sqrt(n-1)/8.
 
     Runs the exact solver on the construction and decides the comparison on
     squares: pass iff value^2 >= (n-1)/64. Intended for n <= 8 where the
-    exhaustive-equivalent search finishes in seconds. A width n*t beyond
-    config.exact_width_cap is refused before the construction is built.
+    exhaustive-equivalent search finishes in seconds. More than 2^cap
+    selections of the n*t columns are refused before the construction is
+    built.
     """
     _p, t = stacked_shape(p, n)
-    check_exact_width(n * t, config)
+    check_search(2, n * t, cap)
     construction = build_stacked(p, n)
-    result = wdisc_exact(construction.matrix, construction.p, config)
+    result = wdisc_exact(construction.matrix, construction.p, cap)
     passed = result.value * result.value >= Fraction(n - 1, 64)
     return CertReport(
         construction=construction,
@@ -196,21 +190,23 @@ def check_multicolor_k(k: int) -> None:
         raise InputError("multicolor certification needs k >= 2")
 
 
-def certify_multicolor_lb(k: int, n: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> CertReport:
+def certify_multicolor_lb(k: int, n: int, cap: int = DEFAULT_CAP) -> CertReport:
     """Certify the multicolor chain odisc >= wdisc >= sqrt(n-1)/8 at p = 1/k.
 
     Builds the stacked construction at p = 1/k, solves the k-color problem
     exactly on k identical copies, and the weighted problem exactly at 1/k;
     both inequalities are checked with exact arithmetic (the last one on
     squares). Intended for n <= 4 where k^(n*t) enumeration is immediate;
-    k^(n*t) beyond the enumeration cap is refused before anything is built.
+    more than 2^cap colorings are refused before anything is built. Both
+    searches run under `cap`, and the weighted one, over 2^(n*t) <= k^(n*t)
+    selections, is never refused once the coloring search was admitted.
     """
     check_multicolor_k(k)
     _p, t = stacked_shape(Fraction(1, k), n)
-    check_enumeration(k, n * t, enumeration_cap)
+    check_search(k, n * t, cap)
     construction = build_stacked(Fraction(1, k), n)
-    colored = odisc_exact([construction.matrix] * k, cap=enumeration_cap)
-    weighted = wdisc_exact(construction.matrix, construction.p)
+    colored = odisc_exact([construction.matrix] * k, cap)
+    weighted = wdisc_exact(construction.matrix, construction.p, cap)
     passed = (
         colored.value >= weighted.value
         and weighted.value * weighted.value >= Fraction(n - 1, 64)

@@ -25,23 +25,9 @@ from .rational import format_rational, sqrt_lower, sqrt_upper
 from .solvers import OracleConfig, _check_blocks, oracle_solve
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class RecursionConfig:
-    """Oracle selection plus the reporting constant for reference bounds.
-
-    zeta mirrors the 100-times-oracle-constant convention with the unknown
-    oracle constant taken as 1; it feeds reports and plots only, never a
-    pass/fail decision.
-    """
-
-    oracle: OracleConfig = OracleConfig()
-    zeta: Fraction = Fraction(100)
-
-    def __post_init__(self):
-        if Fraction(self.zeta) <= 0:
-            raise InputError("zeta must be positive")
+# Reporting constant of `reference_bound`: the 100-times-oracle-constant
+# convention with the unknown oracle constant taken as 1.
+_ZETA = 100
 
 
 @dataclass(frozen=True)
@@ -81,7 +67,7 @@ class RecursionCertificate:
         return data
 
 
-def odisc_color(blocks, config: RecursionConfig = RecursionConfig()) -> tuple:
+def odisc_color(blocks, oracle: OracleConfig = OracleConfig()) -> tuple:
     """Color columns against per-color matrices; returns (coloring, certificate).
 
     The certificate is sound against the same evaluation the solvers use:
@@ -91,11 +77,11 @@ def odisc_color(blocks, config: RecursionConfig = RecursionConfig()) -> tuple:
     """
     blocks = _check_blocks(blocks)
     assignment = [0] * blocks[0].cols
-    certificate = _split(blocks, config, assignment, 1, len(blocks), tuple(range(len(assignment))))
+    certificate = _split(blocks, oracle, assignment, 1, len(blocks), tuple(range(len(assignment))))
     return tuple(assignment), certificate
 
 
-def _split(blocks, config, assignment, lo: int, hi: int, columns: tuple) -> RecursionCertificate:
+def _split(blocks, oracle, assignment, lo: int, hi: int, columns: tuple) -> RecursionCertificate:
     """Color `columns` with colors lo..hi into `assignment`; returns the
     certificate of this subtree."""
     width = hi - lo + 1
@@ -118,7 +104,7 @@ def _split(blocks, config, assignment, lo: int, hi: int, columns: tuple) -> Recu
     if columns:
         stacked = stack_vertical([blocks[s - 1] for s in range(lo, hi + 1)])
         sub = stacked.restrict_columns(columns)
-        result = oracle_solve(sub, Fraction(k1, width), config.oracle)
+        result = oracle_solve(sub, Fraction(k1, width), oracle)
         d = result.value
         left_cols = tuple(j for j, bit in zip(columns, result.witness) if bit)
         right_cols = tuple(j for j, bit in zip(columns, result.witness) if not bit)
@@ -126,8 +112,8 @@ def _split(blocks, config, assignment, lo: int, hi: int, columns: tuple) -> Recu
         d = _ZERO
         left_cols = ()
         right_cols = ()
-    low = _split(blocks, config, assignment, lo, lo + k1 - 1, left_cols)
-    high = _split(blocks, config, assignment, lo + k1, hi, right_cols)
+    low = _split(blocks, oracle, assignment, lo, lo + k1 - 1, left_cols)
+    high = _split(blocks, oracle, assignment, lo + k1, hi, right_cols)
     bounds = tuple(b + d / k1 for b in low.bounds) + tuple(
         b + d / k2 for b in high.bounds
     )
@@ -144,8 +130,8 @@ def _split(blocks, config, assignment, lo: int, hi: int, columns: tuple) -> Recu
     )
 
 
-def reference_bound(k: int, n1: int, config: RecursionConfig = RecursionConfig()) -> Fraction:
-    """Rational upper approximation of zeta * (1 - 1/sqrt(k)) * sqrt(n1).
+def reference_bound(k: int, n1: int) -> Fraction:
+    """Rational upper approximation of 100 * (1 - 1/sqrt(k)) * sqrt(n1).
 
     Reporting-only companion to the certificate (the underlying existence
     constant is unknown, so this never decides pass/fail). Exact when both
@@ -155,5 +141,4 @@ def reference_bound(k: int, n1: int, config: RecursionConfig = RecursionConfig()
         raise InputError("k and n1 must be >= 1")
     if k == 1:
         return _ZERO
-    zeta = Fraction(config.zeta)
-    return zeta * (sqrt_upper(Fraction(n1)) - sqrt_lower(Fraction(n1 * k)) / k)
+    return _ZETA * (sqrt_upper(Fraction(n1)) - sqrt_lower(Fraction(n1 * k)) / k)

@@ -40,8 +40,7 @@ from .errors import CapExceededError, DimensionMismatchError, InputError
 from .matrices import RatMatrix, stack_vertical
 from .rational import format_rational
 
-DEFAULT_EXACT_WIDTH_CAP = 24
-DEFAULT_ENUMERATION_CAP = 20_000_000
+DEFAULT_CAP = 24
 
 ORACLE_KINDS = ("exact", "greedy", "local-search")
 
@@ -50,15 +49,15 @@ ORACLE_KINDS = ("exact", "greedy", "local-search")
 class OracleConfig:
     """How to answer weighted-discrepancy queries.
 
-    kind "exact" runs the branch-and-bound (refusing widths beyond
-    exact_width_cap); "greedy" runs one seeded descent; "local-search"
-    restarts descents until the move budget is spent.
+    kind "exact" runs the branch-and-bound (refusing more than 2^cap
+    leaves, `check_search`); "greedy" runs one seeded descent;
+    "local-search" restarts descents until the move budget is spent.
     """
 
     kind: str = "exact"
     budget: int = 2000
     seed: int = 0
-    exact_width_cap: int = DEFAULT_EXACT_WIDTH_CAP
+    cap: int = DEFAULT_CAP
 
     def __post_init__(self):
         if self.kind not in ORACLE_KINDS:
@@ -382,21 +381,21 @@ def _lex_least(packing, columns, masses, groups, start, target, selected):
     return tuple(known), nodes
 
 
-def check_exact_width(cols: int, config: OracleConfig) -> None:
-    """Refuse a width beyond config.exact_width_cap, the exact solver's limit;
-    callers that know the width before building a matrix check it first."""
-    if cols > config.exact_width_cap:
-        raise CapExceededError(f"width {cols} exceeds exact cap {config.exact_width_cap}")
+def check_search(k: int, m: int, cap: int) -> None:
+    """Refuse an exact search over k^m leaves (k choices at each of m levels:
+    2^m selections, k^m colorings or allocations) when k^m > 2^cap; callers
+    that know k and m before building their input check it first.
+
+    Decided exactly on bit lengths, without building 2^cap: with
+    b = bit_length(k), 2^(m(b-1)) <= k^m < 2^(mb), so k^m is built only when
+    k is not a power of two and cap falls between the two exponents.
+    """
+    low = m * (k.bit_length() - 1)
+    if low > cap or (low + m > cap and k & (k - 1) and (k**m - 1).bit_length() > cap):
+        raise CapExceededError(f"search over {k}^{m} leaves exceeds cap 2^{cap}")
 
 
-def check_enumeration(k: int, m: int, cap: int) -> None:
-    """Refuse an exact search over k^m colorings or allocations beyond `cap`;
-    callers that know k and m before building their input check it first."""
-    if k**m > cap:
-        raise CapExceededError(f"k^m = {k**m} exceeds enumeration cap {cap}")
-
-
-def wdisc_exact(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleConfig()) -> WdiscResult:
+def wdisc_exact(matrix: RatMatrix, p: Fraction, cap: int = DEFAULT_CAP) -> WdiscResult:
     """Exact minimum of ||A(p*1 - x)||_inf over x in {0,1}^m.
 
     Exhaustive-equivalent branch and bound over merged duplicate columns in
@@ -405,10 +404,10 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleCon
     by column: x_d = 0 whenever some completion of the prefix with x_d = 0
     still attains the optimum, which a feasibility search decides unless the
     optimal selection at hand already has x_d = 0. nodes_explored sums the
-    nodes of both phases. Refuses widths beyond config.exact_width_cap.
+    nodes of both phases. Refuses more than 2^cap selections.
     """
     p = _check_probability(p)
-    check_exact_width(matrix.cols, config)
+    check_search(2, matrix.cols, cap)
     columns, start, denom = _scale_weighted(matrix, p)
     masses = [sum(col) for col in columns]
     limit = max(map(abs, start)) + 1
@@ -554,7 +553,7 @@ def wdisc_heuristic(matrix: RatMatrix, p: Fraction, config: OracleConfig = Oracl
 def oracle_solve(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleConfig()) -> WdiscResult:
     """Dispatch a weighted-discrepancy query per the configured oracle kind."""
     if config.kind == "exact":
-        return wdisc_exact(matrix, p, config)
+        return wdisc_exact(matrix, p, config.cap)
     return wdisc_heuristic(matrix, p, config)
 
 
@@ -563,7 +562,7 @@ def oracle_solve(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleCo
 # ---------------------------------------------------------------------------
 
 
-def odisc_exact(blocks, cap: int = DEFAULT_ENUMERATION_CAP) -> OdiscResult:
+def odisc_exact(blocks, cap: int = DEFAULT_CAP) -> OdiscResult:
     """Exact minimum over all k^m colorings of the asymmetric discrepancy.
 
     Colorings are explored in one sequential search in mixed-radix order
@@ -573,12 +572,12 @@ def odisc_exact(blocks, cap: int = DEFAULT_ENUMERATION_CAP) -> OdiscResult:
     identical, relabelling the colors keeps the value, and the lex-least
     coloring of each relabelling class is the one that introduces its colors
     in order 1, 2, ...; the search then visits only those colorings, which
-    leaves value and witness unchanged.
+    leaves value and witness unchanged. Refuses more than 2^cap colorings.
     """
     blocks = _check_blocks(blocks)
     k = len(blocks)
     m = blocks[0].cols
-    check_enumeration(k, m, cap)
+    check_search(k, m, cap)
     symmetric = all(block == blocks[0] for block in blocks)
     stacked = stack_vertical(blocks)
     best, chi, nodes = _odisc_dfs(stacked.nums, _owners(blocks), k, symmetric)

@@ -16,7 +16,6 @@ from disclab import (
     FairnessNotion,
     OracleConfig,
     RatMatrix,
-    RecursionConfig,
     allocate_prop_via_odisc,
     brute_force_min_c,
     certify_multicolor_lb,
@@ -140,7 +139,7 @@ def test_criterion_5_recursion_certificate_soundness():
     """Measured per-color discrepancy <= certificate bound, 200 instances."""
     started = time.perf_counter()
     rng = random.Random(55)
-    config = RecursionConfig(oracle=OracleConfig(kind="exact"))
+    config = OracleConfig(kind="exact")
     violations = 0
     for _ in range(200):
         k = rng.randint(2, 5)
@@ -169,7 +168,7 @@ def test_criterion_5_recursion_certificate_soundness():
 def test_criterion_6_allocator_end_to_end():
     """allocate_prop_via_odisc output passes the independent PROP(2H) check."""
     rng = random.Random(66)
-    config = RecursionConfig(oracle=OracleConfig(kind="local-search", budget=300, seed=0))
+    config = OracleConfig(kind="local-search", budget=300, seed=0)
     passes = 0
     for _ in range(100):
         k = rng.choice((2, 3))

@@ -150,9 +150,18 @@ def test_experiment_sweep():
 
 
 def test_experiment_budget_skip():
-    outcome = invoke("experiment", "--n", "2", "--k", "2", "--cap", "3")
+    outcome = invoke("experiment", "--n", "2", "--k", "2", "--cap", "1")
     assert outcome.exit_code == 3
     assert "skipped:budget" in outcome.stdout
+
+
+def test_experiment_cap_reaches_exact_wdisc_rows():
+    """--cap bounds the exact wdisc rows as well as the multicolor ones."""
+    outcome = invoke("experiment", "--n", "16", "--p", "1/8", "--cap", "64")
+    assert outcome.exit_code == 0
+    header, line = outcome.stdout.splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert (row["status"], row["pass"]) == ("ok", "True")
 
 
 def test_experiment_empty_grid():
@@ -172,7 +181,7 @@ def test_experiment_csv_file_and_float_view(tmp_path):
 def test_exit_codes():
     assert invoke("nonsense").exit_code == 2
     assert invoke("wdisc", "exact", "--matrix", "/no/such/file.json", "--p", "1/2").exit_code == 2
-    # width over the exact cap is a budget error
+    # 2^40 selections over the default cap of 2^24 is a budget error
     outcome = invoke("certify", "wdisc-lb", "--p", "1/11", "--n", "8")
     assert outcome.exit_code == 3
 
@@ -290,8 +299,8 @@ def test_hadamard_order_cap_refuses_before_building():
 
 
 def test_caps_refuse_before_building(monkeypatch):
-    """The stacked width n*t is known from (p, n): the exact width cap, the
-    k^(n*t) enumeration cap and the stacking width and cell caps are checked
+    """The stacked width n*t is known from (p, n): the search cap on 2^(n*t)
+    or k^(n*t) leaves and the stacking width and cell caps are checked
     before any construction is built, in certify, experiment rows and
     construct."""
     from fractions import Fraction
@@ -305,10 +314,10 @@ def test_caps_refuse_before_building(monkeypatch):
     monkeypatch.setattr(cli, "build_stacked", never)
     outcome = invoke("certify", "wdisc-lb", "--p", "1/2", "--n", "1024")
     assert (outcome.exit_code, outcome.stdout) == (3, "")
-    assert "width 1024 exceeds exact cap 24" in outcome.stderr
+    assert "search over 2^1024 leaves exceeds cap 2^24" in outcome.stderr
     outcome = invoke("certify", "multicolor-lb", "--k", "2", "--n", "1024")
     assert (outcome.exit_code, outcome.stdout) == (3, "")
-    assert "exceeds enumeration cap" in outcome.stderr
+    assert "search over 2^1024 leaves exceeds cap 2^24" in outcome.stderr
     outcome = invoke("experiment", "--n", "1024", "--p", "1/2,1/5", "--k", "2")
     assert outcome.exit_code == 3
     rows = outcome.stdout.splitlines()[1:]
@@ -367,11 +376,57 @@ def test_repeat_invocations_byte_identical(tmp_path):
 
 def test_disclab_cap_env(tmp_path, monkeypatch):
     amat = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
-    monkeypatch.setenv("DISCLAB_CAP", "3")
+    monkeypatch.setenv("DISCLAB_CAP", "1")
     outcome = invoke("odisc", "exact", "--matrix", amat, "--k", "2")
     assert outcome.exit_code == 3
     # explicit --cap wins over the environment
     assert invoke("odisc", "exact", "--matrix", amat, "--k", "2", "--cap", "100").exit_code == 0
+
+
+def test_cap_edges(tmp_path, monkeypatch):
+    """A search over k^m leaves runs iff k^m <= 2^cap, on every command."""
+    amat = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
+    instance = tmp_path / "inst.json"
+    invoke("fd", "gen", "--kind", "cd", "--matrix", amat, "--k", "2", "--out", str(instance))
+    searches = (
+        ["wdisc", "exact", "--matrix", amat, "--p", "1/3"],  # 2^2 leaves
+        ["odisc", "exact", "--matrix", amat, "--k", "2"],  # 2^2
+        ["fd", "minc", "--instance", str(instance), "--notion", "cd"],  # 2^2
+        ["certify", "wdisc-lb", "--p", "1/2", "--n", "2"],  # 2^2
+        ["certify", "multicolor-lb", "--k", "2", "--n", "2"],  # 2^2
+    )
+    for argv in searches:
+        assert invoke(*argv, "--cap", "2").exit_code == 0, argv
+        for cap in ("1", "-1"):
+            outcome = invoke(*argv, "--cap", cap)
+            assert (outcome.exit_code, outcome.stdout) == (3, ""), (argv, cap)
+            assert f"search over 2^2 leaves exceeds cap 2^{cap}" in outcome.stderr
+    # k = 3: 3^2 = 9 leaves fit under 2^4, not under 2^3
+    odisc3 = ["odisc", "exact", "--matrix", amat, "--k", "3"]
+    assert invoke(*odisc3, "--cap", "4").exit_code == 0
+    assert invoke(*odisc3, "--cap", "3").exit_code == 3
+    # the environment reaches the wdisc commands too; a non-integer is a usage error
+    monkeypatch.setenv("DISCLAB_CAP", "1")
+    assert invoke(*searches[0]).exit_code == 3
+    monkeypatch.setenv("DISCLAB_CAP", "x")
+    for argv in searches:
+        outcome = invoke(*argv)
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), argv
+        assert "DISCLAB_CAP must be an integer" in outcome.stderr
+
+
+def test_huge_cap_builds_no_huge_integer():
+    """2^cap is never built: a cap of 10^9 costs no 125 MB integer."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        outcome = invoke("certify", "wdisc-lb", "--p", "1/2", "--n", "4", "--cap", "1000000000")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.exit_code == 0
+    assert peak < 10_000_000
 
 
 def test_console_script_entry_point():

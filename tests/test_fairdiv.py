@@ -14,7 +14,6 @@ from disclab import (
     InputError,
     OracleConfig,
     RatMatrix,
-    RecursionConfig,
     allocate_prop_via_odisc,
     brute_force_min_c,
     build_stacked,
@@ -37,8 +36,8 @@ from naive import (
     naive_min_c,
 )
 
-EXACT = RecursionConfig(oracle=OracleConfig(kind="exact"))
-LOCAL = RecursionConfig(oracle=OracleConfig(kind="local-search", budget=400, seed=0))
+EXACT = OracleConfig(kind="exact")
+LOCAL = OracleConfig(kind="local-search", budget=400, seed=0)
 
 
 def three_good_instance():

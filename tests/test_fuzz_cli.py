@@ -28,7 +28,6 @@ COUNTS = (["1", "2", "3"], ["-1", "0", "x", ""])
 
 VALUES = {
     "--p": RATIONALS,
-    "--zeta": (["100", "1", "1/2"], ["0", "-1", "1/0", "x"]),
     "--n": (["1", "2", "4", "8"], ["-2", "0", "3", "x"]),
     "--k": COUNTS,
     "--cap": (["1", "30"], ["-1", "0", "x"]),
@@ -61,14 +60,14 @@ SUBCOMMANDS = {
     ("wdisc", "exact"): ["--matrix", "--p", "--cap"],
     ("wdisc", "heur"): ["--matrix", "--p", "--oracle", "--iters", "--seed"],
     ("odisc", "exact"): ["--matrix", "--matrix", "--k", "--cap", "--threads"],
-    ("odisc", "color"): ["--matrix", "--matrix", "--k", "--zeta", "--cap", "--oracle", "--iters", "--seed"],
+    ("odisc", "color"): ["--matrix", "--matrix", "--k", "--cap", "--oracle", "--iters", "--seed"],
     ("certify", "wdisc-lb"): ["--p", "--n", "--cap"],
     ("certify", "multicolor-lb"): ["--k", "--n", "--cap", "--threads"],
     ("certify", "hadamard-lemma"): ["--n", "--trials", "--seed"],
     ("fd", "gen"): ["--kind", "--matrix", "--k", "--istar", "--sizes", "--out"],
     ("fd", "check"): ["--instance", "--allocation", "--notion", "--c"],
     ("fd", "minc"): ["--instance", "--notion", "--cap", "--threads"],
-    ("fd", "allocate"): ["--instance", "--zeta", "--oracle", "--iters", "--seed", "--cap"],
+    ("fd", "allocate"): ["--instance", "--oracle", "--iters", "--seed", "--cap"],
     ("experiment",): [
         "--n", "--p", "--k", "--solver", "--seed", "--iters", "--cap", "--threads",
         "--csv", "--timings", "--float-view",

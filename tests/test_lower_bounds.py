@@ -150,6 +150,29 @@ def test_certify_multicolor_pinned():
     assert data["k"] == 3 and "weighted_value" in data
 
 
+def test_certify_multicolor_cap_reaches_both_searches(monkeypatch):
+    """One cap bounds the whole chain: at k = 2, n = 32 the coloring search
+    (2^32 leaves) and the weighted one (2^32) both run under cap 32. The
+    searches are stubbed, since the real pair takes minutes."""
+    from types import SimpleNamespace
+
+    from disclab import lower_bounds
+
+    caps = {}
+
+    def fake(name):
+        def search(_instance, *args):
+            caps[name] = args[-1]
+            return SimpleNamespace(value=Fraction(1), witness=())
+        return search
+
+    monkeypatch.setattr(lower_bounds, "odisc_exact", fake("odisc"))
+    monkeypatch.setattr(lower_bounds, "wdisc_exact", fake("wdisc"))
+    report = certify_multicolor_lb(2, 32, cap=32)
+    assert caps == {"odisc": 32, "wdisc": 32}
+    assert report.passed
+
+
 def test_certify_multicolor_validation():
     with pytest.raises(InputError):
         certify_multicolor_lb(1, 2)

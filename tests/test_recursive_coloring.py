@@ -6,7 +6,6 @@ import pytest
 from disclab import (
     InputError,
     OracleConfig,
-    RecursionConfig,
     eval_asymmetric,
     odisc_color,
     reference_bound,
@@ -15,7 +14,7 @@ from disclab import (
 
 from conftest import random_01_matrix, random_rational_matrix
 
-EXACT = RecursionConfig(oracle=OracleConfig(kind="exact"))
+EXACT = OracleConfig(kind="exact")
 
 
 def measured_color_value(blocks, coloring, color):
@@ -132,7 +131,7 @@ def test_unused_colors_are_legal():
 def test_determinism(w4):
     rng = random.Random(88)
     blocks = [random_rational_matrix(rng, 2, 6) for _ in range(3)]
-    config = RecursionConfig(oracle=OracleConfig(kind="local-search", budget=150, seed=5))
+    config = OracleConfig(kind="local-search", budget=150, seed=5)
     first = odisc_color(blocks, config)
     second = odisc_color(blocks, config)
     assert first[0] == second[0]
@@ -145,7 +144,7 @@ def test_heuristic_oracle_certificates_still_sound():
         k = rng.randint(2, 4)
         cols = rng.randint(2, 10)
         blocks = [random_rational_matrix(rng, 2, cols) for _ in range(k)]
-        config = RecursionConfig(oracle=OracleConfig(kind="local-search", budget=100, seed=1))
+        config = OracleConfig(kind="local-search", budget=100, seed=1)
         coloring, cert = odisc_color(blocks, config)
         for color in range(1, k + 1):
             assert measured_color_value(blocks, coloring, color) <= cert.bound_for(color)
@@ -168,8 +167,6 @@ def test_reference_bound():
     assert truth <= float(r) < truth + 1e-6
     with pytest.raises(InputError):
         reference_bound(0, 1)
-    custom = RecursionConfig(zeta=Fraction(7, 2))
-    assert reference_bound(4, 1, custom) == Fraction(7, 4)
 
 
 def test_oracle_on_concatenation_uses_k1_fraction(w2, w4):

@@ -25,7 +25,7 @@ from disclab import (
     wdisc_heuristic,
 )
 
-from disclab.solvers import _drop_first, _group_columns
+from disclab.solvers import _drop_first, _group_columns, check_search
 
 from conftest import random_01_matrix, random_rational_matrix
 from naive import naive_odisc, naive_wdisc, naive_wdisc_heuristic
@@ -74,7 +74,7 @@ def test_wdisc_exact_width_cap(w4):
     wide = stack_horizontal(w4, 7)  # 28 columns
     with pytest.raises(CapExceededError):
         wdisc_exact(wide, Fraction(1, 2))
-    assert wdisc_exact(wide, Fraction(1, 2), OracleConfig(exact_width_cap=28)).exact
+    assert wdisc_exact(wide, Fraction(1, 2), cap=28).exact
 
 
 def test_wdisc_exact_matches_naive_enumeration():
@@ -235,7 +235,21 @@ def test_odisc_exact_pinned(w2):
 
 def test_odisc_exact_cap(w2):
     with pytest.raises(CapExceededError):
-        odisc_exact([w2, w2], cap=3)
+        odisc_exact([w2, w2], cap=1)
+
+
+def test_check_search_decides_leaves_exactly():
+    """k^m leaves are refused iff k^m > 2^cap, at every boundary."""
+    for k in range(1, 18):
+        for m in range(0, 9):
+            for cap in range(-2, 40):
+                refused = Fraction(k**m) > Fraction(2) ** cap
+                if refused:
+                    with pytest.raises(CapExceededError, match=f"{k}\\^{m} leaves"):
+                        check_search(k, m, cap)
+                else:
+                    check_search(k, m, cap)
+    check_search(3, 10**6, 10**9)  # 2^cap is never built
 
 
 def test_odisc_matches_naive():
@@ -357,16 +371,15 @@ STACKED_NODES = {
 def test_wdisc_exact_nodes_pinned_on_stacked_w():
     """The search tree does not move: node counts of both phases on the
     stacked construction, n = 8 and 16 at p = 1/2 .. 1/8, stay as pinned."""
-    wide = OracleConfig(exact_width_cap=64)
     for (n, den), (value, nodes) in STACKED_NODES.items():
         p = Fraction(1, den)
-        result = wdisc_exact(build_stacked(p, n).matrix, p, wide)
+        result = wdisc_exact(build_stacked(p, n).matrix, p, cap=64)
         assert (result.value, result.nodes_explored) == (Fraction(value), nodes), (n, den)
 
 
 # (k, n): (value, nodes_explored) of odisc_exact on k copies of the stacked
 # construction at p = 1/k, the (k, n) pairs `certify multicolor-lb` solves
-# under the default enumeration cap.
+# under the default cap.
 STACKED_ODISC_NODES = {
     (2, 2): ("1/2", 4), (3, 2): ("2/3", 4), (4, 2): ("1/2", 18), (5, 2): ("4/5", 18),
     (6, 2): ("1/2", 49), (7, 2): ("6/7", 49), (8, 2): ("1/2", 99),
