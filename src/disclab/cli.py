@@ -128,8 +128,8 @@ def _oracle_config(args) -> OracleConfig:
     return OracleConfig(kind=args.oracle, budget=args.iters, seed=args.seed, cap=_cap(args))
 
 
-def _add_oracle_flags(parser, default_kind="exact"):
-    parser.add_argument("--oracle", choices=["exact", "greedy", "local-search"], default=default_kind)
+def _add_oracle_flags(parser, default_kind="exact", kinds=("exact", "greedy", "local-search")):
+    parser.add_argument("--oracle", choices=kinds, default=default_kind)
     parser.add_argument("--iters", type=int, default=2000, help="heuristic move budget")
     parser.add_argument("--seed", type=int, default=0)
 
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     wheur = wsub.add_parser("heur")
     wheur.add_argument("--matrix", required=True)
     wheur.add_argument("--p", type=parse_rational, required=True)
-    _add_oracle_flags(wheur, default_kind="local-search")
+    _add_oracle_flags(wheur, default_kind="local-search", kinds=("greedy", "local-search"))
 
     odisc = top.add_parser("odisc", help="multicolor / asymmetric discrepancy")
     osub = odisc.add_subparsers(dest="how", required=True)

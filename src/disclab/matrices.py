@@ -225,20 +225,24 @@ def stack_horizontal(matrix: RatMatrix, copies: int) -> RatMatrix:
     )
 
 
-def stack_vertical(blocks) -> RatMatrix:
-    """Concatenate matrices top to bottom; all must share a column count."""
+def check_blocks(blocks) -> list:
+    """`blocks` as a list, refused unless non-empty with one column count."""
     blocks = list(blocks)
     if not blocks:
         raise InputError("need at least one block")
     cols = blocks[0].cols
     for block in blocks[1:]:
         if block.cols != cols:
-            raise DimensionMismatchError(
-                f"column counts differ: {block.cols} vs {cols}"
-            )
+            raise DimensionMismatchError(f"column counts differ: {block.cols} vs {cols}")
+    return blocks
+
+
+def stack_vertical(blocks) -> RatMatrix:
+    """Concatenate matrices top to bottom; all must share a column count."""
+    blocks = check_blocks(blocks)
     den = math.lcm(*(block.den for block in blocks))
     nums = tuple(tuple(den // block.den * a for a in row) for block in blocks for row in block.nums)
-    return RatMatrix(rows=len(nums), cols=cols, nums=nums, den=den)
+    return RatMatrix(rows=len(nums), cols=blocks[0].cols, nums=nums, den=den)
 
 
 def transfer_z(x, n: int, t: int) -> tuple:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .matrices import stack_vertical
+from .matrices import check_blocks, stack_vertical
 from .rational import format_rational, sqrt_lower, sqrt_upper
-from .solvers import OracleConfig, _check_blocks, oracle_solve
+from .solvers import OracleConfig, oracle_solve
 
 _ZERO = Fraction(0)
 # Reporting constant of `reference_bound`: the 100-times-oracle-constant
@@ -75,7 +75,7 @@ def odisc_color(blocks, oracle: OracleConfig = OracleConfig()) -> tuple:
     at most certificate.bound_for(s), exactly. Unused colors are legal; an
     empty scope contributes zero everywhere.
     """
-    blocks = _check_blocks(blocks)
+    blocks = check_blocks(blocks)
     assignment = [0] * blocks[0].cols
     certificate = _split(blocks, oracle, assignment, 1, len(blocks), tuple(range(len(assignment))))
     return tuple(assignment), certificate

@@ -6,6 +6,10 @@ row_i . (p*1 - x) equals (pn*T_i - pd * sum of selected B_ij) / (L*pd), where
 T_i is the i-th row sum of B. Minimizing the max absolute row value is then an
 integer problem, and the reported Fraction is exact by construction.
 
+The k-color objective is this one at p = 1/k, color class s a selection
+judged on block s: `eval_asymmetric` and `odisc_exact` go through
+`eval_weighted` and `_scale_weighted`, one scaling for every exact search.
+
 The branch-and-bound prunes with per-row reachable intervals: entries are
 nonnegative, so selecting columns only subtracts, and a branch is dead once
 some row can no longer get below the incumbent. Every exact search keeps a
@@ -31,13 +35,14 @@ lexicographically smallest optimal x.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
-from .matrices import RatMatrix, stack_vertical
+from .matrices import RatMatrix, check_blocks, stack_vertical
 from .rational import format_rational
 
 DEFAULT_CAP = 24
@@ -123,17 +128,6 @@ def eval_weighted(matrix: RatMatrix, p: Fraction, x) -> Fraction:
     return Fraction(best, pd * matrix.den)
 
 
-def _check_blocks(blocks) -> list:
-    blocks = list(blocks)
-    if not blocks:
-        raise InputError("need at least one block")
-    cols = blocks[0].cols
-    for block in blocks[1:]:
-        if block.cols != cols:
-            raise DimensionMismatchError("blocks must share a column count")
-    return blocks
-
-
 def _check_coloring(chi, cols: int, k: int) -> tuple:
     chi = tuple(chi)
     if len(chi) != cols:
@@ -147,24 +141,16 @@ def _check_coloring(chi, cols: int, k: int) -> tuple:
 def eval_asymmetric(blocks, chi) -> Fraction:
     """Exact max over colors s of ||A^s((1/k)*1 - indicator(chi == s))||_inf.
 
-    With k identical blocks this is the plain multicolor discrepancy of the
-    coloring; with one block (k = 1) the argument is identically zero.
+    Each color class is a 0/1 selection, so color s contributes the weighted
+    objective of block s at p = 1/k. With k identical blocks this is the
+    plain multicolor discrepancy of the coloring; with one block (k = 1) the
+    argument is identically zero.
     """
-    blocks = _check_blocks(blocks)
+    blocks = check_blocks(blocks)
     k = len(blocks)
     chi = _check_coloring(chi, blocks[0].cols, k)
-    stacked = stack_vertical(blocks)
-    picks = [[c == s for c in chi] for s in range(1, k + 1)]
-    best = max(
-        abs(sum(row) - k * sum(compress(row, picks[s])))
-        for s, row in zip(_owners(blocks), stacked.nums)
-    )
-    return Fraction(best, k * stacked.den)
-
-
-def _owners(blocks) -> list:
-    """The block index of each row of `stack_vertical(blocks)`."""
-    return [s for s, block in enumerate(blocks) for _ in range(block.rows)]
+    share = Fraction(1, k)
+    return max(eval_weighted(block, share, [c == s for c in chi]) for s, block in enumerate(blocks, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +177,10 @@ class _Packing:
     Field i of a packed value vector holds v_i + 2^(w-1), so the vector is the
     int sum_i (v_i + 2^(w-1)) * 2^(w*i), and a packed column or remaining mass
     holds its plain entries. A child node is then one subtraction of a packed
-    column. w is fixed per call from the row values `start` at the root, each
-    row's total column mass `mass` and the initial incumbent `limit`: every
-    value the search meets lies in [start_i - mass_i, start_i], so
+    column. w is fixed per call from the row values `start` at the root, the
+    `columns` the search subtracts, whose entries in row i sum to mass_i, and
+    the initial incumbent `limit`: every value the search meets lies in
+    [start_i - mass_i, start_i], so
     2^(w-1) > 2 * max_i(|start_i| + mass_i) + limit keeps every field of the
     expressions below in [0, 2^w), and no borrow crosses between fields.
 
@@ -212,8 +199,8 @@ class _Packing:
 
     __slots__ = ("width", "rows", "ones", "top")
 
-    def __init__(self, start, mass, limit: int):
-        bound = 2 * max(abs(v) + m for v, m in zip(start, mass)) + limit
+    def __init__(self, start, columns, limit: int):
+        bound = 2 * max(abs(v) + sum(mass) for v, mass in zip(start, zip(*columns))) + limit
         self.width = bound.bit_length() + 1
         self.rows = len(start)
         self.ones = sum(1 << (self.width * i) for i in range(self.rows))
@@ -386,12 +373,18 @@ def check_search(k: int, m: int, cap: int) -> None:
     2^m selections, k^m colorings or allocations) when k^m > 2^cap; callers
     that know k and m before building their input check it first.
 
-    Decided exactly on bit lengths, without building 2^cap: with
-    b = bit_length(k), 2^(m(b-1)) <= k^m < 2^(mb), so k^m is built only when
-    k is not a power of two and cap falls between the two exponents.
+    Decided exactly without building 2^cap: with b = bit_length(k),
+    2^(m(b-1)) <= k^m < 2^(mb) settles powers of two and caps outside these
+    bounds; between them m * log2(k) in floats settles caps beyond its
+    rounding error, and k^m is built only for the rest.
     """
     low = m * (k.bit_length() - 1)
-    if low > cap or (low + m > cap and k & (k - 1) and (k**m - 1).bit_length() > cap):
+    refused = low > cap
+    if k & (k - 1) and low <= cap < low + m:
+        estimate = m * math.log2(k)
+        near = abs(estimate - cap) <= estimate * 1e-9
+        refused = (k**m - 1).bit_length() > cap if near else estimate > cap
+    if refused:
         raise CapExceededError(f"search over {k}^{m} leaves exceeds cap 2^{cap}")
 
 
@@ -411,7 +404,7 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, cap: int = DEFAULT_CAP) -> Wdisc
     columns, start, denom = _scale_weighted(matrix, p)
     masses = [sum(col) for col in columns]
     limit = max(map(abs, start)) + 1
-    packing = _Packing(start, [p.denominator * sum(row) for row in matrix.nums], limit)
+    packing = _Packing(start, columns, limit)
     packed = [packing.pack(col) for col in columns]
     root = packing.pack_values(start)
     groups = _group_columns(packed, masses, range(matrix.cols))
@@ -513,9 +506,11 @@ def wdisc_heuristic(matrix: RatMatrix, p: Fraction, config: OracleConfig = Oracl
     Random restarts initialize each column to 1 with probability p, then
     steepest descent over bit flips and pair swaps runs to a local minimum.
     "greedy" stops after the first descent; "local-search" restarts until the
-    move budget is exhausted. Deterministic for a fixed seed, and the value
-    always equals the returned witness re-evaluated exactly.
+    move budget is exhausted; "exact" is refused. Deterministic for a fixed
+    seed, and the value always equals the returned witness re-evaluated exactly.
     """
+    if config.kind == "exact":
+        raise InputError("wdisc_heuristic runs the greedy or local-search oracle, not exact")
     p = _check_probability(p)
     rng = random.Random(config.seed)
     columns, start, denom = _scale_weighted(matrix, p)
@@ -574,26 +569,28 @@ def odisc_exact(blocks, cap: int = DEFAULT_CAP) -> OdiscResult:
     in order 1, 2, ...; the search then visits only those colorings, which
     leaves value and witness unchanged. Refuses more than 2^cap colorings.
     """
-    blocks = _check_blocks(blocks)
+    blocks = check_blocks(blocks)
     k = len(blocks)
-    m = blocks[0].cols
-    check_search(k, m, cap)
+    check_search(k, blocks[0].cols, cap)
     symmetric = all(block == blocks[0] for block in blocks)
-    stacked = stack_vertical(blocks)
-    best, chi, nodes = _odisc_dfs(stacked.nums, _owners(blocks), k, symmetric)
-    return OdiscResult(value=Fraction(best, k * stacked.den), witness=chi, nodes_explored=nodes, exact=True)
+    owners = [s for s, block in enumerate(blocks) for _ in range(block.rows)]
+    columns, start, denom = _scale_weighted(stack_vertical(blocks), Fraction(1, k))
+    best, chi, nodes = _odisc_dfs(columns, start, owners, k, symmetric)
+    return OdiscResult(value=Fraction(best, denom), witness=chi, nodes_explored=nodes, exact=True)
 
 
-def _odisc_dfs(rows, owners, k, symmetric):
-    """Search colorings of the columns of the integer rows `rows`, row r
-    belonging to block owners[r]; returns (scaled value, coloring, nodes).
+def _odisc_dfs(columns, start, owners, k, symmetric):
+    """Search colorings of the stacked blocks, row r belonging to block
+    owners[r], in the weighted objective at p = 1/k as `_scale_weighted`
+    scales it: `columns` hold k times each entry, `start` each row sum T.
+    Returns (scaled value, coloring, nodes).
 
-    Row r's value is T - k * (mass of its block's color); every value lies in
-    [T - k*T, T], so the incumbent starts above k * max T, where every
-    coloring beats it, and the root is admitted. Each column is packed once
-    per color, holding only the rows of that color's block; the remaining
-    mass counts every row. With `symmetric`, color c + 1 is tried only once
-    colors 1..c have appeared.
+    A coloring subtracts from row r only the columns of its block's color,
+    so every value lies in [T - k*T, T]; the incumbent starts above
+    k * max T, where every coloring beats it, and the root is admitted.
+    Each column is packed once per color, holding only the rows of that
+    color's block; the remaining mass counts every row. With `symmetric`,
+    color c + 1 is tried only once colors 1..c have appeared.
 
     One loop walks the tree depth first, keeping per depth the packed values
     of the node being branched, the number of colors it may try and, in
@@ -602,10 +599,8 @@ def _odisc_dfs(rows, owners, k, symmetric):
     Once the incumbent is 0 nothing is admitted any more, so the children
     left at every depth are counted in one step and the search ends.
     """
-    start = tuple(map(sum, rows))
     limit = k * max(start) + 1
-    packing = _Packing(start, [k * total for total in start], limit)
-    columns = [tuple(k * a for a in col) for col in zip(*rows)]
+    packing = _Packing(start, columns, limit)
     by_color = [
         [packing.pack([a if s == color else 0 for a, s in zip(col, owners)]) for col in columns]
         for color in range(k)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from disclab import RatMatrix, hadamard_sylvester, lift_w
 
@@ -33,3 +34,35 @@ def random_rational_matrix(rng: random.Random, rows: int, cols: int, max_den: in
             row.append(Fraction(rng.randint(0, den), den))
         entries.append(row)
     return RatMatrix.from_rows(entries)
+
+
+ENTRIES = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+
+# Denominators above 2^64, so the searches' packed row fields are wider
+# than a machine word.
+WIDE = 2**70 + 1
+WIDE_ENTRIES = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, WIDE), Fraction(WIDE - 1, WIDE), Fraction(3, 2**67 + 5)]
+)
+
+
+@st.composite
+def pooled_matrices(draw, max_rows, max_cols, entries=ENTRIES):
+    """Columns drawn from a pool of at most three, so duplicates and ties occur."""
+    rows = draw(st.integers(1, max_rows))
+    pool = draw(st.lists(st.lists(entries, min_size=rows, max_size=rows), min_size=1, max_size=3))
+    columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_cols))
+    return RatMatrix.from_rows([[col[i] for col in columns] for i in range(rows)])
+
+
+@st.composite
+def odisc_blocks(draw, entries=ENTRIES):
+    """k <= 3 blocks over m <= 5 columns: k copies of one block, or k drawn
+    independently (which may still coincide)."""
+    k = draw(st.integers(1, 3))
+    first = draw(pooled_matrices(2, 5, entries))
+    if draw(st.booleans()):
+        return [first] * k
+    cols = first.cols
+    block = st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=2)
+    return [first] + [RatMatrix.from_rows(draw(block)) for _ in range(k - 1)]

@@ -120,19 +120,26 @@ def naive_wdisc_heuristic(matrix, p, kind, budget, seed):
     return best[0], best[1], nodes[0]
 
 
+def naive_asymmetric(block_rows, chi):
+    """max over colors s and rows of block s (its entries, `block_rows[s-1]`)
+    of |row . ((1/k)*1 - indicator(chi == s))|."""
+    share = Fraction(1, len(block_rows))
+    value = ZERO
+    for s, rows in enumerate(block_rows, start=1):
+        sel = [1 if c == s else 0 for c in chi]
+        for row in rows:
+            value = max(value, row_value(row, share, sel))
+    return value
+
+
 def naive_odisc(blocks):
     """(value, coloring) over all k^m colorings; lex-least witness."""
     k = len(blocks)
     m = blocks[0].cols
-    share = Fraction(1, k)
     block_rows = [block.entries for block in blocks]
     best = None
     for chi in product(range(1, k + 1), repeat=m):
-        value = ZERO
-        for s, rows in enumerate(block_rows, start=1):
-            sel = [1 if c == s else 0 for c in chi]
-            for row in rows:
-                value = max(value, row_value(row, share, sel))
+        value = naive_asymmetric(block_rows, chi)
         if best is None or value < best[0]:
             best = (value, chi)
     return best

@@ -80,6 +80,16 @@ def test_wdisc_heur_deterministic(tmp_path):
     assert payload(first)["exact"] is False
 
 
+def test_wdisc_heur_refuses_the_exact_oracle(tmp_path, capsys):
+    path = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
+    outcome = invoke("wdisc", "heur", "--matrix", path, "--p", "1/3", "--oracle", "exact")
+    assert (outcome.exit_code, outcome.stdout) == (2, "")
+    assert "invalid choice: 'exact'" in capsys.readouterr().err
+    for kind in ("greedy", "local-search"):
+        outcome = invoke("wdisc", "heur", "--matrix", path, "--p", "1/3", "--oracle", kind)
+        assert payload(outcome)["exact"] is False, kind
+
+
 def test_odisc_exact_k_copies(tmp_path):
     path = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
     data = payload(invoke("odisc", "exact", "--matrix", path, "--k", "2"))

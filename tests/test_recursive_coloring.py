@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclab import (
     InputError,
@@ -12,7 +14,7 @@ from disclab import (
     stack_vertical,
 )
 
-from conftest import random_01_matrix, random_rational_matrix
+from conftest import ENTRIES, WIDE_ENTRIES, odisc_blocks, random_01_matrix, random_rational_matrix
 
 EXACT = OracleConfig(kind="exact")
 
@@ -148,6 +150,22 @@ def test_heuristic_oracle_certificates_still_sound():
         coloring, cert = odisc_color(blocks, config)
         for color in range(1, k + 1):
             assert measured_color_value(blocks, coloring, color) <= cert.bound_for(color)
+
+
+ORACLES = [EXACT, OracleConfig(kind="local-search", budget=50, seed=3)]
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=["exact", "local-search"])
+@pytest.mark.parametrize("entries", [ENTRIES, WIDE_ENTRIES], ids=["mixed", "wide"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_certificate_soundness_property(entries, oracle, data):
+    """Every color's measured value is within its certificate bound, on
+    blocks with mixed denominators and denominators above 2^64."""
+    blocks = data.draw(odisc_blocks(entries))
+    coloring, cert = odisc_color(blocks, oracle)
+    for color in range(1, len(blocks) + 1):
+        assert measured_color_value(blocks, coloring, color) <= cert.bound_for(color)
 
 
 def test_certificate_json_shape(w2):

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,16 @@ from disclab import (
 
 from disclab.solvers import _drop_first, _group_columns, check_search
 
-from conftest import random_01_matrix, random_rational_matrix
-from naive import naive_odisc, naive_wdisc, naive_wdisc_heuristic
+from conftest import (
+    ENTRIES,
+    WIDE,
+    WIDE_ENTRIES,
+    odisc_blocks,
+    pooled_matrices,
+    random_01_matrix,
+    random_rational_matrix,
+)
+from naive import naive_asymmetric, naive_odisc, naive_wdisc, naive_wdisc_heuristic
 
 
 def test_eval_weighted_pinned(w2):
@@ -57,6 +66,21 @@ def test_eval_asymmetric_validation(w2, w4):
         eval_asymmetric([w2, w4], (1, 2))
     with pytest.raises(InputError):
         eval_asymmetric([w2, w2], (1, 3))
+
+
+def test_block_lists_refused(w2, w4):
+    """Every k-block entry point refuses an empty block list and blocks of
+    different widths."""
+    calls = (
+        lambda blocks: eval_asymmetric(blocks, (1, 1)),
+        odisc_exact,
+        odisc_color,
+    )
+    for call in calls:
+        with pytest.raises(InputError, match="need at least one block"):
+            call([])
+        with pytest.raises(DimensionMismatchError, match="column counts differ: 4 vs 2"):
+            call([w2, w4])
 
 
 def test_wdisc_exact_pinned(w2):
@@ -158,6 +182,13 @@ def test_wdisc_heuristic_contract(w2):
     assert result.value == Fraction(1, 3)
 
 
+def test_wdisc_heuristic_refuses_the_exact_kind(w2):
+    """The exact oracle is `wdisc_exact`; the heuristic does not run a
+    local search in its name."""
+    with pytest.raises(InputError, match="not exact"):
+        wdisc_heuristic(w2, Fraction(1, 3), OracleConfig(kind="exact"))
+
+
 def test_wdisc_heuristic_never_below_exact(w4):
     rng = random.Random(23)
     for _ in range(20):
@@ -238,6 +269,32 @@ def test_odisc_exact_cap(w2):
         odisc_exact([w2, w2], cap=1)
 
 
+def peak_bytes(call, error):
+    """The tracemalloc peak of `call()`, which must raise `error`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_odisc_exact_refuses_before_stacking(w2):
+    """100,000 blocks over 2 columns are 100,000^2 leaves: refused before
+    the 200,000-row stack is built."""
+    blocks = [w2] * 100_000
+    assert peak_bytes(lambda: odisc_exact(blocks), CapExceededError) < 5_000_000
+
+
+def test_check_search_builds_no_power_far_from_the_cap():
+    """2,000,001^(10^6) has about 20.93 million bits, far from a cap of
+    20.9 million: refused without building the 2.6 MB power."""
+    peak = peak_bytes(lambda: check_search(2_000_001, 10**6, 20_900_000), CapExceededError)
+    assert peak < 1_000_000
+
+
 def test_check_search_decides_leaves_exactly():
     """k^m leaves are refused iff k^m > 2^cap, at every boundary."""
     for k in range(1, 18):
@@ -263,18 +320,6 @@ def test_odisc_matches_naive():
         assert result.value == value
         assert result.witness == chi
         assert eval_asymmetric(blocks, result.witness) == result.value
-
-
-ENTRIES = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
-
-
-@st.composite
-def pooled_matrices(draw, max_rows, max_cols, entries=ENTRIES):
-    """Columns drawn from a pool of at most three, so duplicates and ties occur."""
-    rows = draw(st.integers(1, max_rows))
-    pool = draw(st.lists(st.lists(entries, min_size=rows, max_size=rows), min_size=1, max_size=3))
-    columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_cols))
-    return RatMatrix.from_rows([[col[i] for col in columns] for i in range(rows)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -314,19 +359,6 @@ def test_wdisc_exact_matches_naive_on_stacked_w8():
         assert (result.value, result.witness) == naive_wdisc(matrix, p), p
 
 
-@st.composite
-def odisc_blocks(draw, entries=ENTRIES):
-    """k <= 3 blocks over m <= 5 columns: k copies of one block, or k drawn
-    independently (which may still coincide)."""
-    k = draw(st.integers(1, 3))
-    first = draw(pooled_matrices(2, 5, entries))
-    if draw(st.booleans()):
-        return [first] * k
-    cols = first.cols
-    block = st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=2)
-    return [first] + [RatMatrix.from_rows(draw(block)) for _ in range(k - 1)]
-
-
 @settings(max_examples=200, deadline=None)
 @given(odisc_blocks())
 def test_odisc_exact_matches_naive_property(blocks):
@@ -334,12 +366,6 @@ def test_odisc_exact_matches_naive_property(blocks):
     assert (result.value, result.witness) == naive_odisc(blocks)
 
 
-# Denominators above 2^64, so the searches' packed row fields are wider
-# than a machine word.
-WIDE = 2**70 + 1
-WIDE_ENTRIES = st.sampled_from(
-    [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, WIDE), Fraction(WIDE - 1, WIDE), Fraction(3, 2**67 + 5)]
-)
 WIDE_P = st.sampled_from(
     [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, WIDE), Fraction(WIDE - 1, WIDE), Fraction(2**65, 3**45)]
 )
@@ -357,6 +383,18 @@ def test_wdisc_exact_wide_fields_match_naive_property(matrix, p):
 def test_odisc_exact_wide_fields_match_naive_property(blocks):
     result = odisc_exact(blocks)
     assert (result.value, result.witness) == naive_odisc(blocks)
+
+
+@pytest.mark.parametrize("entries", [ENTRIES, WIDE_ENTRIES], ids=["mixed", "wide"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eval_asymmetric_matches_naive_property(entries, data):
+    """Any coloring, not only optimal ones, over blocks with mixed
+    denominators and denominators above 2^64."""
+    blocks = data.draw(odisc_blocks(entries))
+    k, m = len(blocks), blocks[0].cols
+    chi = data.draw(st.lists(st.integers(1, k), min_size=m, max_size=m))
+    assert eval_asymmetric(blocks, chi) == naive_asymmetric([block.entries for block in blocks], chi)
 
 
 # (n, 1/p): (value, nodes_explored) of wdisc_exact on the stacked construction.
