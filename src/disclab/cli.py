@@ -13,7 +13,8 @@ Output bytes depend only on argv and input files: randomness is pinned by
 it once chose a worker count, and has no effect. Every exact search has one
 cap: it is refused (exit 3) when its unpruned tree has more than 2^cap
 leaves, 2^m selections of m columns or k^m colorings and allocations. --cap
-sets it, else the DISCLAB_CAP environment variable, else DEFAULT_CAP (24).
+sets it, else the DISCLAB_CAP environment variable, else DEFAULT_CAP (24);
+a negative cap is a usage error (exit 2).
 """
 
 from __future__ import annotations

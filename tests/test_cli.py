@@ -407,22 +407,41 @@ def test_cap_edges(tmp_path, monkeypatch):
     )
     for argv in searches:
         assert invoke(*argv, "--cap", "2").exit_code == 0, argv
-        for cap in ("1", "-1"):
-            outcome = invoke(*argv, "--cap", cap)
-            assert (outcome.exit_code, outcome.stdout) == (3, ""), (argv, cap)
-            assert f"search over 2^2 leaves exceeds cap 2^{cap}" in outcome.stderr
+        outcome = invoke(*argv, "--cap", "1")
+        assert (outcome.exit_code, outcome.stdout) == (3, ""), argv
+        assert "search over 2^2 leaves exceeds cap 2^1" in outcome.stderr
+        # a negative log2 bound is a bad argument, not a search too large
+        outcome = invoke(*argv, "--cap", "-1")
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), argv
+        assert "cap must be >= 0, got -1" in outcome.stderr
+    # the heuristic oracles search no tree, and refuse a negative cap too
+    heuristic = (
+        ["odisc", "color", "--matrix", amat, "--k", "2", "--oracle", "greedy"],
+        ["fd", "allocate", "--instance", str(instance), "--oracle", "local-search"],
+    )
+    for argv in heuristic:
+        assert invoke(*argv, "--cap", "0").exit_code == 0, argv
+        outcome = invoke(*argv, "--cap", "-1")
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), argv
+        assert "cap must be >= 0, got -1" in outcome.stderr
     # k = 3: 3^2 = 9 leaves fit under 2^4, not under 2^3
     odisc3 = ["odisc", "exact", "--matrix", amat, "--k", "3"]
     assert invoke(*odisc3, "--cap", "4").exit_code == 0
     assert invoke(*odisc3, "--cap", "3").exit_code == 3
-    # the environment reaches the wdisc commands too; a non-integer is a usage error
+    # a cap of 0 stays valid: one leaf fits, two do not
+    one = write_matrix(tmp_path, "one.json", [[1]])
+    assert invoke("odisc", "exact", "--matrix", one, "--k", "1", "--cap", "0").exit_code == 0
+    assert invoke("odisc", "exact", "--matrix", one, "--k", "2", "--cap", "0").exit_code == 3
+    # the environment reaches the wdisc commands too; a non-integer or
+    # negative cap is a usage error
     monkeypatch.setenv("DISCLAB_CAP", "1")
     assert invoke(*searches[0]).exit_code == 3
-    monkeypatch.setenv("DISCLAB_CAP", "x")
-    for argv in searches:
-        outcome = invoke(*argv)
-        assert (outcome.exit_code, outcome.stdout) == (2, ""), argv
-        assert "DISCLAB_CAP must be an integer" in outcome.stderr
+    for raw, message in (("x", "DISCLAB_CAP must be an integer"), ("-1", "cap must be >= 0, got -1")):
+        monkeypatch.setenv("DISCLAB_CAP", raw)
+        for argv in searches:
+            outcome = invoke(*argv)
+            assert (outcome.exit_code, outcome.stdout) == (2, ""), (argv, raw)
+            assert message in outcome.stderr
 
 
 def test_huge_cap_builds_no_huge_integer():

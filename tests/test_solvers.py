@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,7 +27,7 @@ from disclab import (
     wdisc_heuristic,
 )
 
-from disclab.solvers import _drop_first, _group_columns, check_search
+from disclab.solvers import _draw_threshold, _drop_first, _group_columns, check_search
 
 from conftest import (
     ENTRIES,
@@ -219,7 +220,7 @@ def _descent_case_matrix(rng):
 
 def test_wdisc_heuristic_matches_naive_descent():
     rng = random.Random(31)
-    for p in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+    for p in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(1, 5), Fraction(1, 10**400)):
         for kind in ("greedy", "local-search"):
             for budget in (1, 64, 300):
                 for seed in range(3):
@@ -227,6 +228,25 @@ def test_wdisc_heuristic_matches_naive_descent():
                     heur = wdisc_heuristic(matrix, p, OracleConfig(kind=kind, budget=budget, seed=seed))
                     expected = naive_wdisc_heuristic(matrix, p, kind, budget, seed)
                     assert (heur.value, heur.witness, heur.nodes_explored) == expected
+
+
+def test_draw_threshold_decides_each_draw_exactly():
+    """r < t agrees with r < p at and around t, where a rounded threshold
+    would not; Python compares floats with Fractions exactly."""
+    cases = (
+        Fraction(0),
+        Fraction(1),
+        Fraction(1, 3),  # the nearest double lies below
+        Fraction(1, 5),  # the nearest double lies above
+        Fraction(1, 10**400),  # underflows to 0.0
+        Fraction(2**53 - 1, 2**53) + Fraction(1, 2**80),
+    )
+    for p in cases:
+        t = _draw_threshold(p)
+        assert Fraction(t) >= p
+        for r in (t, math.nextafter(t, 0), math.nextafter(t, 1)):
+            if 0 <= r < 1:
+                assert (r < t) == (r < p), (p, r)
 
 
 def test_wdisc_heuristic_deterministic(w4):
@@ -296,10 +316,14 @@ def test_check_search_builds_no_power_far_from_the_cap():
 
 
 def test_check_search_decides_leaves_exactly():
-    """k^m leaves are refused iff k^m > 2^cap, at every boundary."""
+    """k^m leaves are refused iff k^m > 2^cap, at every boundary; a
+    negative cap is a usage error whatever the search."""
     for k in range(1, 18):
         for m in range(0, 9):
-            for cap in range(-2, 40):
+            for cap in (-2, -1):
+                with pytest.raises(InputError, match="cap must be >= 0"):
+                    check_search(k, m, cap)
+            for cap in range(0, 40):
                 refused = Fraction(k**m) > Fraction(2) ** cap
                 if refused:
                     with pytest.raises(CapExceededError, match=f"{k}\\^{m} leaves"):
