@@ -106,6 +106,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests JSON too deeply to read") from exc
     except ValueError as exc:  # a number past Python's integer string-conversion limit
         raise InputError(f"{path} holds a number with more than {sys.get_int_max_str_digits()} digits") from exc
 
@@ -388,14 +390,14 @@ def _cmd_fd(args) -> CommandOutcome:
 
 def _experiment_rows(args):
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
+    configs = [OracleConfig(kind=s, budget=args.iters, seed=args.seed) for s in solvers]
     cap = _cap(args)
     for k in args.k:
         check_multicolor_k(k)
     rows = []
     for n in args.n:
         for p in args.p:
-            for solver in solvers:
-                config = OracleConfig(kind=solver, budget=args.iters, seed=args.seed)
+            for solver, config in zip(solvers, configs):
                 rows.append(("wdisc", n, None, p, solver, config))
         for k in args.k:
             rows.append(("multicolor", n, k, Fraction(1, k), "exact", None))

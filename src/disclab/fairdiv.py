@@ -354,7 +354,9 @@ def brute_force_min_c(
     does; at a leaf the same routine gives the exact c. Only a strictly
     smaller c replaces the incumbent and the search stops at c = 0, so the
     witness is the lexicographically least minimizer. More than 2^cap
-    allocations, the leaves of the unpruned search, are refused.
+    allocations, the leaves of the unpruned search, are refused. The search
+    is one loop whose stack is the assignment itself, the bundle tried at
+    each placed good, so Python's recursion limit does not bound m.
 
     The search visits only canonical allocations under two symmetries that
     keep c:
@@ -395,10 +397,42 @@ def brute_force_min_c(
     )
     twin = _previous_equal([tuple(units) for units in by_good])
     values = [[0] * k for _ in core.agents]
+    sizes = [0] * k  # sizes[b]: the goods placed in bundle b
     # every allocation has c <= m: removing all goods passes
-    state = [m + 1, None]  # incumbent c, its assignment
-    _place(core, by_good, remaining, opener, twin, values, [0] * k, [-1] * m, state, 0)
-    best_c, best = state
+    best_c, best = m + 1, None
+    assignment = [-1] * m  # the stack: the bundle tried at each placed good
+    last = m - 1
+    good = 0
+    while True:
+        b = assignment[good]
+        if b >= 0:  # take good out of the bundle it was tried in
+            sizes[b] -= 1
+            for vals, u in zip(values, by_good[good]):
+                vals[b] -= u
+            b += 1
+        else:
+            b = assignment[twin[good]] if twin[good] >= 0 else 0
+        while b < k and opener[b] >= 0 and not sizes[opener[b]]:
+            b += 1
+        if b == k:  # good is spent: back to good - 1
+            assignment[good] = -1
+            if not good:
+                break
+            good -= 1
+            continue
+        assignment[good] = b
+        sizes[b] += 1
+        for vals, u in zip(values, by_good[good]):
+            vals[b] += u
+        c = core.bound(assignment, values, remaining[good + 1], best_c)
+        if c >= best_c:
+            continue
+        if good < last:
+            good += 1
+        else:
+            best_c, best = c, tuple(assignment)
+            if not best_c:
+                break
     witness = [[] for _ in range(k)]
     for good, b in enumerate(best):
         witness[b].append(good)
@@ -413,36 +447,6 @@ def _previous_equal(keys) -> list:
         previous.append(last.get(key, -1))
         last[key] = index
     return previous
-
-
-def _place(core, by_good, remaining, opener, twin, values, sizes, assignment, state, good):
-    """One node of `brute_force_min_c`: place `good` in each bundle the
-    symmetry rules allow, in ascending order. `sizes[b]` counts the goods
-    placed in bundle b."""
-    units = by_good[good]
-    slack = remaining[good + 1]
-    last = good + 1 == len(by_good)
-    first = assignment[twin[good]] if twin[good] >= 0 else 0
-    for b in range(first, len(sizes)):
-        if opener[b] >= 0 and not sizes[opener[b]]:
-            continue
-        assignment[good] = b
-        sizes[b] += 1
-        for vals, u in zip(values, units):
-            vals[b] += u
-        c = core.bound(assignment, values, slack, state[0])
-        if c < state[0]:
-            if last:
-                state[0], state[1] = c, tuple(assignment)
-            else:
-                _place(core, by_good, remaining, opener, twin, values, sizes, assignment,
-                       state, good + 1)
-        for vals, u in zip(values, units):
-            vals[b] -= u
-        sizes[b] -= 1
-        if state[0] == 0:
-            break
-    assignment[good] = -1
 
 
 # ---------------------------------------------------------------------------

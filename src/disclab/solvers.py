@@ -28,9 +28,9 @@ merged duplicate columns (only the selection count within an
 identical-column group matters): the value search finds the optimum, and
 feasibility searches, each stopping at the first selection within the
 optimum, rebuild the witness column by column in original order, each over
-the groups of the columns after the one being fixed, derived from the
-previous column's groups. That keeps the documented tie-break: the
-lexicographically smallest optimal x.
+the groups of the columns after the one being fixed, built afresh for that
+search. That keeps the documented tie-break: the lexicographically smallest
+optimal x.
 """
 
 from __future__ import annotations
@@ -250,23 +250,6 @@ def _below(masses):
     return below
 
 
-def _drop_first(groups, masses, j):
-    """The groups of the columns after j, from `groups`, whose least index is j.
-
-    Column j leaves its group, which keeps its mass but now starts at its
-    next index, so it moves behind the groups of equal mass that start
-    before that index; the order stays (-mass, first index)."""
-    pos = next(i for i, (_col, members) in enumerate(groups) if members[0] == j)
-    col, members = groups[pos]
-    if len(members) == 1:
-        return groups[:pos] + groups[pos + 1:]
-    key = (-masses[j], members[1])
-    end = pos + 1
-    while end < len(groups) and (-masses[groups[end][1][0]], groups[end][1][0]) < key:
-        end += 1
-    return groups[:pos] + groups[pos + 1:end] + [(col, members[1:])] + groups[end:]
-
-
 def _search(packing, groups, values, limit, first):
     """Least max |row value| below `limit` over selections of the merged
     columns `groups`, from packed row values `values`; with `first`, the
@@ -339,15 +322,15 @@ def _search(packing, groups, values, limit, first):
     return best, selected, nodes
 
 
-def _lex_least(packing, columns, masses, groups, start, target, selected):
+def _lex_least(packing, columns, masses, start, target, selected):
     """Lexicographically smallest x whose max |row value| is at most `target`,
-    the optimum, given one optimal selection `selected` and the groups of
-    all columns, from which the groups of columns d+1, ... are derived.
+    the optimum, given one optimal selection `selected`.
 
     `known` stays an optimal selection that agrees with the fixed prefix.
     Where known[d] is 0, x_d = 0 is fixed at once. Where it is 1, a `first`
-    search over columns d+1, ... with x_d = 0 decides: on success x_d = 0
-    and its selection becomes the tail of `known`, otherwise x_d = 1.
+    search over the groups of columns d+1, ..., built afresh, with x_d = 0
+    decides: on success x_d = 0 and its selection becomes the tail of
+    `known`, otherwise x_d = 1.
     """
     m = len(columns)
     known = [0] * m
@@ -356,9 +339,9 @@ def _lex_least(packing, columns, masses, groups, start, target, selected):
     values = start
     nodes = 0
     for d in range(m):
-        groups = _drop_first(groups, masses, d)
         if not known[d]:
             continue
+        groups = _group_columns(columns, masses, range(d + 1, m))
         _value, tail, searched = _search(packing, groups, values, target + 1, True)
         nodes += searched
         if tail is None:
@@ -414,7 +397,7 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, cap: int = DEFAULT_CAP) -> Wdisc
     root = packing.pack_values(start)
     groups = _group_columns(packed, masses, range(matrix.cols))
     value, selected, nodes_value = _search(packing, groups, root, limit, False)
-    witness, nodes_witness = _lex_least(packing, packed, masses, groups, root, value, selected)
+    witness, nodes_witness = _lex_least(packing, packed, masses, root, value, selected)
     return WdiscResult(
         value=Fraction(value, denom),
         witness=witness,

@@ -254,10 +254,41 @@ def test_matrix_dimensions_must_be_json_integers(tmp_path, field, count):
 
 
 def test_experiment_rejects_bad_oracle_settings():
-    for flags in (["--iters", "0"], ["--solver", "bogus"], ["--solver", "exact,bogus"]):
-        outcome = invoke("experiment", "--n", "2", "--p", "1/2", *flags)
-        assert (outcome.exit_code, outcome.stdout) == (2, ""), flags
-        assert outcome.stderr.startswith("error: "), flags
+    """Checked before any row runs, also on a grid with no --p rows."""
+    for grid in (["--p", "1/2"], ["--k", "2"]):
+        for flags in (["--iters", "0"], ["--solver", "bogus"], ["--solver", "exact,bogus"]):
+            outcome = invoke("experiment", "--n", "2", *grid, *flags)
+            assert (outcome.exit_code, outcome.stdout) == (2, ""), (grid, flags)
+            assert outcome.stderr.startswith("error: "), (grid, flags)
+
+
+def test_deeply_nested_json_rejected(tmp_path):
+    """JSON nested past Python's recursion limit is a usage error on every
+    command that reads a file."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for argv in (["wdisc", "exact", "--matrix", str(deep), "--p", "1/2"],
+                 ["wdisc", "heur", "--matrix", str(deep), "--p", "1/2"],
+                 ["odisc", "exact", "--matrix", str(deep), "--k", "2"],
+                 ["odisc", "color", "--matrix", str(deep), "--k", "2"],
+                 ["fd", "gen", "--kind", "cd", "--matrix", str(deep), "--k", "2"],
+                 ["fd", "check", "--instance", str(deep), "--allocation", str(deep),
+                  "--notion", "ef", "--c", "0"],
+                 ["fd", "minc", "--instance", str(deep), "--notion", "ef"],
+                 ["fd", "allocate", "--instance", str(deep)]):
+        outcome = invoke(*argv)
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), argv
+        assert outcome.stderr == f"error: {deep} nests JSON too deeply to read\n", argv
+
+
+def test_fd_minc_one_group_many_goods(tmp_path):
+    """1,200 goods in one group: one leaf, searched without recursion."""
+    instance = tmp_path / "inst.json"
+    instance.write_text(json.dumps({"groups": [[["1"] * 1200]]}))
+    for notion in ("ef", "prop", "cd"):
+        outcome = invoke("fd", "minc", "--instance", str(instance), "--notion", notion)
+        assert outcome.exit_code == 0, notion
+        assert payload(outcome)["c_star"] == 0, notion
 
 
 def test_numerals_past_the_digit_limit_rejected(tmp_path):

@@ -162,6 +162,15 @@ def test_brute_force_pinned():
     assert min_c_for_allocation(inst, witness, "PROP") == 1
 
 
+def test_brute_force_depth_is_not_bounded_by_recursion():
+    """One group of 1,200 goods has one allocation, past Python's default
+    recursion limit in depth: every good goes to bundle 0, c = 0."""
+    inst = FairDivInstance.from_groups([[[1] * 1200]])
+    for tag in ("EF", "PROP", "CD"):
+        c, witness = brute_force_min_c(inst, tag)
+        assert (c, witness.bundles) == (0, (tuple(range(1200)),)), tag
+
+
 def test_brute_force_witness_is_lex_least():
     """Witness equals the first minimizer in base-k assignment order."""
     rng = random.Random(71)

@@ -125,7 +125,7 @@ def allocation_docs(draw, k, m):
 
 JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3))
 ANY_JSON = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
-NOT_JSON = ["", "{", "not json", '{"rows": Infinity, "cols": 1, "entries": [[1]]}']
+NOT_JSON = ["", "{", "not json", "[" * 200_000, '{"rows": Infinity, "cols": 1, "entries": [[1]]}']
 
 
 @st.composite

@@ -27,7 +27,7 @@ from disclab import (
     wdisc_heuristic,
 )
 
-from disclab.solvers import _draw_threshold, _drop_first, _group_columns, check_search
+from disclab.solvers import _draw_threshold, check_search
 
 from conftest import (
     ENTRIES,
@@ -478,21 +478,6 @@ def test_odisc_exact_nodes_pinned():
         assert odisc_exact([RatMatrix.from_rows([[1] * k])] * k).nodes_explored == nodes
     split = odisc_exact([RatMatrix.from_rows([[1, 1, 0, 0]]), RatMatrix.from_rows([[1, 0, 1, 0]])])
     assert (split.value, split.witness, split.nodes_explored) == (0, (1, 2, 2, 1), 13)
-
-
-def test_derived_groups_match_regrouping():
-    """The witness rebuild derives the groups of columns d+1, ... from those
-    of columns d, ...; they equal the groups built from scratch, order
-    included, also where distinct columns tie on mass."""
-    rng = random.Random(5)
-    for _ in range(200):
-        pool = [tuple(rng.randint(0, 2) for _ in range(2)) for _ in range(rng.randint(1, 4))]
-        columns = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
-        masses = [sum(col) for col in columns]
-        groups = _group_columns(columns, masses, range(len(columns)))
-        for d in range(len(columns)):
-            groups = _drop_first(groups, masses, d)
-            assert groups == _group_columns(columns, masses, range(d + 1, len(columns))), (columns, d)
 
 
 def test_multicolor_at_least_weighted():
