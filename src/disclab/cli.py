@@ -58,6 +58,7 @@ from .recursive_coloring import odisc_color, reference_bound
 from .solvers import (
     DEFAULT_CAP,
     OracleConfig,
+    check_search,
     eval_asymmetric,
     odisc_exact,
     wdisc_exact,
@@ -297,6 +298,8 @@ def _blocks_from_args(args):
         raise InputError("--k must be >= 1")
     matrices = [_load_matrix(path) for path in args.matrix]
     if args.k is not None and len(matrices) == 1:
+        if args.how == "exact":
+            check_search(args.k, matrices[0].cols, _cap(args))  # before the k copies are listed
         return matrices * args.k
     if args.k is not None and args.k != len(matrices):
         raise InputError("--k disagrees with the number of --matrix blocks")
@@ -495,7 +498,7 @@ def run(argv) -> CommandOutcome:
         return CommandOutcome(EXIT_BUDGET, "", f"budget exceeded: {exc}\n")
     except VerificationError as exc:
         return CommandOutcome(EXIT_CERT_FAIL, "", f"verification failed: {exc}\n")
-    except (InputError, DisclabError) as exc:
+    except DisclabError as exc:
         return CommandOutcome(EXIT_USAGE, "", f"error: {exc}\n")
 
 

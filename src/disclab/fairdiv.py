@@ -151,10 +151,13 @@ class FairDivInstance:
         for field in ("k", "group_sizes", "m"):
             if field in data:
                 declared = data[field]
-                actual = getattr(instance, field)
-                if isinstance(actual, tuple) and isinstance(declared, list):
+                counts = declared if field == "group_sizes" and isinstance(declared, list) else [declared]
+                if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
+                    kind = "a list of JSON integers" if field == "group_sizes" else "a JSON integer"
+                    raise InputError(f"instance {field} must be {kind}, got {declared!r}")
+                if isinstance(declared, list):
                     declared = tuple(declared)
-                if declared != actual:
+                if declared != getattr(instance, field):
                     raise InputError(f"declared {field} does not match groups")
         return instance
 

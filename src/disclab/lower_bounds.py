@@ -19,15 +19,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import CapExceededError, InputError
-from .matrices import (
-    MAX_CELLS,
-    MAX_LOG2_ORDER,
-    MAX_WIDTH,
-    RatMatrix,
-    hadamard_sylvester,
-    lift_w,
-    stack_horizontal,
-)
+from .matrices import MAX_CELLS, RatMatrix, hadamard_sylvester, lift_w, stack_horizontal
 from .rational import format_rational, sqrt_lower
 from .solvers import DEFAULT_CAP, check_search, odisc_exact, wdisc_exact
 
@@ -93,21 +85,18 @@ def stacked_shape(p: Fraction, n: int) -> tuple:
     p above 1/2 is mirrored to 1 - p first (the weighted discrepancy is
     symmetric under that swap); afterwards t = floor(1/(2p)) guarantees
     1/4 <= p*t <= 1/2. The width n*t is known here, so callers check their
-    caps before any cell is built; an order beyond the Hadamard cap, a
-    width beyond the stacking cap and more than MAX_CELLS cells (n*n*t) are
-    refused here for the same reason.
+    caps before any cell is built. The one size limit is the cell limit:
+    more than MAX_CELLS cells (n*n*t) are refused here for the same reason,
+    and since t >= 1 that also refuses every order beyond the largest
+    Sylvester order.
     """
     p = Fraction(p)
     if not 0 < p < 1:
         raise InputError(f"p must lie strictly between 0 and 1, got {p}")
-    log2 = _require_power_of_two(n)
-    if log2 > MAX_LOG2_ORDER:
-        raise CapExceededError(f"log2_order {log2} exceeds cap {MAX_LOG2_ORDER}")
+    _require_power_of_two(n)
     if p > _HALF:
         p = 1 - p
     t = int(Fraction(1, 2) / p)  # floor of 1/(2p) for positive rationals
-    if n * t > MAX_WIDTH:
-        raise CapExceededError(f"stacked width {n * t} exceeds cap {MAX_WIDTH}")
     if n * n * t > MAX_CELLS:
         raise CapExceededError(f"stacked cells {n * n * t} exceed cap {MAX_CELLS}")
     return p, t

@@ -30,9 +30,8 @@ from .rational import as_ratio, format_ratio, over_common_denominator, parse_rat
 #: n^2 cells: on Python 3.11 `construct w` peaks at 39 MB at order 2^10 and
 #: 105 MB at 2^11. Larger orders are refused before any cell is built.
 MAX_LOG2_ORDER = 11
-#: Widest horizontal stack built; `stacked_shape` checks it before building.
-MAX_WIDTH = 1_000_000
-#: Most cells a stacked matrix may have: those of the largest Sylvester order.
+#: The one cell limit of a horizontal stack, rows * cols * copies: the cells
+#: of the largest Sylvester order. `stacked_shape` checks it before building.
 MAX_CELLS = 4**MAX_LOG2_ORDER
 #: One shared string per sign-matrix value in the JSON form.
 _SIGN_TEXT = {1: "1", -1: "-1"}
@@ -157,10 +156,7 @@ class RatMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatMatrix":
         rows, cols, raw = _read_matrix_dict(data)
-        matrix = cls._from_ratios([[parse_ratio(cell) for cell in row] for row in raw])
-        if matrix.rows != rows or matrix.cols != cols:
-            raise InputError("declared dimensions do not match entries")
-        return matrix
+        return cls._from_ratios([[parse_ratio(cell) for cell in row] for row in raw])
 
 
 def _read_matrix_dict(data: dict):
@@ -213,10 +209,9 @@ def stack_horizontal(matrix: RatMatrix, copies: int) -> RatMatrix:
     """Concatenate `copies` copies of `matrix` side by side."""
     if copies < 1:
         raise InputError("copies must be >= 1")
-    if matrix.cols * copies > MAX_WIDTH:
-        raise CapExceededError(
-            f"stacked width {matrix.cols * copies} exceeds cap {MAX_WIDTH}"
-        )
+    cells = matrix.rows * matrix.cols * copies
+    if cells > MAX_CELLS:
+        raise CapExceededError(f"stacked cells {cells} exceed cap {MAX_CELLS}")
     return RatMatrix(
         rows=matrix.rows,
         cols=matrix.cols * copies,

@@ -39,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from operator import not_
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
@@ -579,24 +579,25 @@ def odisc_exact(blocks, cap: int = DEFAULT_CAP) -> OdiscResult:
     k = len(blocks)
     check_search(k, blocks[0].cols, cap)
     symmetric = all(block == blocks[0] for block in blocks)
-    owners = [s for s, block in enumerate(blocks) for _ in range(block.rows)]
+    offsets = list(accumulate((block.rows for block in blocks), initial=0))
     columns, start, denom = _scale_weighted(stack_vertical(blocks), Fraction(1, k))
-    best, chi, nodes = _odisc_dfs(columns, start, owners, k, symmetric)
+    best, chi, nodes = _odisc_dfs(columns, start, offsets, k, symmetric)
     return OdiscResult(value=Fraction(best, denom), witness=chi, nodes_explored=nodes, exact=True)
 
 
-def _odisc_dfs(columns, start, owners, k, symmetric):
-    """Search colorings of the stacked blocks, row r belonging to block
-    owners[r], in the weighted objective at p = 1/k as `_scale_weighted`
-    scales it: `columns` hold k times each entry, `start` each row sum T.
-    Returns (scaled value, coloring, nodes).
+def _odisc_dfs(columns, start, offsets, k, symmetric):
+    """Search colorings of the stacked blocks, block s holding rows
+    offsets[s] to offsets[s + 1] - 1, in the weighted objective at p = 1/k as
+    `_scale_weighted` scales it: `columns` hold k times each entry, `start`
+    each row sum T. Returns (scaled value, coloring, nodes).
 
     A coloring subtracts from row r only the columns of its block's color,
     so every value lies in [T - k*T, T]; the incumbent starts above
     k * max T, where every coloring beats it, and the root is admitted.
-    Each column is packed once per color, holding only the rows of that
-    color's block; the remaining mass counts every row. With `symmetric`,
-    color c + 1 is tried only once colors 1..c have appeared.
+    Each column is packed once per color from that color's block rows
+    alone, shifted to the block's fields; the remaining mass counts every
+    row. With `symmetric`, color c + 1 is tried only once colors 1..c have
+    appeared.
 
     One loop walks the tree depth first, keeping per depth the packed values
     of the node being branched, the number of colors it may try and, in
@@ -608,8 +609,8 @@ def _odisc_dfs(columns, start, owners, k, symmetric):
     limit = k * max(start) + 1
     packing = _Packing(start, columns, limit)
     by_color = [
-        [packing.pack([a if s == color else 0 for a, s in zip(col, owners)]) for col in columns]
-        for color in range(k)
+        [packing.pack(col[lo:hi]) << (packing.width * lo) for col in columns]
+        for lo, hi in zip(offsets, offsets[1:])
     ]
     m = len(columns)
     root = packing.pack_values(start)

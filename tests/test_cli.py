@@ -253,6 +253,20 @@ def test_matrix_dimensions_must_be_json_integers(tmp_path, field, count):
         assert outcome.stderr == f"error: matrix {field} must be a JSON integer, got {count!r}\n"
 
 
+@pytest.mark.parametrize("count", [1.0, True, "1"])
+@pytest.mark.parametrize("field", ["k", "m", "group_sizes"])
+def test_instance_counts_must_be_json_integers(tmp_path, field, count):
+    data = {"k": 1, "m": 1, "group_sizes": [1], "groups": [[["1/2"]]]}
+    data[field] = [count] if field == "group_sizes" else count
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    kind = "a list of JSON integers" if field == "group_sizes" else "a JSON integer"
+    for argv in (["fd", "minc", "--notion", "ef"], ["fd", "allocate"]):
+        outcome = invoke(*argv, "--instance", str(path))
+        assert (outcome.exit_code, outcome.stdout) == (2, ""), argv
+        assert outcome.stderr == f"error: instance {field} must be {kind}, got {data[field]!r}\n"
+
+
 def test_experiment_rejects_bad_oracle_settings():
     """Checked before any row runs, also on a grid with no --p rows."""
     for grid in (["--p", "1/2"], ["--k", "2"]):
@@ -341,9 +355,8 @@ def test_hadamard_order_cap_refuses_before_building():
 
 def test_caps_refuse_before_building(monkeypatch):
     """The stacked width n*t is known from (p, n): the search cap on 2^(n*t)
-    or k^(n*t) leaves and the stacking width and cell caps are checked
-    before any construction is built, in certify, experiment rows and
-    construct."""
+    or k^(n*t) leaves and the cell cap on n*n*t are checked before any
+    construction is built, in certify, experiment rows and construct."""
     from fractions import Fraction
 
     from disclab import CapExceededError, cli, lower_bounds
@@ -365,20 +378,22 @@ def test_caps_refuse_before_building(monkeypatch):
     assert [row.split(",")[5:7] for row in rows] == [["1", "1024"], ["2", "2048"], ["1", "1024"]]
     assert all(",skipped:budget," in row for row in rows)
     # construct stacked calls build_stacked itself, which must refuse the
-    # width before it builds the Hadamard matrix
+    # cells before it builds the Hadamard matrix
     monkeypatch.undo()
     monkeypatch.setattr(lower_bounds, "hadamard_sylvester", never)
     outcome = invoke("construct", "stacked", "--p", "1/10000000", "--n", "1024")
     assert (outcome.exit_code, outcome.stdout) == (3, "")
-    assert "stacked width 5120000000 exceeds cap 1000000" in outcome.stderr
-    # 512,000 columns pass the width cap; 1024 x 512,000 cells do not
+    assert "stacked cells 5242880000000 exceed cap 4194304" in outcome.stderr
     outcome = invoke("construct", "stacked", "--p", "1/1000", "--n", "1024")
     assert (outcome.exit_code, outcome.stdout) == (3, "")
     assert "stacked cells 524288000 exceed cap 4194304" in outcome.stderr
     # the cell cap is the size of the largest Sylvester order, 2048 x 2048
     assert lower_bounds.stacked_shape(Fraction(1, 8), 1024) == (Fraction(1, 8), 4)
     assert lower_bounds.stacked_shape(Fraction(1, 3), 2048) == (Fraction(1, 3), 1)
-    for p, n in ((Fraction(1, 10), 1024), (Fraction(1, 4), 2048), (Fraction(1, 131074), 8)):
+    # 1,000,001 columns of one row are 1,000,001 cells, within the cell cap
+    assert lower_bounds.stacked_shape(Fraction(1, 2_000_002), 1) == (Fraction(1, 2_000_002), 1_000_001)
+    for p, n in ((Fraction(1, 10), 1024), (Fraction(1, 4), 2048), (Fraction(1, 131074), 8),
+                 (Fraction(1, 2), 4096), (Fraction(1, 8_388_610), 1)):
         with pytest.raises(CapExceededError, match="stacked cells"):
             lower_bounds.stacked_shape(p, n)
 
@@ -487,6 +502,23 @@ def test_huge_cap_builds_no_huge_integer():
         tracemalloc.stop()
     assert outcome.exit_code == 0
     assert peak < 10_000_000
+
+
+def test_odisc_exact_copies_refused_before_listing(tmp_path):
+    """--k 10^7 copies of a 2-column matrix are 10^14 leaves: refused before
+    the 10^7-entry block list is made."""
+    import tracemalloc
+
+    amat = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
+    tracemalloc.start()
+    try:
+        outcome = invoke("odisc", "exact", "--matrix", amat, "--k", "10000000")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (outcome.exit_code, outcome.stdout) == (3, "")
+    assert "search over 10000000^2 leaves exceeds cap 2^24" in outcome.stderr
+    assert peak < 5_000_000
 
 
 def test_console_script_entry_point():

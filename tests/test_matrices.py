@@ -96,9 +96,9 @@ def test_stack_horizontal(w2, w4):
     tripled = stack_horizontal(w4, 3)
     assert tripled.cols == 12
     assert [row[4] for row in tripled.entries] == [row[0] for row in w4.entries]
-    # 4 * 250_001 columns: refused from the shape alone, before any row is built
-    with pytest.raises(CapExceededError):
-        stack_horizontal(w4, 250_001)
+    # 4 x 4 x 262,145 cells: refused from the shape alone, before any row is built
+    with pytest.raises(CapExceededError, match="stacked cells 4194320 exceed cap 4194304"):
+        stack_horizontal(w4, 262_145)
     with pytest.raises(InputError):
         stack_horizontal(w4, 0)
 

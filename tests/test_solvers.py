@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -306,6 +307,17 @@ def test_odisc_exact_refuses_before_stacking(w2):
     the 200,000-row stack is built."""
     blocks = [w2] * 100_000
     assert peak_bytes(lambda: odisc_exact(blocks), CapExceededError) < 5_000_000
+
+
+def test_odisc_exact_many_colors_set_up_fast():
+    """8,192 copies of [[1]] are 8,192 leaves: each color's packed column is
+    built from its own block's row, so the set-up is not cubic in k."""
+    one = RatMatrix.from_rows([[1]])
+    started = time.process_time()
+    result = odisc_exact([one] * 8192)
+    elapsed = time.process_time() - started
+    assert (result.value, result.witness, result.nodes_explored) == (Fraction(8191, 8192), (1,), 2)
+    assert elapsed < 5
 
 
 def test_check_search_builds_no_power_far_from_the_cap():
