@@ -52,7 +52,7 @@ from .lower_bounds import (
     lb_value,
     stacked_shape,
 )
-from .matrices import RatMatrix, hadamard_sylvester, lift_w
+from .matrices import RatMatrix, check_cells, hadamard_sylvester, lift_w
 from .rational import format_rational, parse_rational
 from .recursive_coloring import odisc_color, reference_bound
 from .solvers import (
@@ -298,8 +298,10 @@ def _blocks_from_args(args):
         raise InputError("--k must be >= 1")
     matrices = [_load_matrix(path) for path in args.matrix]
     if args.k is not None and len(matrices) == 1:
+        # Both searches stack the k copies: refuse before they are listed.
         if args.how == "exact":
-            check_search(args.k, matrices[0].cols, _cap(args))  # before the k copies are listed
+            check_search(args.k, matrices[0].cols, _cap(args))
+        check_cells(matrices[0].rows * matrices[0].cols * args.k)
         return matrices * args.k
     if args.k is not None and args.k != len(matrices):
         raise InputError("--k disagrees with the number of --matrix blocks")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import CapExceededError, InputError
-from .matrices import MAX_CELLS, RatMatrix, hadamard_sylvester, lift_w, stack_horizontal
+from .errors import InputError
+from .matrices import RatMatrix, check_cells, hadamard_sylvester, lift_w, stack_horizontal
 from .rational import format_rational, sqrt_lower
 from .solvers import DEFAULT_CAP, check_search, odisc_exact, wdisc_exact
 
@@ -97,8 +97,7 @@ def stacked_shape(p: Fraction, n: int) -> tuple:
     if p > _HALF:
         p = 1 - p
     t = int(Fraction(1, 2) / p)  # floor of 1/(2p) for positive rationals
-    if n * n * t > MAX_CELLS:
-        raise CapExceededError(f"stacked cells {n * n * t} exceed cap {MAX_CELLS}")
+    check_cells(n * n * t)
     return p, t
 
 
@@ -186,13 +185,15 @@ def certify_multicolor_lb(k: int, n: int, cap: int = DEFAULT_CAP) -> CertReport:
     exactly on k identical copies, and the weighted problem exactly at 1/k;
     both inequalities are checked with exact arithmetic (the last one on
     squares). Intended for n <= 4 where k^(n*t) enumeration is immediate;
-    more than 2^cap colorings are refused before anything is built. Both
-    searches run under `cap`, and the weighted one, over 2^(n*t) <= k^(n*t)
-    selections, is never refused once the coloring search was admitted.
+    more than 2^cap colorings, or k copies over the cell limit of a stack,
+    are refused before anything is built. Both searches run under `cap`,
+    and the weighted one, over 2^(n*t) <= k^(n*t) selections, is never
+    refused once the coloring search was admitted.
     """
     check_multicolor_k(k)
     _p, t = stacked_shape(Fraction(1, k), n)
     check_search(k, n * t, cap)
+    check_cells(k * n * n * t)
     construction = build_stacked(Fraction(1, k), n)
     colored = odisc_exact([construction.matrix] * k, cap)
     weighted = wdisc_exact(construction.matrix, construction.p, cap)

@@ -30,8 +30,9 @@ from .rational import as_ratio, format_ratio, over_common_denominator, parse_rat
 #: n^2 cells: on Python 3.11 `construct w` peaks at 39 MB at order 2^10 and
 #: 105 MB at 2^11. Larger orders are refused before any cell is built.
 MAX_LOG2_ORDER = 11
-#: The one cell limit of a horizontal stack, rows * cols * copies: the cells
-#: of the largest Sylvester order. `stacked_shape` checks it before building.
+#: The one cell limit of a stack, horizontal or vertical: the cells of the
+#: largest Sylvester order. `check_cells` refuses a larger stack before any
+#: cell is built.
 MAX_CELLS = 4**MAX_LOG2_ORDER
 #: One shared string per sign-matrix value in the JSON form.
 _SIGN_TEXT = {1: "1", -1: "-1"}
@@ -205,13 +206,18 @@ def lift_w(matrix: SignMatrix) -> RatMatrix:
     )
 
 
+def check_cells(cells: int) -> None:
+    """Refuse a stack of more than MAX_CELLS cells; callers check before
+    building it."""
+    if cells > MAX_CELLS:
+        raise CapExceededError(f"stacked cells {cells} exceed cap {MAX_CELLS}")
+
+
 def stack_horizontal(matrix: RatMatrix, copies: int) -> RatMatrix:
     """Concatenate `copies` copies of `matrix` side by side."""
     if copies < 1:
         raise InputError("copies must be >= 1")
-    cells = matrix.rows * matrix.cols * copies
-    if cells > MAX_CELLS:
-        raise CapExceededError(f"stacked cells {cells} exceed cap {MAX_CELLS}")
+    check_cells(matrix.rows * matrix.cols * copies)
     return RatMatrix(
         rows=matrix.rows,
         cols=matrix.cols * copies,
@@ -235,6 +241,7 @@ def check_blocks(blocks) -> list:
 def stack_vertical(blocks) -> RatMatrix:
     """Concatenate matrices top to bottom; all must share a column count."""
     blocks = check_blocks(blocks)
+    check_cells(sum(block.rows for block in blocks) * blocks[0].cols)
     den = math.lcm(*(block.den for block in blocks))
     nums = tuple(tuple(den // block.den * a for a in row) for block in blocks for row in block.nums)
     return RatMatrix(rows=len(nums), cols=blocks[0].cols, nums=nums, den=den)

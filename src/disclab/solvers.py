@@ -21,7 +21,10 @@ rule admits only when it beats the incumbent. Each search is one loop over
 an explicit stack, not a recursion: per depth it keeps the packed values of
 the admitted node and the count or color tried there, plus one upper gate
 (the mass later depths can still subtract, plus the incumbent's bar), so a
-node costs a few int operations and no Python call.
+node costs a few int operations and no Python call. The weighted search
+pays only the tests that can fail: a descent's first child selects nothing
+more, so it is its parent and goes straight to the upper gate, and the size
+and lower tests run only where a count advances.
 
 One search routine serves the weighted solver in two modes, always over
 merged duplicate columns (only the selection count within an
@@ -196,7 +199,9 @@ class _Packing:
     apply the rule inline. Each keeps one gate per depth, R + high for the
     mass R the later depths can still subtract, so the upper test is one
     subtraction and one mask, and rebuilds the gates when the incumbent
-    improves.
+    improves. A test runs only where it can fail: a child whose values equal
+    its parent's, as at a `_search` descent, passes the lower test with its
+    parent, and only a subtraction can newly fail it.
     """
 
     __slots__ = ("width", "rows", "ones", "top")
@@ -266,9 +271,18 @@ def _search(packing, groups, values, limit, first):
     packed values of the admitted node at each depth and the count tried
     there. Each depth keeps its upper gate, the packed mass of the groups
     after it plus the high bar, so a child's upper test is one subtraction
-    and one mask; the gates are rebuilt when the incumbent improves. The
-    root counts as a node but needs no test of its own: a depth-0 child
-    passes only where the root would, since selecting only subtracts.
+    and one mask; the gates are rebuilt when the incumbent improves.
+
+    Each step pays only the tests that can fail. The root counts as a node
+    and takes one lower test before the loop; its upper test is left to the
+    depth-0 children, since selecting only subtracts. A descent from an
+    admitted node at depth d to count 0 at depth d + 1 selects nothing, so
+    the child is the node itself: it has passed the lower test under the
+    same incumbent, count 0 never exceeds a group's size, and only the
+    upper gate, which leaves group d out of the mass, is new. The size and
+    lower tests run only after a count advances, one more column of the
+    group subtracted; where they fail, the search steps back to the next
+    count of the depth above until one passes both, or ends at the root.
     Returns (value, selected, nodes): `selected` lists the chosen indices,
     each group's 1s on its latest indices, and is None when no selection
     gets below `limit`.
@@ -282,38 +296,41 @@ def _search(packing, groups, values, limit, first):
     top = packing.top
     low, gates = packing.bars(limit, below)
     best, found, nodes = limit, None, 1
+    if (values + low) & top != top:
+        return best, found, nodes
     last = len(cols) - 1
     node = [values] * len(cols)  # node[d]: the admitted child at depth d, counts[d] of its group selected
     counts = [0] * len(cols)
     d, count, child = 0, 0, values
     while True:
-        if count > sizes[d] or (child + low) & top != top:
-            # Group d is spent, or a row is at or below -limit and more of
-            # the group lowers it further: back to depth d - 1.
-            if not d:
-                break
-            d -= 1
-            count = counts[d] + 1
-            child = node[d] - cols[d]
-            continue
-        if (child - gates[d]) & top:
-            count += 1
-            child -= cols[d]
-            continue
-        nodes += 1
-        counts[d] = count
-        if d == last:
+        # `child`, count `count` of group d, has passed the size and lower tests.
+        if not (child - gates[d]) & top:
+            nodes += 1
+            counts[d] = count
+            if d < last:
+                node[d] = child
+                d += 1
+                count = 0
+                continue
             best = packing.worst(child)
             found = counts[:]
             if first or not best:
                 break
             low, gates = packing.bars(best, below)
-            count += 1
-            child -= cols[d]
+        # Next count of group d; where the group is spent, or a row is at or
+        # below -limit and more of the group lowers it further, back to the
+        # next count of depth d - 1.
+        count += 1
+        child -= cols[d]
+        while count > sizes[d] or (child + low) & top != top:
+            if not d:
+                break  # depth 0 is spent: the search is over
+            d -= 1
+            count = counts[d] + 1
+            child = node[d] - cols[d]
+        else:
             continue
-        node[d] = child
-        d += 1
-        count = 0
+        break
     if found is None:
         return best, None, nodes
     selected = []
@@ -594,10 +611,13 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
     A coloring subtracts from row r only the columns of its block's color,
     so every value lies in [T - k*T, T]; the incumbent starts above
     k * max T, where every coloring beats it, and the root is admitted.
-    Each column is packed once per color from that color's block rows
-    alone, shifted to the block's fields; the remaining mass counts every
-    row. With `symmetric`, color c + 1 is tried only once colors 1..c have
-    appeared.
+    With `symmetric`, color c + 1 is tried only once colors 1..c have
+    appeared, so depth d tries at most d + 1 colors. Column d is packed only
+    for the colors depth d may try, each from that color's block rows alone,
+    shifted to the block's fields: a color's packed column spans the rows up
+    to its block, so packing every color at every depth would grow as k^2
+    even where the search tries one color. The remaining mass counts every
+    row.
 
     One loop walks the tree depth first, keeping per depth the packed values
     of the node being branched, the number of colors it may try and, in
@@ -608,11 +628,11 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
     """
     limit = k * max(start) + 1
     packing = _Packing(start, columns, limit)
-    by_color = [
-        [packing.pack(col[lo:hi]) << (packing.width * lo) for col in columns]
-        for lo, hi in zip(offsets, offsets[1:])
-    ]
     m = len(columns)
+    by_depth = []  # by_depth[d][c]: column d packed for color c + 1
+    for d, col in enumerate(columns):
+        ends = offsets[1 : d + 2] if symmetric else offsets[1:]  # the colors depth d may try
+        by_depth.append([packing.pack(col[lo:hi]) << (packing.width * lo) for lo, hi in zip(offsets, ends)])
     root = packing.pack_values(start)
     below = _below([packing.pack(col) for col in columns])
     top = packing.top
@@ -631,7 +651,7 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
             color = chi[d]
             continue
         nodes += 1
-        child = node[d] - by_color[color][d]
+        child = node[d] - by_depth[d][color]
         color += 1
         if (child + low) & top != top or (child - gates[d]) & top:
             continue

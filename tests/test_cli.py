@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -103,6 +104,26 @@ def test_odisc_color_certificate(tmp_path):
     assert len(data["coloring"]) == 2
     assert len(data["bounds"]) == 3
     assert data["certificate"]["colors"] == [1, 3]
+
+
+def test_odisc_k_copies_refuse_cells_before_listing(tmp_path):
+    """Both odisc commands stack the k copies, so k copies of more than the
+    cell cap are refused before they are listed (tracemalloc)."""
+    path = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
+    one = write_matrix(tmp_path, "one.json", [[1]])
+    for argv, cells in (
+        (("odisc", "color", "--matrix", path, "--k", "10000000"), 40_000_000),
+        (("odisc", "exact", "--matrix", one, "--k", "5000000", "--cap", "64"), 5_000_000),
+    ):
+        tracemalloc.start()
+        try:
+            outcome = invoke(*argv)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (outcome.exit_code, outcome.stdout) == (3, ""), argv
+        assert f"stacked cells {cells} exceed cap 4194304" in outcome.stderr
+        assert peak < 1_000_000, argv
 
 
 def test_fd_pipeline(tmp_path):

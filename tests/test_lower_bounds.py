@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from disclab import (
+    CapExceededError,
     InputError,
     RatMatrix,
     build_stacked,
@@ -173,9 +174,17 @@ def test_certify_multicolor_cap_reaches_both_searches(monkeypatch):
     assert report.passed
 
 
-def test_certify_multicolor_validation():
+def test_certify_multicolor_validation(monkeypatch):
     with pytest.raises(InputError):
         certify_multicolor_lb(1, 2)
+    # 2,897 copies of the 1 x 1,448 construction are 4,194,856 cells, over
+    # the cell limit though a lifted cap admits the 2,897^1,448 colorings:
+    # refused before the construction is built
+    from disclab import lower_bounds
+
+    monkeypatch.setattr(lower_bounds, "build_stacked", None)
+    with pytest.raises(CapExceededError, match="stacked cells 4194856 exceed cap 4194304"):
+        certify_multicolor_lb(2897, 1, cap=20_000)
 
 
 def test_coordinate_gap_property():

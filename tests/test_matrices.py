@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,22 @@ def test_stack_vertical(w2, w4):
     assert stacked.entries == ((1, 1), (1, 0), (1, 1), (1, 0))
     with pytest.raises(DimensionMismatchError):
         stack_vertical([w2, w4])
+
+
+def test_stack_vertical_refuses_cells_before_building():
+    """1,025 blocks of one 4,096-column row are 4,198,400 cells, over the
+    cell cap: refused before a stacked row is built (tracemalloc)."""
+    wide = RatMatrix.from_rows([[1] * 4096])
+    blocks = [wide] * 1025
+    assert stack_vertical(blocks[:1024]).rows == 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="stacked cells 4198400 exceed cap 4194304"):
+            stack_vertical(blocks)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_transfer_z_examples():

@@ -28,7 +28,7 @@ from disclab import (
     wdisc_heuristic,
 )
 
-from disclab.solvers import _draw_threshold, check_search
+from disclab.solvers import _Packing, _draw_threshold, _search, check_search
 
 from conftest import (
     ENTRIES,
@@ -311,13 +311,21 @@ def test_odisc_exact_refuses_before_stacking(w2):
 
 def test_odisc_exact_many_colors_set_up_fast():
     """8,192 copies of [[1]] are 8,192 leaves: each color's packed column is
-    built from its own block's row, so the set-up is not cubic in k."""
-    one = RatMatrix.from_rows([[1]])
-    started = time.process_time()
-    result = odisc_exact([one] * 8192)
-    elapsed = time.process_time() - started
+    built from its own block's row, so the set-up is not cubic in k, and the
+    symmetric search tries one color at its one depth, so it packs one
+    column, not one per color spanning the rows up to its block."""
+    blocks = [RatMatrix.from_rows([[1]])] * 8192
+    tracemalloc.start()
+    try:
+        started = time.process_time()
+        result = odisc_exact(blocks)
+        elapsed = time.process_time() - started
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert (result.value, result.witness, result.nodes_explored) == (Fraction(8191, 8192), (1,), 2)
     assert elapsed < 5
+    assert peak < 5_000_000
 
 
 def test_check_search_builds_no_power_far_from_the_cap():
@@ -449,6 +457,56 @@ def test_wdisc_exact_nodes_pinned_on_stacked_w():
         p = Fraction(1, den)
         result = wdisc_exact(build_stacked(p, n).matrix, p, cap=64)
         assert (result.value, result.nodes_explored) == (Fraction(value), nodes), (n, den)
+
+
+# Seeded matrices of 3-8 rows and 12-20 columns, entries in multiples of 1/2,
+# 1/3 or 1/4, about a third of the columns copies of earlier ones, p cycling
+# through 1/2 .. 7/8: (p, value, witness, nodes_explored) of wdisc_exact,
+# trial by trial. Every trial's witness rebuild runs feasibility searches
+# that fail at the root, every child of the root refused.
+RANDOM_WDISC_NODES = [
+    ("1/2", "3/8", "0000001011111", 321),
+    ("5/8", "11/32", "01001001111110101011", 5973),
+    ("2/3", "1/9", "00100111001111111", 409),
+    ("3/4", "1/12", "10111111001111", 196),
+    ("4/5", "1/3", "111111100111", 246),
+    ("7/8", "9/32", "1110111111101", 148),
+    ("1/2", "1/4", "01011000001110111100", 1482),
+    ("5/8", "11/24", "0010011101011111", 315),
+    ("2/3", "1/2", "00011111101111", 221),
+    ("3/4", "1/4", "0010110111111011111", 223),
+    ("4/5", "4/15", "110101111101111", 230),
+    ("7/8", "3/32", "10110110111111110", 458),
+]
+
+
+def test_wdisc_exact_pinned_on_random_matrices():
+    """The search tree does not move off the construction either: value,
+    witness and node count on random matrices with duplicated columns."""
+    rng = random.Random(2025)
+    for trial, (p, value, witness, nodes) in enumerate(RANDOM_WDISC_NODES):
+        rows, cols, den = rng.randint(3, 8), rng.randint(12, 20), rng.choice((2, 3, 4))
+        columns = []
+        for _ in range(cols):
+            if columns and rng.random() < 0.3:
+                columns.append(rng.choice(columns))
+            else:
+                columns.append([Fraction(rng.randint(0, den), den) for _ in range(rows)])
+        matrix = RatMatrix.from_rows(list(zip(*columns)))
+        result = wdisc_exact(matrix, Fraction(p))
+        expected = (Fraction(value), tuple(map(int, witness)), nodes)
+        assert (result.value, result.witness, result.nodes_explored) == expected, trial
+        assert eval_weighted(matrix, Fraction(p), result.witness) == result.value
+
+
+def test_search_refuses_a_root_below_the_floor():
+    """A root with a row at or below -limit is refused before the loop: no
+    selection, one node. One above the floor is admitted, and its empty
+    selection is the optimum, since the column only lowers the -3 row."""
+    packing = _Packing((2, -3), [(1, 1)], 4)
+    groups = [(packing.pack((1, 1)), [0])]
+    assert _search(packing, groups, packing.pack_values((2, -3)), 3, True) == (3, None, 1)
+    assert _search(packing, groups, packing.pack_values((2, -3)), 4, False) == (3, [], 2)
 
 
 # (k, n): (value, nodes_explored) of odisc_exact on k copies of the stacked
