@@ -356,15 +356,13 @@ def _cmd_fd(args) -> CommandOutcome:
         matrix = _load_matrix(args.matrix)
         if args.kind == "cd":
             instance = gen_cd_instance(matrix, args.k)
+        elif args.sizes is None:
+            raise InputError("--sizes is required for prop/ef generation")
+        elif args.kind == "prop":
+            instance = gen_prop_lb_instance(matrix, args.k, args.istar, args.sizes)
         else:
-            if args.sizes is None:
-                raise InputError("--sizes is required for prop/ef generation")
-            if args.kind == "prop":
-                instance = gen_prop_lb_instance(matrix, args.k, args.istar, args.sizes)
-            else:
-                instance = gen_ef_lb_instance(matrix, args.k, args.sizes)
-        payload = instance.to_json_dict()
-        text = _dump(payload)
+            instance = gen_ef_lb_instance(matrix, args.k, args.sizes)
+        text = _dump(instance.to_json_dict())
         _write_out(args.out, text)
         return CommandOutcome(EXIT_OK, text)
     if args.what == "check":

@@ -38,12 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    VerificationError,
-)
-from .matrices import RatMatrix
+from .errors import DimensionMismatchError, InputError, VerificationError
+from .matrices import RatMatrix, check_cells
 from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratio, pos_part
 from .recursive_coloring import odisc_color
 from .solvers import DEFAULT_CAP, OracleConfig, check_search, eval_asymmetric
@@ -466,14 +462,24 @@ def _rows_and_complements(amat: RatMatrix) -> list:
     ]
 
 
+def _check_counts(*counts) -> None:
+    """Refuse a generator count that is not an int: a float, string or bool."""
+    for count in counts:
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise InputError(f"count {count!r} is not an int")
+
+
 def gen_prop_lb_instance(amat: RatMatrix, k: int, i_star: int, group_sizes) -> FairDivInstance:
     """Complement-pair instance forcing min_c(PROP) up via the matrix rows.
 
     Groups 1..i_star each embed every row of `amat` and its complement as an
     agent pair; groups after i_star get one all-1 agent. Remaining agent
     slots are filled with all-zero utilities, the least constraining choice.
+    More than MAX_CELLS utilities (agents times goods) are refused before
+    any agent is built.
     """
-    sizes = tuple(int(s) for s in group_sizes)
+    sizes = tuple(group_sizes)
+    _check_counts(k, i_star, *sizes)
     if len(sizes) != k or k < 1:
         raise InputError("group_sizes must list k positive sizes")
     if any(s < 1 for s in sizes):
@@ -487,15 +493,11 @@ def gen_prop_lb_instance(amat: RatMatrix, k: int, i_star: int, group_sizes) -> F
         raise InputError(
             f"matrix rows {n_rows} exceed half the group-{i_star} size {sizes[i_star - 1]}"
         )
-    m = amat.cols
-    zero = [(0, 1)] * m
-    ones = [(1, 1)] * m
-    groups = []
-    for i in range(k):
-        agents = _rows_and_complements(amat) if i < i_star else [ones]
-        agents += [zero] * (sizes[i] - len(agents))
-        groups.append(agents)
-    return FairDivInstance._from_ratios(groups)
+    check_cells(sum(sizes) * amat.cols, "instance utilities")
+    zero = [(0, 1)] * amat.cols
+    pairs = _rows_and_complements(amat)
+    heads = [pairs if i < i_star else [[(1, 1)] * amat.cols] for i in range(k)]
+    return FairDivInstance._from_ratios([head + [zero] * (size - len(head)) for head, size in zip(heads, sizes)])
 
 
 def gen_ef_lb_instance(amat: RatMatrix, k: int, group_sizes) -> FairDivInstance:
@@ -508,18 +510,15 @@ def gen_cd_instance(amat: RatMatrix, k: int) -> FairDivInstance:
 
     Consensus division does not depend on the grouping, so the distribution
     is arbitrary; groups left empty by small matrices get one all-zero agent
-    to keep sizes positive.
+    to keep sizes positive. More than MAX_CELLS utilities are refused first.
     """
+    _check_counts(k)
     if k < 1:
         raise InputError("k must be >= 1")
-    groups = [[] for _ in range(k)]
-    for idx, agent in enumerate(_rows_and_complements(amat)):
-        groups[idx % k].append(agent)
+    check_cells(max(2 * amat.rows, k) * amat.cols, "instance utilities")
+    agents = _rows_and_complements(amat)
     zero = [(0, 1)] * amat.cols
-    for group in groups:
-        if not group:
-            group.append(zero)
-    return FairDivInstance._from_ratios(groups)
+    return FairDivInstance._from_ratios([agents[i::k] or [zero] for i in range(k)])
 
 
 def check_lemma_prop_to_disc(

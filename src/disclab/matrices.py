@@ -206,11 +206,11 @@ def lift_w(matrix: SignMatrix) -> RatMatrix:
     )
 
 
-def check_cells(cells: int) -> None:
-    """Refuse a stack of more than MAX_CELLS cells; callers check before
-    building it."""
+def check_cells(cells: int, what: str = "stacked cells") -> None:
+    """Refuse more than MAX_CELLS cells, a stack's or those of `what`;
+    callers check before building it."""
     if cells > MAX_CELLS:
-        raise CapExceededError(f"stacked cells {cells} exceed cap {MAX_CELLS}")
+        raise CapExceededError(f"{what} {cells} exceed cap {MAX_CELLS}")
 
 
 def stack_horizontal(matrix: RatMatrix, copies: int) -> RatMatrix:

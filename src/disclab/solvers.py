@@ -591,6 +591,8 @@ def odisc_exact(blocks, cap: int = DEFAULT_CAP) -> OdiscResult:
     coloring of each relabelling class is the one that introduces its colors
     in order 1, 2, ...; the search then visits only those colorings, which
     leaves value and witness unchanged. Refuses more than 2^cap colorings.
+    Each block's columns are packed once, over its own rows, and shifted into
+    place where a child subtracts them, so memory is linear in k.
     """
     blocks = check_blocks(blocks)
     k = len(blocks)
@@ -612,12 +614,11 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
     so every value lies in [T - k*T, T]; the incumbent starts above
     k * max T, where every coloring beats it, and the root is admitted.
     With `symmetric`, color c + 1 is tried only once colors 1..c have
-    appeared, so depth d tries at most d + 1 colors. Column d is packed only
-    for the colors depth d may try, each from that color's block rows alone,
-    shifted to the block's fields: a color's packed column spans the rows up
-    to its block, so packing every color at every depth would grow as k^2
-    even where the search tries one color. The remaining mass counts every
-    row.
+    appeared, so depth d tries at most d + 1 colors. Each block's columns are
+    packed once, over its rows alone and unshifted, and blocks whose packed
+    columns agree share them; a child shifts its color's column to the
+    block's fields where it subtracts it. So no table spans the rows above a
+    block, and memory is linear in k. The remaining mass counts every row.
 
     One loop walks the tree depth first, keeping per depth the packed values
     of the node being branched, the number of colors it may try and, in
@@ -629,10 +630,12 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
     limit = k * max(start) + 1
     packing = _Packing(start, columns, limit)
     m = len(columns)
-    by_depth = []  # by_depth[d][c]: column d packed for color c + 1
-    for d, col in enumerate(columns):
-        ends = offsets[1 : d + 2] if symmetric else offsets[1:]  # the colors depth d may try
-        by_depth.append([packing.pack(col[lo:hi]) << (packing.width * lo) for lo, hi in zip(offsets, ends)])
+    shared = {}  # blocks whose packed columns agree share one table
+    tables = []  # tables[c]: the columns of color c + 1's block, packed unshifted
+    for lo, hi in zip(offsets, offsets[1:]):
+        packed = tuple(packing.pack(col[lo:hi]) for col in columns)
+        tables.append(shared.setdefault(packed, packed))
+    shifts = [packing.width * lo for lo in offsets]
     root = packing.pack_values(start)
     below = _below([packing.pack(col) for col in columns])
     top = packing.top
@@ -651,7 +654,7 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
             color = chi[d]
             continue
         nodes += 1
-        child = node[d] - by_depth[d][color]
+        child = node[d] - (tables[color][d] << shifts[color])
         color += 1
         if (child + low) & top != top or (child - gates[d]) & top:
             continue

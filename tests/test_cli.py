@@ -167,6 +167,25 @@ def test_fd_gen_cd(tmp_path):
     assert data["k"] == 2
 
 
+def test_fd_gen_refuses_utilities_before_building(tmp_path):
+    """An instance of more utilities than the cell cap is a budget error,
+    refused before its agents are listed (tracemalloc)."""
+    path = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
+    for argv, cells in (
+        (("--kind", "cd", "--k", "100000000"), 200_000_000),
+        (("--kind", "prop", "--k", "2", "--sizes", "100000000,1"), 200_000_002),
+    ):
+        tracemalloc.start()
+        try:
+            outcome = invoke("fd", "gen", "--matrix", path, *argv)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (outcome.exit_code, outcome.stdout) == (3, ""), argv
+        assert f"instance utilities {cells} exceed cap 4194304" in outcome.stderr
+        assert peak < 1_000_000, argv
+
+
 def test_experiment_sweep():
     outcome = invoke("experiment", "--n", "2,4", "--p", "1/2,1/3")
     assert outcome.exit_code == 0

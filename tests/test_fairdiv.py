@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from disclab import (
     Allocation,
+    CapExceededError,
     FairDivInstance,
     FairnessNotion,
     InputError,
@@ -392,6 +394,40 @@ def test_gen_cd_instance():
     # groups stay nonempty even when k exceeds the agent count
     inst = gen_cd_instance(RatMatrix.from_rows([[1, 0]]), 5)
     assert all(size >= 1 for size in inst.group_sizes)
+
+
+def test_generators_refuse_counts_that_are_not_ints():
+    """A float size is not truncated, a numeral string is not parsed, and a
+    bool is not a group count."""
+    w2 = RatMatrix.from_rows([[1, 1], [1, 0]])
+    for k, i_star, sizes in ((2, 1, (4.9, 1)), (2, 1, ("4", "1")), (2.0, 1, (4, 1)), (2, True, (4, 1))):
+        with pytest.raises(InputError, match="is not an int"):
+            gen_prop_lb_instance(w2, k, i_star, sizes)
+    with pytest.raises(InputError, match="is not an int"):
+        gen_ef_lb_instance(w2, 2, (4, Fraction(1)))
+    for k in (True, 2.0, "2"):
+        with pytest.raises(InputError, match="is not an int"):
+            gen_cd_instance(w2, k)
+
+
+def test_generators_refuse_utilities_before_building():
+    """Agents times goods over the cell cap are refused before any agent is
+    listed (tracemalloc)."""
+    w2 = RatMatrix.from_rows([[1, 1], [1, 0]])
+    for call, cells in (
+        (lambda: gen_cd_instance(w2, 100_000_000), 200_000_000),
+        (lambda: gen_cd_instance(w2, 2_097_153), 4_194_306),
+        (lambda: gen_prop_lb_instance(w2, 2, 1, (100_000_000, 1)), 200_000_002),
+        (lambda: gen_ef_lb_instance(w2, 2, (2_097_152, 1)), 4_194_306),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=f"^instance utilities {cells} exceed cap 4194304$"):
+                call()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, cells
 
 
 def test_lemma_pinned():

@@ -328,6 +328,23 @@ def test_odisc_exact_many_colors_set_up_fast():
     assert peak < 5_000_000
 
 
+def test_odisc_exact_many_distinct_colors_pack_each_block_once():
+    """4,096 distinct one-row blocks [[(i + 1)/4096]]: each block's column is
+    packed over its own row and shifted to its fields only where a child
+    subtracts it, so the tables hold 4,096 one-field columns and memory
+    grows linearly with k."""
+    k = 4096
+    blocks = [RatMatrix.from_rows([[Fraction(i + 1, k)]]) for i in range(k)]
+    tracemalloc.start()
+    try:
+        result = odisc_exact(blocks)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.witness, result.nodes_explored) == (Fraction(1, k), (1,), k + 1)
+    assert peak < 5_000_000
+
+
 def test_check_search_builds_no_power_far_from_the_cap():
     """2,000,001^(10^6) has about 20.93 million bits, far from a cap of
     20.9 million: refused without building the 2.6 MB power."""
@@ -524,6 +541,19 @@ STACKED_ODISC_NODES = {
 RANDOM_ODISC_NODES = [("1/3", 37), ("2/9", 175), ("1/4", 717), ("1/6", 15), ("1/9", 328), ("1/3", 1401)]
 
 
+# Seeded blocks of 1-3 rows each, so every color's block sits at its own
+# row offset, k = 5, 6, 7 over 5, 6 columns, entries in {0, 1/3, 2/3, 1}:
+# (value, witness, nodes_explored) of odisc_exact, trial by trial.
+MANY_COLOR_ODISC = [
+    ("2/5", (1, 2, 3, 5, 4), 491),
+    ("5/18", (5, 3, 1, 4, 2, 6), 3205),
+    ("8/21", (1, 4, 4, 2, 5), 638),
+    ("1/5", (4, 2, 3, 5, 1, 1), 511),
+    ("7/18", (1, 5, 2, 3, 1), 1495),
+    ("3/7", (1, 2, 1, 3, 4, 7), 2577),
+]
+
+
 def test_odisc_exact_nodes_pinned():
     """The multicolor search tree does not move: node counts on k identical
     stacked blocks (the symmetric search), on non-identical random blocks,
@@ -548,6 +578,24 @@ def test_odisc_exact_nodes_pinned():
         assert odisc_exact([RatMatrix.from_rows([[1] * k])] * k).nodes_explored == nodes
     split = odisc_exact([RatMatrix.from_rows([[1, 1, 0, 0]]), RatMatrix.from_rows([[1, 0, 1, 0]])])
     assert (split.value, split.witness, split.nodes_explored) == (0, (1, 2, 2, 1), 13)
+
+
+def test_odisc_exact_many_colors_of_distinct_heights_pinned():
+    """Five to seven distinct blocks, each shifted to its own fields: value,
+    witness and nodes do not move."""
+    rng = random.Random(2025)
+    for trial, (value, witness, nodes) in enumerate(MANY_COLOR_ODISC):
+        k, cols = 5 + trial % 3, 5 + trial % 2
+        blocks = [
+            RatMatrix.from_rows(
+                [[Fraction(rng.randint(0, 3), 3) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+            )
+            for _ in range(k)
+        ]
+        assert len(set(blocks)) == k, trial
+        result = odisc_exact(blocks)
+        assert (result.value, result.witness, result.nodes_explored) == (Fraction(value), witness, nodes), trial
+        assert eval_asymmetric(blocks, witness) == result.value, trial
 
 
 def test_multicolor_at_least_weighted():
