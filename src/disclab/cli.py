@@ -324,14 +324,12 @@ def _cmd_odisc(args) -> CommandOutcome:
 
 
 def _cmd_certify(args) -> CommandOutcome:
-    if args.what == "wdisc-lb":
-        report = certify_wdisc_lb(args.p, args.n, _cap(args))
-        payload = report.to_json_dict()
-        return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(payload))
-    if args.what == "multicolor-lb":
-        report = certify_multicolor_lb(args.k, args.n, _cap(args))
-        payload = report.to_json_dict()
-        return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(payload))
+    if args.what != "hadamard-lemma":
+        if args.what == "wdisc-lb":
+            report = certify_wdisc_lb(args.p, args.n, _cap(args))
+        else:
+            report = certify_multicolor_lb(args.k, args.n, _cap(args))
+        return CommandOutcome(EXIT_OK if report.passed else EXIT_CERT_FAIL, _dump(report.to_json_dict()))
     # hadamard-lemma: seeded random vectors plus all unit vectors.
     if args.trials < 1:
         raise InputError("--trials must be >= 1")

@@ -14,8 +14,9 @@ rounding-to-power-of-two step; neither is derived from the other here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 from .errors import InputError
@@ -117,8 +118,10 @@ def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
     Returns (lhs, rhs, holds) as exact values; W's entries may be any
     rationals in [0, 1] and z's any rationals. Wz is computed on W's integer
     numerators, in integers when z's entries are ints, and divided by W's
-    denominator once. The first coordinate is the all-ones row/column
-    direction and is excluded from the right-hand side.
+    denominator once; when most of z is zero, as for a unit vector, only the
+    columns of its nonzero coordinates enter, so the check costs O(n) rather
+    than O(n^2). The first coordinate is the all-ones row/column direction
+    and is excluded from the right-hand side.
     """
     if w.rows != w.cols:
         raise InputError("lemma check needs a square matrix")
@@ -126,7 +129,11 @@ def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
     z = [v if isinstance(v, int) else Fraction(v) for v in z]
     if len(z) != w.cols:
         raise InputError(f"vector length {len(z)} != order {w.rows}")
-    image = [sum(map(mul, row, z)) for row in w.nums]
+    nonzero = list(compress(range(len(z)), z))
+    if 2 * len(nonzero) < len(z):
+        image = [sum([row[i] * z[i] for i in nonzero]) for row in w.nums]
+    else:
+        image = [sum(map(mul, row, z)) for row in w.nums]
     lhs = Fraction(sum(v * v for v in image), w.den * w.den)
     rhs = Fraction(w.rows * sum(v * v for v in z[1:]), 4)
     return lhs, rhs, lhs >= rhs
@@ -181,32 +188,28 @@ def check_multicolor_k(k: int) -> None:
 def certify_multicolor_lb(k: int, n: int, cap: int = DEFAULT_CAP) -> CertReport:
     """Certify the multicolor chain odisc >= wdisc >= sqrt(n-1)/8 at p = 1/k.
 
-    Builds the stacked construction at p = 1/k, solves the k-color problem
-    exactly on k identical copies, and the weighted problem exactly at 1/k;
-    both inequalities are checked with exact arithmetic (the last one on
-    squares). Intended for n <= 4 where k^(n*t) enumeration is immediate;
-    more than 2^cap colorings, or k copies over the cell limit of a stack,
-    are refused before anything is built. Both searches run under `cap`,
-    and the weighted one, over 2^(n*t) <= k^(n*t) selections, is never
-    refused once the coloring search was admitted.
+    The color-1 class of any k-coloring is a selection, so the weighted
+    certificate at p = 1/k (`certify_wdisc_lb`) carries over: this runs it,
+    solves the k-color problem exactly on k copies of its construction, and
+    passes iff that certificate passes and the k-color value is at least its
+    weighted value, both decided in exact arithmetic. Intended for n <= 4
+    where k^(n*t) enumeration is immediate; more than 2^cap colorings, or k
+    copies over the cell limit of a stack, are refused before anything is
+    built. Both searches run under `cap`, and the weighted one, over
+    2^(n*t) <= k^(n*t) selections, is never refused once the coloring search
+    was admitted.
     """
     check_multicolor_k(k)
     _p, t = stacked_shape(Fraction(1, k), n)
     check_search(k, n * t, cap)
     check_cells(k * n * n * t)
-    construction = build_stacked(Fraction(1, k), n)
-    colored = odisc_exact([construction.matrix] * k, cap)
-    weighted = wdisc_exact(construction.matrix, construction.p, cap)
-    passed = (
-        colored.value >= weighted.value
-        and weighted.value * weighted.value >= Fraction(n - 1, 64)
-    )
-    return CertReport(
-        construction=construction,
+    weighted = certify_wdisc_lb(Fraction(1, k), n, cap)
+    colored = odisc_exact([weighted.construction.matrix] * k, cap)
+    return replace(
+        weighted,
         exact_value=colored.value,
-        bound=construction.delta,
-        passed=passed,
+        passed=weighted.passed and colored.value >= weighted.exact_value,
         witness=colored.witness,
         k=k,
-        weighted_value=weighted.value,
+        weighted_value=weighted.exact_value,
     )

@@ -247,6 +247,17 @@ def stack_vertical(blocks) -> RatMatrix:
     return RatMatrix(rows=len(nums), cols=blocks[0].cols, nums=nums, den=den)
 
 
+def check_selection(x, cols: int) -> tuple:
+    """`x` as a tuple, refused unless it is a 0/1 vector of length `cols`."""
+    x = tuple(x)
+    if len(x) != cols:
+        raise DimensionMismatchError(f"selection length {len(x)} != cols {cols}")
+    for bit in x:
+        if bit not in (0, 1):
+            raise InputError("selection entries must be 0 or 1")
+    return x
+
+
 def transfer_z(x, n: int, t: int) -> tuple:
     """Collapse a selection over t stacked copies into per-column multiplicities.
 
@@ -254,10 +265,5 @@ def transfer_z(x, n: int, t: int) -> tuple:
     with z_i = sum over copies of the bit for column i, so that
     A(p*1 - x) == W(p*t*1 - z) holds identically for every p.
     """
-    x = tuple(x)
-    if len(x) != n * t:
-        raise DimensionMismatchError(f"selection length {len(x)} != {n}*{t}")
-    for bit in x:
-        if bit not in (0, 1):
-            raise InputError("selection entries must be 0 or 1")
+    x = check_selection(x, n * t)
     return tuple(sum(x[i + n * j] for j in range(t)) for i in range(n))

@@ -46,7 +46,7 @@ from itertools import accumulate, compress
 from operator import not_
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
-from .matrices import RatMatrix, check_blocks, stack_vertical
+from .matrices import RatMatrix, check_blocks, check_selection, stack_vertical
 from .rational import format_rational
 
 DEFAULT_CAP = 24
@@ -92,19 +92,13 @@ class WdiscResult:
         }
 
 
-@dataclass(frozen=True)
-class OdiscResult:
-    value: Fraction
-    witness: tuple
-    nodes_explored: int
-    exact: bool
+class OdiscResult(WdiscResult):
+    """A `WdiscResult` for a coloring; its JSON form carries no node count."""
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": format_rational(self.value),
-            "witness": list(self.witness),
-            "exact": self.exact,
-        }
+        data = super().to_json_dict()
+        del data["nodes"]
+        return data
 
 
 def _check_probability(p: Fraction) -> Fraction:
@@ -114,20 +108,10 @@ def _check_probability(p: Fraction) -> Fraction:
     return p
 
 
-def _check_selection(x, cols: int) -> tuple:
-    x = tuple(x)
-    if len(x) != cols:
-        raise DimensionMismatchError(f"selection length {len(x)} != cols {cols}")
-    for bit in x:
-        if bit not in (0, 1):
-            raise InputError("selection entries must be 0 or 1")
-    return x
-
-
 def eval_weighted(matrix: RatMatrix, p: Fraction, x) -> Fraction:
     """Exact max over rows of |row . (p*1 - x)|."""
     p = _check_probability(p)
-    x = _check_selection(x, matrix.cols)
+    x = check_selection(x, matrix.cols)
     pn, pd = p.numerator, p.denominator
     best = max(abs(pn * sum(row) - pd * sum(compress(row, x))) for row in matrix.nums)
     return Fraction(best, pd * matrix.den)
@@ -615,10 +599,10 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
     k * max T, where every coloring beats it, and the root is admitted.
     With `symmetric`, color c + 1 is tried only once colors 1..c have
     appeared, so depth d tries at most d + 1 colors. Each block's columns are
-    packed once, over its rows alone and unshifted, and blocks whose packed
-    columns agree share them; a child shifts its color's column to the
-    block's fields where it subtracts it. So no table spans the rows above a
-    block, and memory is linear in k. The remaining mass counts every row.
+    packed once, over its rows alone and unshifted, into one table per
+    block; a child shifts its color's column to the block's fields where it
+    subtracts it. So no table spans the rows above a block, and memory is
+    linear in k. The remaining mass counts every row.
 
     One loop walks the tree depth first, keeping per depth the packed values
     of the node being branched, the number of colors it may try and, in
@@ -630,11 +614,8 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
     limit = k * max(start) + 1
     packing = _Packing(start, columns, limit)
     m = len(columns)
-    shared = {}  # blocks whose packed columns agree share one table
-    tables = []  # tables[c]: the columns of color c + 1's block, packed unshifted
-    for lo, hi in zip(offsets, offsets[1:]):
-        packed = tuple(packing.pack(col[lo:hi]) for col in columns)
-        tables.append(shared.setdefault(packed, packed))
+    # tables[c]: the columns of color c + 1's block, packed unshifted
+    tables = [tuple(packing.pack(col[lo:hi]) for col in columns) for lo, hi in zip(offsets, offsets[1:])]
     shifts = [packing.width * lo for lo in offsets]
     root = packing.pack_values(start)
     below = _below([packing.pack(col) for col in columns])

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -66,11 +67,57 @@ def test_certify_multicolor_lb():
     assert data["weighted_value"] == "1/3"
 
 
+# (k, n): (t, exact_value, witness, weighted_value) of `certify multicolor-lb`
+# for every k = 2..8 and n = 1, 2, 4 the default cap admits; all pass.
+MULTICOLOR_LB = {
+    (2, 1): (1, "1/2", [1], "1/2"), (2, 2): (1, "1/2", [1, 2], "1/2"),
+    (2, 4): (1, "1", [1, 1, 1, 2], "1"),
+    (3, 1): (1, "2/3", [1], "1/3"), (3, 2): (1, "2/3", [1, 2], "1/3"),
+    (3, 4): (1, "2/3", [1, 2, 2, 3], "1/3"),
+    (4, 1): (2, "1/2", [1, 2], "1/2"), (4, 2): (2, "1/2", [1, 2, 3, 4], "1/2"),
+    (4, 4): (2, "1", [1, 1, 1, 2, 2, 2, 3, 4], "1"),
+    (5, 1): (2, "3/5", [1, 2], "2/5"), (5, 2): (2, "4/5", [1, 2, 3, 4], "2/5"),
+    (5, 4): (2, "4/5", [1, 2, 2, 3, 4, 3, 5, 5], "3/5"),
+    (6, 1): (3, "1/2", [1, 2, 3], "1/2"), (6, 2): (3, "1/2", [1, 2, 3, 4, 5, 6], "1/2"),
+    (7, 1): (3, "4/7", [1, 2, 3], "3/7"), (7, 2): (3, "6/7", [1, 2, 3, 4, 5, 6], "3/7"),
+    (8, 1): (4, "1/2", [1, 2, 3, 4], "1/2"), (8, 2): (4, "1/2", [1, 2, 3, 4, 5, 6, 7, 8], "1/2"),
+}
+DELTA = {1: "0", 2: "1/8", 4: "13856406460551/64000000000000"}
+
+
+def test_certify_multicolor_lb_stdout_pinned():
+    """The k-color certificate's stdout, byte for byte, over the default
+    cap's admitted grid; the rest of the grid is refused by the cap."""
+    for k in range(2, 9):
+        for n in (1, 2, 4):
+            outcome = invoke("certify", "multicolor-lb", "--k", str(k), "--n", str(n))
+            if (k, n) not in MULTICOLOR_LB:
+                assert (outcome.exit_code, outcome.stdout) == (3, ""), (k, n)
+                continue
+            t, value, witness, weighted = MULTICOLOR_LB[k, n]
+            construction = {"n": n, "p": f"1/{k}", "t": t, "rows": n, "cols": n * t, "delta": DELTA[n]}
+            expected = {
+                "construction": construction, "exact_value": value, "bound": DELTA[n], "pass": True,
+                "witness": witness, "k": k, "weighted_value": weighted,
+            }
+            assert (outcome.exit_code, outcome.stdout) == (0, json.dumps(expected) + "\n"), (k, n)
+
+
 def test_certify_hadamard_lemma():
     outcome = invoke("certify", "hadamard-lemma", "--n", "8", "--trials", "50")
     assert outcome.exit_code == 0
     data = payload(outcome)
     assert data == {"n": 8, "trials": 50, "failures": 0, "pass": True}
+
+
+def test_certify_hadamard_lemma_unit_vectors_are_linear():
+    """The n unit vectors at n = 1024 are checked in O(n) each, on their one
+    column; n dense O(n^2) products would take about 30 s of CPU."""
+    started = time.process_time()
+    outcome = invoke("certify", "hadamard-lemma", "--n", "1024", "--trials", "1")
+    elapsed = time.process_time() - started
+    assert (outcome.exit_code, outcome.stdout) == (0, '{"n": 1024, "trials": 1, "failures": 0, "pass": true}\n')
+    assert elapsed < 10
 
 
 def test_wdisc_heur_deterministic(tmp_path):

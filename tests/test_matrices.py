@@ -133,7 +133,7 @@ def test_transfer_z_examples():
     assert transfer_z((1, 0, 0, 1), 2, 2) == (1, 1)
     assert transfer_z((0, 1), 2, 1) == (0, 1)
     assert transfer_z((1, 1, 1, 0), 2, 2) == (2, 1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="selection length 3 != cols 4"):
         transfer_z((1, 0, 0), 2, 2)
 
 

@@ -16,6 +16,7 @@ from disclab import (
     InputError,
     OracleConfig,
     RatMatrix,
+    WdiscResult,
     brute_force_min_c,
     build_stacked,
     eval_asymmetric,
@@ -326,6 +327,30 @@ def test_odisc_exact_many_colors_set_up_fast():
     assert (result.value, result.witness, result.nodes_explored) == (Fraction(8191, 8192), (1,), 2)
     assert elapsed < 5
     assert peak < 5_000_000
+
+
+def test_odisc_exact_many_copies_of_w2_stay_small(w2):
+    """4,096 copies of W_2 are 4,096^2 = 2^24 leaves, the default cap: one
+    packed table per block keeps the peak linear in k, under 5 MB."""
+    tracemalloc.start()
+    try:
+        result = odisc_exact([w2] * 4096)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.witness, result.nodes_explored) == (Fraction(4095, 4096), (1, 2), 4)
+    assert peak < 5_000_000
+
+
+def test_odisc_result_json_has_no_nodes(w2):
+    """A coloring result is a WdiscResult whose JSON form drops the node
+    count; the count itself is still kept."""
+    result = odisc_exact([w2] * 3)
+    assert isinstance(result, WdiscResult)
+    assert list(result.to_json_dict()) == ["value", "witness", "exact"]
+    assert result.to_json_dict() == {"value": "2/3", "witness": [1, 2], "exact": True}
+    assert result.nodes_explored == 4
+    assert result != WdiscResult(result.value, result.witness, result.nodes_explored, result.exact)
 
 
 def test_odisc_exact_many_distinct_colors_pack_each_block_once():
