@@ -42,7 +42,7 @@ from .errors import DimensionMismatchError, InputError, VerificationError
 from .matrices import RatMatrix, check_cells
 from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratio, pos_part
 from .recursive_coloring import odisc_color
-from .solvers import DEFAULT_CAP, OracleConfig, check_search, eval_asymmetric
+from .solvers import DEFAULT_CAP, OracleConfig, check_search, eval_asymmetric, previous_equal
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -376,7 +376,8 @@ def brute_force_min_c(
     identical to it, swapping the two goods would too. The lex-least
     minimizer is the lex-least member of its orbit, so it is canonical,
     and a lex-order search over the canonical allocations returns it:
-    c and the witness are those of the full search.
+    c and the witness are those of the full search (and, read for colors
+    and columns, those of `solvers.odisc_exact`'s search).
     """
     core = _MinC(instance, tag)
     k = instance.k
@@ -390,11 +391,11 @@ def brute_force_min_c(
     remaining.reverse()  # remaining[g][a]: agent a's value of goods g..m-1
     # opener[b]: the previous bundle of b's class (-1 for the first);
     # twin[g]: the previous good identical to g (-1 for none)
-    opener = _previous_equal(
+    opener = previous_equal(
         [None if tag == "CD" else tuple(sorted(zip(nums, dens)))
          for nums, dens in zip(instance.nums, instance.dens)]
     )
-    twin = _previous_equal([tuple(units) for units in by_good])
+    twin = previous_equal([tuple(units) for units in by_good])
     values = [[0] * k for _ in core.agents]
     sizes = [0] * k  # sizes[b]: the goods placed in bundle b
     # every allocation has c <= m: removing all goods passes
@@ -436,16 +437,6 @@ def brute_force_min_c(
     for good, b in enumerate(best):
         witness[b].append(good)
     return best_c, Allocation(bundles=tuple(tuple(b) for b in witness))
-
-
-def _previous_equal(keys) -> list:
-    """For each position, the last earlier position with an equal key, or -1."""
-    last = {}
-    previous = []
-    for index, key in enumerate(keys):
-        previous.append(last.get(key, -1))
-        last[key] = index
-    return previous
 
 
 # ---------------------------------------------------------------------------

@@ -564,31 +564,40 @@ def oracle_solve(matrix: RatMatrix, p: Fraction, config: OracleConfig = OracleCo
 # ---------------------------------------------------------------------------
 
 
+def previous_equal(keys) -> list:
+    """For each position, the last earlier position with an equal key, or -1."""
+    last = {}
+    previous = []
+    for index, key in enumerate(keys):
+        previous.append(last.get(key, -1))
+        last[key] = index
+    return previous
+
+
 def odisc_exact(blocks, cap: int = DEFAULT_CAP) -> OdiscResult:
     """Exact minimum over all k^m colorings of the asymmetric discrepancy.
 
     Colorings are explored in one sequential search in mixed-radix order
     (earlier columns more significant, colors ascending) with incremental
     per-color row sums and interval pruning, so the returned witness is the
-    lexicographically smallest optimal coloring. When all blocks are
-    identical, relabelling the colors keeps the value, and the lex-least
-    coloring of each relabelling class is the one that introduces its colors
-    in order 1, 2, ...; the search then visits only those colorings, which
-    leaves value and witness unchanged. Refuses more than 2^cap colorings.
-    Each block's columns are packed once, over its own rows, and shifted into
-    place where a child subtracts them, so memory is linear in k.
+    lexicographically smallest optimal coloring. Colors with equal blocks
+    are interchangeable bundles and columns equal in every block identical
+    goods, so the search visits only the colorings that obey the two rules
+    of `fairdiv.brute_force_min_c`, whose proof that the lex-least minimizer
+    obeys them leaves value and witness unchanged. Refuses more than 2^cap
+    colorings. Each block's columns are packed once, over its own rows, and
+    shifted into place where a child subtracts them, so memory is linear in k.
     """
     blocks = check_blocks(blocks)
     k = len(blocks)
     check_search(k, blocks[0].cols, cap)
-    symmetric = all(block == blocks[0] for block in blocks)
     offsets = list(accumulate((block.rows for block in blocks), initial=0))
     columns, start, denom = _scale_weighted(stack_vertical(blocks), Fraction(1, k))
-    best, chi, nodes = _odisc_dfs(columns, start, offsets, k, symmetric)
+    best, chi, nodes = _odisc_dfs(columns, start, offsets, previous_equal(blocks), previous_equal(columns))
     return OdiscResult(value=Fraction(best, denom), witness=chi, nodes_explored=nodes, exact=True)
 
 
-def _odisc_dfs(columns, start, offsets, k, symmetric):
+def _odisc_dfs(columns, start, offsets, opener, twin):
     """Search colorings of the stacked blocks, block s holding rows
     offsets[s] to offsets[s + 1] - 1, in the weighted objective at p = 1/k as
     `_scale_weighted` scales it: `columns` hold k times each entry, `start`
@@ -597,20 +606,19 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
     A coloring subtracts from row r only the columns of its block's color,
     so every value lies in [T - k*T, T]; the incumbent starts above
     k * max T, where every coloring beats it, and the root is admitted.
-    With `symmetric`, color c + 1 is tried only once colors 1..c have
-    appeared, so depth d tries at most d + 1 colors. Each block's columns are
-    packed once, over its rows alone and unshifted, into one table per
-    block; a child shifts its color's column to the block's fields where it
-    subtracts it. So no table spans the rows above a block, and memory is
-    linear in k. The remaining mass counts every row.
+    Color c + 1 waits for a column in opener[c], the previous color with an
+    equal block, and column d starts at the color of twin[d], the previous
+    column equal to it (see `odisc_exact`). Each block's columns are packed
+    once, over its rows alone and unshifted, into one table per block; a
+    child shifts its color's column to the block's fields where it subtracts
+    it. So no table spans the rows above a block, and memory is linear in k.
 
     One loop walks the tree depth first, keeping per depth the packed values
-    of the node being branched, the number of colors it may try and, in
-    chi, the color tried; the upper gates are rebuilt as in `_search` when
-    the incumbent improves. Every child counts as a node, admitted or not.
-    Once the incumbent is 0 nothing is admitted any more, so the children
-    left at every depth are counted in one step and the search ends.
+    of the node being branched and, in chi, the color tried; the upper gates
+    are rebuilt as in `_search` when the incumbent improves. Every child
+    tried counts as a node, admitted or not, until the incumbent is 0.
     """
+    k = len(opener)
     limit = k * max(start) + 1
     packing = _Packing(start, columns, limit)
     m = len(columns)
@@ -623,16 +631,19 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
     low, gates = packing.bars(limit, below)
     best, witness, nodes = limit, None, 1
     node = [root] * m  # node[d]: the admitted node whose column d is being colored
-    tries = [1 if symmetric else k] * m  # tries[d]: how many colors column d may take
     chi = [0] * m
+    sizes = [0] * k  # sizes[c]: the columns above depth d colored c + 1
     last = m - 1
     d, color = 0, 0
     while True:
-        if color == tries[d]:
+        while color < k and opener[color] >= 0 and not sizes[opener[color]]:
+            color += 1
+        if color == k:
             if not d:
                 break
             d -= 1
             color = chi[d]
+            sizes[color - 1] -= 1
             continue
         nodes += 1
         child = node[d] - (tables[color][d] << shifts[color])
@@ -643,13 +654,11 @@ def _odisc_dfs(columns, start, offsets, k, symmetric):
         if d == last:
             best, witness = packing.worst(child), tuple(chi)
             if not best:
-                nodes += sum(tries) - sum(chi)
                 break
             low, gates = packing.bars(best, below)
             continue
+        sizes[color - 1] += 1
         d += 1
         node[d] = child
-        if symmetric:
-            tries[d] = min(k, max(tries[d - 1], color + 1))  # a new color only after the last one
-        color = 0
+        color = chi[twin[d]] - 1 if twin[d] >= 0 else 0
     return best, witness, nodes

@@ -66,3 +66,20 @@ def odisc_blocks(draw, entries=ENTRIES):
     cols = first.cols
     block = st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=2)
     return [first] + [RatMatrix.from_rows(draw(block)) for _ in range(k - 1)]
+
+
+@st.composite
+def partly_identical_blocks(draw, entries=ENTRIES):
+    """k <= 4 blocks over m <= 5 columns, each drawn from a pool of at most
+    two, so some colors share a block and others need not. Every pool block
+    takes its columns from its own pool of three in one shared pattern, so
+    columns equal in the pattern are equal in every block, and so in the
+    stack."""
+    k = draw(st.integers(1, 4))
+    pattern = draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+    pool = []
+    for _ in range(draw(st.integers(1, 2))):
+        rows = draw(st.integers(1, 2))
+        columns = draw(st.lists(st.lists(entries, min_size=rows, max_size=rows), min_size=3, max_size=3))
+        pool.append(RatMatrix.from_rows([[columns[j][i] for j in pattern] for i in range(rows)]))
+    return draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))

@@ -36,6 +36,7 @@ from conftest import (
     WIDE,
     WIDE_ENTRIES,
     odisc_blocks,
+    partly_identical_blocks,
     pooled_matrices,
     random_01_matrix,
     random_rational_matrix,
@@ -312,9 +313,9 @@ def test_odisc_exact_refuses_before_stacking(w2):
 
 def test_odisc_exact_many_colors_set_up_fast():
     """8,192 copies of [[1]] are 8,192 leaves: each color's packed column is
-    built from its own block's row, so the set-up is not cubic in k, and the
-    symmetric search tries one color at its one depth, so it packs one
-    column, not one per color spanning the rows up to its block."""
+    built from its own block's row, so the set-up is not cubic in k, and
+    only color 1 opens at the one depth, so it packs one column, not one
+    per color spanning the rows up to its block."""
     blocks = [RatMatrix.from_rows([[1]])] * 8192
     tracemalloc.start()
     try:
@@ -452,6 +453,16 @@ def test_odisc_exact_matches_naive_property(blocks):
     assert (result.value, result.witness) == naive_odisc(blocks)
 
 
+@settings(max_examples=150, deadline=None)
+@given(partly_identical_blocks())
+def test_odisc_exact_partly_identical_blocks_match_naive_property(blocks):
+    """Blocks such as [B, C, B] and repeated stacked columns: a color opens
+    only after the previous color with an equal block, and a column takes no
+    lower color than its previous twin, with naive's value and witness."""
+    result = odisc_exact(blocks)
+    assert (result.value, result.witness) == naive_odisc(blocks)
+
+
 WIDE_P = st.sampled_from(
     [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, WIDE), Fraction(WIDE - 1, WIDE), Fraction(2**65, 3**45)]
 )
@@ -555,9 +566,9 @@ def test_search_refuses_a_root_below_the_floor():
 # construction at p = 1/k, the (k, n) pairs `certify multicolor-lb` solves
 # under the default cap.
 STACKED_ODISC_NODES = {
-    (2, 2): ("1/2", 4), (3, 2): ("2/3", 4), (4, 2): ("1/2", 18), (5, 2): ("4/5", 18),
-    (6, 2): ("1/2", 49), (7, 2): ("6/7", 49), (8, 2): ("1/2", 99),
-    (2, 4): ("1", 12), (3, 4): ("2/3", 17), (4, 4): ("1", 93), (5, 4): ("4/5", 140),
+    (2, 2): ("1/2", 4), (3, 2): ("2/3", 4), (4, 2): ("1/2", 17), (5, 2): ("4/5", 17),
+    (6, 2): ("1/2", 40), (7, 2): ("6/7", 40), (8, 2): ("1/2", 72),
+    (2, 4): ("1", 12), (3, 4): ("2/3", 17), (4, 4): ("1", 86), (5, 4): ("4/5", 127),
     (2, 8): ("1", 48), (3, 8): ("4/3", 247), (2, 16): ("1", 804),
 }
 
@@ -581,9 +592,8 @@ MANY_COLOR_ODISC = [
 
 def test_odisc_exact_nodes_pinned():
     """The multicolor search tree does not move: node counts on k identical
-    stacked blocks (the symmetric search), on non-identical random blocks,
-    and where the incumbent reaches 0 and the children left are counted in
-    one step."""
+    stacked blocks, whose columns repeat from k = 4 on, on non-identical
+    random blocks, and where the incumbent reaches 0 and the search ends."""
     for (k, n), (value, nodes) in STACKED_ODISC_NODES.items():
         matrix = build_stacked(Fraction(1, k), n).matrix
         result = odisc_exact([matrix] * k)
@@ -599,10 +609,10 @@ def test_odisc_exact_nodes_pinned():
         ]
         result = odisc_exact(blocks)
         assert (result.value, result.nodes_explored) == (Fraction(value), nodes), trial
-    for k, nodes in ((3, 9), (4, 18)):
+    for k, nodes in ((3, 8), (4, 14)):
         assert odisc_exact([RatMatrix.from_rows([[1] * k])] * k).nodes_explored == nodes
     split = odisc_exact([RatMatrix.from_rows([[1, 1, 0, 0]]), RatMatrix.from_rows([[1, 0, 1, 0]])])
-    assert (split.value, split.witness, split.nodes_explored) == (0, (1, 2, 2, 1), 13)
+    assert (split.value, split.witness, split.nodes_explored) == (0, (1, 2, 2, 1), 11)
 
 
 def test_odisc_exact_many_colors_of_distinct_heights_pinned():
