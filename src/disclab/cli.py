@@ -27,6 +27,7 @@ import json
 import os
 import random
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,8 +162,26 @@ def _rat_list(value: str):
     return [parse_rational(v) for v in value.split(",") if v.strip()]
 
 
+_printed = threading.local()  # .messages: what _Parser printed in this thread's current `run`
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps what it prints for `run`.
+
+    argparse writes a usage error or help text itself, then exits. Each
+    message it writes goes instead, with whether it was meant for stdout, to
+    the calling thread's list, which `run` drains into its outcome. The
+    subparsers are of this class too. A call that parses cleanly prints
+    nothing and pays nothing."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            _printed.__dict__.setdefault("messages", []).append((file is sys.stdout, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="disclab")
+    """The disclab parser; what it prints reaches the outcome of `run`."""
+    parser = _Parser(prog="disclab")
     top = parser.add_subparsers(dest="command", required=True)
 
     construct = top.add_parser("construct", help="emit matrices as JSON")
@@ -479,7 +498,10 @@ def run(argv) -> CommandOutcome:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return CommandOutcome(exc.code if exc.code else EXIT_OK)
+        messages = _printed.__dict__.pop("messages", [])
+        stdout = "".join(text for to_stdout, text in messages if to_stdout)
+        stderr = "".join(text for to_stdout, text in messages if not to_stdout)
+        return CommandOutcome(exc.code if exc.code else EXIT_OK, stdout, stderr)
     try:
         if args.command == "construct":
             return _cmd_construct(args)

@@ -7,9 +7,9 @@ vertices or goods). Both are immutable after construction and safe to share
 across threads.
 
 `RatMatrix` holds integer numerators over one least common denominator,
-scaled once where the matrix is read (`from_rows` from values,
-`from_json_dict` from text, both through `_from_ratios`) and kept by every
-helper here, so the searches read integers straight off `nums` and `den`.
+scaled once where the matrix is read (`from_rows` from values, each cell,
+and `from_json_dict` from text, each distinct cell) and kept by every helper
+here, so the searches read integers straight off `nums` and `den`.
 Fractions appear only in range-error messages and through
 `RatMatrix.entries`.
 
@@ -115,9 +115,7 @@ class RatMatrix:
         for row in rows:
             if len(row) != m:
                 raise DimensionMismatchError("ragged rows")
-            for a, b in row:
-                if a < 0 or a > b:
-                    raise InputError(f"entry {Fraction(a, b)} outside [0, 1]")
+            _check_range(row)
         flat, den = over_common_denominator([cell for row in rows for cell in row])
         nums = tuple(flat[start:start + m] for start in range(0, n * m, m))
         return cls(rows=n, cols=m, nums=nums, den=den)
@@ -156,8 +154,43 @@ class RatMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatMatrix":
+        """The matrix of a JSON object with "rows", "cols" and "entries".
+
+        A file holds few distinct strings, so each distinct string cell is
+        parsed, range-checked and scaled once, keyed by its text, and the
+        cells map through that table. Any other cell goes through
+        `parse_ratio` on its own before it joins the table by value: 1, true
+        and 1.0 hash equal, so a true or a 1.0 beside a 1 is still refused.
+        The errors are those of reading cell by cell: every cell is parsed
+        before any is range-checked, and each error names the first faulty
+        cell in row-major order.
+        """
         rows, cols, raw = _read_matrix_dict(data)
-        return cls._from_ratios([[parse_ratio(cell) for cell in row] for row in raw])
+        ratios = {}  # each distinct cell's (a, b), in row-major order of first appearance
+        for row in raw:
+            for cell in row:
+                if isinstance(cell, str):
+                    if cell not in ratios:
+                        ratios[cell] = parse_ratio(cell)
+                else:
+                    ratios.setdefault(cell, parse_ratio(cell))
+        if not ratios:
+            return cls._from_ratios(raw)  # no cell: refused for its missing rows or columns
+        _check_range(ratios.values())
+        distinct, den = over_common_denominator(list(ratios.values()))
+        scaled = dict(zip(ratios, distinct))
+        # Each row reaches tuple() as a list, so it is built at its final
+        # size. One grown from an iterator is resized, and the freed rows
+        # would then pile up in CPython's per-size tuple free lists.
+        nums = tuple([tuple(list(map(scaled.__getitem__, row))) for row in raw])
+        return cls(rows=rows, cols=cols, nums=nums, den=den)
+
+
+def _check_range(pairs) -> None:
+    """Refuse the first (numerator, positive denominator) pair outside [0, 1]."""
+    for a, b in pairs:
+        if a < 0 or a > b:
+            raise InputError(f"entry {Fraction(a, b)} outside [0, 1]")
 
 
 def _read_matrix_dict(data: dict):

@@ -31,9 +31,9 @@ merged duplicate columns (only the selection count within an
 identical-column group matters): the value search finds the optimum, and
 feasibility searches, each stopping at the first selection within the
 optimum, rebuild the witness column by column in original order, each over
-the groups of the columns after the one being fixed, built afresh for that
-search. That keeps the documented tie-break: the lexicographically smallest
-optimal x.
+the groups of the columns after the one being fixed. Every search reads its
+groups off one column order, by descending mass, sorted once per call. That
+keeps the documented tie-break: the lexicographically smallest optimal x.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import not_
+from operator import lshift, not_
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
 from .matrices import RatMatrix, check_blocks, check_selection, stack_vertical
@@ -186,30 +186,35 @@ class _Packing:
     improves. A test runs only where it can fail: a child whose values equal
     its parent's, as at a `_search` descent, passes the lower test with its
     parent, and only a subtraction can newly fail it.
+
+    The field offsets w*i are kept as a range, `shifts`, so a packing over
+    many rows takes no memory per row: `pack` shifts each entry by its
+    offset and sums, and `worst` unpacks every field and takes the larger
+    of the max field's and the min field's distance from 2^(w-1).
     """
 
-    __slots__ = ("width", "rows", "ones", "top")
+    __slots__ = ("width", "shifts", "ones", "top")
 
     def __init__(self, start, columns, limit: int):
         bound = 2 * max(abs(v) + sum(mass) for v, mass in zip(start, zip(*columns))) + limit
         self.width = bound.bit_length() + 1
-        self.rows = len(start)
-        self.ones = sum(1 << (self.width * i) for i in range(self.rows))
+        self.shifts = range(0, self.width * len(start), self.width)  # field i's offset, w*i
+        self.ones = sum(1 << shift for shift in self.shifts)
         self.top = self.ones << (self.width - 1)
 
     def pack(self, column) -> int:
         """A column or mass vector, one plain field per row."""
-        return sum(c << (self.width * i) for i, c in enumerate(column))
+        return sum(map(lshift, column, self.shifts))
 
     def pack_values(self, values) -> int:
         return self.pack(values) + self.top
 
     def worst(self, packed: int) -> int:
-        """max |v_i| of packed row values."""
-        width = self.width
-        mask = (1 << width) - 1
-        half = 1 << (width - 1)
-        return max(abs(((packed >> shift) & mask) - half) for shift in range(0, width * self.rows, width))
+        """max |v_i| of packed row values: the fields hold v_i + 2^(w-1)."""
+        mask = (1 << self.width) - 1
+        fields = [(packed >> shift) & mask for shift in self.shifts]
+        half = 1 << (self.width - 1)
+        return max(max(fields) - half, half - min(fields))
 
     def bars(self, limit: int, below) -> tuple:
         """(low, gates) of the row-interval rule under `limit`, for a search
@@ -219,15 +224,17 @@ class _Packing:
         return (limit - 1) * self.ones, [mass + high for mass in below]
 
 
-def _group_columns(columns, masses, indices):
-    """Merge identical columns among `indices` into (column, its indices
-    ascending); order groups by descending mass, ties by first index."""
+def _group_columns(columns, order, after):
+    """Merge identical columns among the indices above `after` into
+    (column, its indices ascending), groups in order of first appearance in
+    `order`. With `order` all indices by descending mass, ties by index,
+    that is groups by descending mass, ties by first index: dropping a
+    group's first member can move it behind a group of equal mass."""
     members = {}
-    for j in indices:
-        members.setdefault(columns[j], []).append(j)
-    groups = list(members.items())
-    groups.sort(key=lambda g: (-masses[g[1][0]], g[1][0]))
-    return groups
+    for j in order:
+        if j > after:
+            members.setdefault(columns[j], []).append(j)
+    return list(members.items())
 
 
 def _below(masses):
@@ -265,8 +272,11 @@ def _search(packing, groups, values, limit, first):
     same incumbent, count 0 never exceeds a group's size, and only the
     upper gate, which leaves group d out of the mass, is new. The size and
     lower tests run only after a count advances, one more column of the
-    group subtracted; where they fail, the search steps back to the next
-    count of the depth above until one passes both, or ends at the root.
+    group subtracted. Where they fail, the search resumes the next count of
+    the deepest depth above whose group still has a count to try: a stack,
+    `pending`, holds the depths on the current path that a descent left
+    with their count below their group's size, so the depths whose group is
+    spent are skipped without a step. It ends once the stack is empty.
     Returns (value, selected, nodes): `selected` lists the chosen indices,
     each group's 1s on its latest indices, and is None when no selection
     gets below `limit`.
@@ -285,6 +295,8 @@ def _search(packing, groups, values, limit, first):
     last = len(cols) - 1
     node = [values] * len(cols)  # node[d]: the admitted child at depth d, counts[d] of its group selected
     counts = [0] * len(cols)
+    pending = []  # the depths above d whose group has a count left, deepest last
+    push, pop = pending.append, pending.pop
     d, count, child = 0, 0, values
     while True:
         # `child`, count `count` of group d, has passed the size and lower tests.
@@ -292,6 +304,8 @@ def _search(packing, groups, values, limit, first):
             nodes += 1
             counts[d] = count
             if d < last:
+                if count < sizes[d]:
+                    push(d)
                 node[d] = child
                 d += 1
                 count = 0
@@ -301,20 +315,22 @@ def _search(packing, groups, values, limit, first):
             if first or not best:
                 break
             low, gates = packing.bars(best, below)
-        # Next count of group d; where the group is spent, or a row is at or
-        # below -limit and more of the group lowers it further, back to the
-        # next count of depth d - 1.
+        # Next count of group d, unless the group is spent or a row is at or
+        # below -limit, where more of the group lowers it further; else the
+        # next count of the deepest pending depth that passes the lower test.
         count += 1
-        child -= cols[d]
-        while count > sizes[d] or (child + low) & top != top:
-            if not d:
-                break  # depth 0 is spent: the search is over
-            d -= 1
+        if count <= sizes[d]:
+            child -= cols[d]
+            if (child + low) & top == top:
+                continue
+        while pending:
+            d = pop()
             count = counts[d] + 1
             child = node[d] - cols[d]
+            if (child + low) & top == top:
+                break
         else:
-            continue
-        break
+            break  # no depth has a count left: the search is over
     if found is None:
         return best, None, nodes
     selected = []
@@ -323,15 +339,15 @@ def _search(packing, groups, values, limit, first):
     return best, selected, nodes
 
 
-def _lex_least(packing, columns, masses, start, target, selected):
+def _lex_least(packing, columns, order, start, target, selected):
     """Lexicographically smallest x whose max |row value| is at most `target`,
     the optimum, given one optimal selection `selected`.
 
     `known` stays an optimal selection that agrees with the fixed prefix.
     Where known[d] is 0, x_d = 0 is fixed at once. Where it is 1, a `first`
-    search over the groups of columns d+1, ..., built afresh, with x_d = 0
-    decides: on success x_d = 0 and its selection becomes the tail of
-    `known`, otherwise x_d = 1.
+    search with x_d = 0 over the groups of columns d+1, ..., read off the
+    search's column `order` (`_group_columns`), decides: on success x_d = 0
+    and its selection becomes the tail of `known`, otherwise x_d = 1.
     """
     m = len(columns)
     known = [0] * m
@@ -342,7 +358,7 @@ def _lex_least(packing, columns, masses, start, target, selected):
     for d in range(m):
         if not known[d]:
             continue
-        groups = _group_columns(columns, masses, range(d + 1, m))
+        groups = _group_columns(columns, order, d)
         _value, tail, searched = _search(packing, groups, values, target + 1, True)
         nodes += searched
         if tail is None:
@@ -392,13 +408,13 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, cap: int = DEFAULT_CAP) -> Wdisc
     check_search(2, matrix.cols, cap)
     columns, start, denom = _scale_weighted(matrix, p)
     masses = [sum(col) for col in columns]
+    order = sorted(range(matrix.cols), key=masses.__getitem__, reverse=True)  # stable: ties by index
     limit = max(map(abs, start)) + 1
     packing = _Packing(start, columns, limit)
     packed = [packing.pack(col) for col in columns]
     root = packing.pack_values(start)
-    groups = _group_columns(packed, masses, range(matrix.cols))
-    value, selected, nodes_value = _search(packing, groups, root, limit, False)
-    witness, nodes_witness = _lex_least(packing, packed, masses, root, value, selected)
+    value, selected, nodes_value = _search(packing, _group_columns(packed, order, -1), root, limit, False)
+    witness, nodes_witness = _lex_least(packing, packed, order, root, value, selected)
     return WdiscResult(
         value=Fraction(value, denom),
         witness=witness,

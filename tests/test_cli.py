@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from disclab.cli import run
+from disclab.cli import main, run
 
 
 def invoke(*argv):
@@ -128,14 +128,37 @@ def test_wdisc_heur_deterministic(tmp_path):
     assert payload(first)["exact"] is False
 
 
-def test_wdisc_heur_refuses_the_exact_oracle(tmp_path, capsys):
+def test_wdisc_heur_refuses_the_exact_oracle(tmp_path):
     path = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
     outcome = invoke("wdisc", "heur", "--matrix", path, "--p", "1/3", "--oracle", "exact")
     assert (outcome.exit_code, outcome.stdout) == (2, "")
-    assert "invalid choice: 'exact'" in capsys.readouterr().err
+    assert "invalid choice: 'exact'" in outcome.stderr
     for kind in ("greedy", "local-search"):
         outcome = invoke("wdisc", "heur", "--matrix", path, "--p", "1/3", "--oracle", kind)
         assert payload(outcome)["exact"] is False, kind
+
+
+def test_usage_errors_and_help_reach_the_outcome(capsys, monkeypatch):
+    """argparse's own words land in the outcome, not on the process's
+    streams: a usage error in stderr with exit 2, help text in stdout with
+    exit 0. `main` prints them as it prints every outcome."""
+    outcome = invoke("wdisc")
+    assert (outcome.exit_code, outcome.stdout) == (2, "")
+    assert outcome.stderr.startswith("usage: disclab wdisc [-h]")
+    assert "disclab wdisc: error: the following arguments are required: how" in outcome.stderr
+    helped = invoke("wdisc", "exact", "--help")
+    assert (helped.exit_code, helped.stderr) == (0, "")
+    assert helped.stdout.startswith("usage: disclab wdisc exact [-h] --matrix MATRIX --p P")
+    assert capsys.readouterr() == ("", "")
+    for argv, code, out, err in (
+        (["wdisc"], 2, "", outcome.stderr),
+        (["wdisc", "exact", "--help"], 0, helped.stdout, ""),
+    ):
+        monkeypatch.setattr(sys, "argv", ["disclab"] + argv)
+        with pytest.raises(SystemExit) as caught:
+            main()
+        assert caught.value.code == code
+        assert capsys.readouterr() == (out, err)
 
 
 def test_odisc_exact_k_copies(tmp_path):

@@ -193,6 +193,42 @@ def test_rat_matrix_json_round_trip(w4):
     assert fancy.to_json_dict()["entries"][0] == ["1/3", "2/7"]
 
 
+def json_matrix(entries):
+    return RatMatrix.from_json_dict({"rows": len(entries), "cols": len(entries[0]), "entries": entries})
+
+
+def test_rat_matrix_json_reads_each_distinct_cell_once():
+    """Spellings of one value build one matrix, an int beside its string
+    builds, and a bool or a float cell beside an equal int is still refused:
+    the reader's table keys strings by their text, not by value."""
+    assert json_matrix([["1/2", "2/4", " 1/2 ", "3/6"]]) == json_matrix([["1/2"] * 4])
+    assert json_matrix([["1/2", "2/4", " 1/2 ", "3/6"]]) == RatMatrix.from_rows([[Fraction(1, 2)] * 4])
+    assert json_matrix([[1, "1"]]) == RatMatrix.from_rows([[1, 1]])
+    mixed = [[Fraction(1, 3), 0], [Fraction(2, 3), 0]]
+    assert json_matrix([["1/3", 0], [Fraction(2, 3), "0"]]) == RatMatrix.from_rows(mixed)
+    for entries, kind in (([[1, True]], "bool"), ([[1, 1.0]], "float"), ([[0, False]], "bool")):
+        with pytest.raises(InputError) as caught:
+            json_matrix(entries)
+        assert str(caught.value) == f"expected rational string, got {kind}", entries
+
+
+def test_rat_matrix_json_errors_name_the_first_faulty_cell():
+    """Every cell is parsed before any is range-checked, so a parse error
+    wins over an earlier range error, and each error names the first faulty
+    cell in row-major order, whether or not its text recurs."""
+    for entries, message in (
+        ([["3/2", "x"]], "not a rational: 'x'"),
+        ([["3/2", "1"], ["x", "1/0"]], "not a rational: 'x'"),
+        ([["1", "1/0"], ["x", "1/0"]], "zero denominator: '1/0'"),
+        ([["1", "7/4", "2"], ["2", "7/4", "0"]], "entry 7/4 outside [0, 1]"),
+        ([["1", 3], ["2", "3"]], "entry 3 outside [0, 1]"),
+        ([["0", "1"], ["-1/2", "2"]], "entry -1/2 outside [0, 1]"),
+    ):
+        with pytest.raises(InputError) as caught:
+            json_matrix(entries)
+        assert str(caught.value) == message, entries
+
+
 def test_sign_matrix_json_round_trip():
     h = hadamard_sylvester(2)
     data = h.to_json_dict()

@@ -552,6 +552,18 @@ def test_wdisc_exact_pinned_on_random_matrices():
         assert eval_weighted(matrix, Fraction(p), result.witness) == result.value
 
 
+def test_wdisc_exact_regroups_the_columns_after_each_fixed_one():
+    """Columns 0 and 2 are distinct with one mass and column 3 is a copy of
+    column 0. The value search takes group {0, 3} before {2}; once x_0 is
+    fixed, the feasibility search over columns 1, ... takes {2} before {3},
+    the group's first index now the later one. Value, witness and node
+    count as pinned."""
+    half = Fraction(1, 2)
+    matrix = RatMatrix.from_rows([[1, half, 1, 1], [half, half, 1, half], [1, 1, 1, 1], [1, 0, half, 1]])
+    result = wdisc_exact(matrix, Fraction(1, 5))
+    assert (result.value, result.witness, result.nodes_explored) == (half, (0, 0, 0, 1), 9)
+
+
 def test_search_refuses_a_root_below_the_floor():
     """A root with a row at or below -limit is refused before the loop: no
     selection, one node. One above the floor is admitted, and its empty
