@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     fgen.add_argument("--kind", choices=["prop", "ef", "cd"], required=True)
     fgen.add_argument("--matrix", required=True)
     fgen.add_argument("--k", type=int, required=True)
-    fgen.add_argument("--istar", type=int, default=1)
+    fgen.add_argument("--istar", type=int, default=None,
+                      help="last group that embeds the matrix, prop only (default 1)")
     fgen.add_argument("--sizes", type=_int_list, default=None,
                       help="comma-separated group sizes, descending")
     fgen.add_argument("--out", default="")
@@ -370,13 +371,18 @@ def _cmd_certify(args) -> CommandOutcome:
 
 def _cmd_fd(args) -> CommandOutcome:
     if args.what == "gen":
+        if args.istar is not None and args.kind != "prop":
+            raise InputError(f"--istar applies only to --kind prop, not {args.kind}")
+        if args.sizes is not None and args.kind == "cd":
+            raise InputError("--sizes does not apply to --kind cd")
         matrix = _load_matrix(args.matrix)
         if args.kind == "cd":
             instance = gen_cd_instance(matrix, args.k)
         elif args.sizes is None:
             raise InputError("--sizes is required for prop/ef generation")
         elif args.kind == "prop":
-            instance = gen_prop_lb_instance(matrix, args.k, args.istar, args.sizes)
+            istar = 1 if args.istar is None else args.istar
+            instance = gen_prop_lb_instance(matrix, args.k, istar, args.sizes)
         else:
             instance = gen_ef_lb_instance(matrix, args.k, args.sizes)
         text = _dump(instance.to_json_dict())

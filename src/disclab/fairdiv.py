@@ -3,14 +3,14 @@
 Instances hold k groups of agents; an allocation hands each group one bundle
 of a partition of the goods. Three approximate fairness notions are checked
 exactly: envy-freeness, proportionality, and consensus division, each "up to
-c goods". An instance stores each agent's utilities once, as integer
-numerators over the agent's least common denominator, read straight from
-the input text; `FairDivInstance.groups` views them as Fractions for the
-lemma check. For additive utilities, removing the c
+c goods". An instance stores its agents once, as the rows of one
+`RatMatrix`, group after group, over one least denominator for the whole
+instance, read straight from the input text; `FairDivInstance.groups` views
+them as Fractions for the lemma check. For additive utilities, removing the c
 highest-valued goods (as seen by the evaluating agent) is the best possible
 removal, so every comparison reduces to covering a value deficit with a
 top-c removal. One integer routine (`_MinC`) does this for every caller:
-each agent's numerators are multiplied by k so that utilities, bundle values
+every agent's numerators are multiplied by k so that utilities, bundle values
 and the 1/k share are ints, and its goods are ranked once, so a top-c
 removal is a scan of that ranking that stops when the deficit is covered.
 The same routine bounds c from below on a partial allocation (the unplaced
@@ -35,12 +35,13 @@ point the coloring is a PROP(2H) allocation (verified before returning).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, InputError, VerificationError
 from .matrices import RatMatrix, check_cells
-from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratio, pos_part
+from .rational import as_ratio, parse_ratios, pos_part
 from .recursive_coloring import odisc_color
 from .solvers import DEFAULT_CAP, OracleConfig, check_search, eval_asymmetric, previous_equal
 
@@ -63,8 +64,9 @@ def _check_nesting(groups):
 class FairDivInstance:
     """k groups of additive agents over m goods; utilities in [0, 1].
 
-    Agent j of group i values good g at nums[i][j][g] / dens[i][j]: integer
-    numerators over the agent's least common denominator, so the form is
+    `agents` holds one row per agent, group after group (`group_sizes` rows
+    each), and one column per good: integer numerators over the least
+    common denominator of every utility in the instance, so the form is
     canonical and equal instances compare equal. `from_groups` (from
     values) and `from_json_dict` (from text) both build it through
     `_from_ratios`; `groups` views it as Fractions.
@@ -73,8 +75,7 @@ class FairDivInstance:
     k: int
     group_sizes: tuple
     m: int
-    nums: tuple
-    dens: tuple
+    agents: RatMatrix
 
     @classmethod
     def from_groups(cls, groups) -> "FairDivInstance":
@@ -96,42 +97,32 @@ class FairDivInstance:
         m = len(groups[0][0])
         if m == 0:
             raise InputError("instance needs at least one good")
-        nums = []
-        dens = []
-        for group in groups:
-            group_nums = []
-            group_dens = []
-            for agent in group:
-                if len(agent) != m:
-                    raise DimensionMismatchError("agents disagree on the number of goods")
-                for a, b in agent:
-                    if a < 0 or a > b:
-                        raise InputError(f"utility {Fraction(a, b)} outside [0, 1]")
-                agent_nums, den = over_common_denominator(agent)
-                group_nums.append(agent_nums)
-                group_dens.append(den)
-            nums.append(tuple(group_nums))
-            dens.append(tuple(group_dens))
-        return cls(k=len(groups), group_sizes=sizes, m=m, nums=tuple(nums), dens=tuple(dens))
+        agents = [agent for group in groups for agent in group]
+        for agent in agents:
+            if len(agent) != m:
+                raise DimensionMismatchError("agents disagree on the number of goods")
+            for a, b in agent:
+                if a < 0 or a > b:
+                    raise InputError(f"utility {Fraction(a, b)} outside [0, 1]")
+        return cls(k=len(groups), group_sizes=sizes, m=m, agents=RatMatrix._from_ratios(agents))
+
+    def by_group(self, rows) -> list:
+        """`rows`, one per agent in `agents` order, cut into the k groups."""
+        starts = itertools.accumulate(self.group_sizes, initial=0)
+        return [rows[start:start + size] for start, size in zip(starts, self.group_sizes)]
 
     @property
     def groups(self) -> tuple:
         """groups[i][j] is agent j of group i's utility vector as Fractions;
         built on each access."""
-        return tuple(
-            tuple(tuple(Fraction(a, den) for a in agent) for agent, den in zip(group, dens))
-            for group, dens in zip(self.nums, self.dens)
-        )
+        return tuple(self.by_group(self.agents.entries))
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
             "group_sizes": list(self.group_sizes),
             "m": self.m,
-            "groups": [
-                [[format_ratio(a, den) for a in agent] for agent, den in zip(group, dens)]
-                for group, dens in zip(self.nums, self.dens)
-            ],
+            "groups": self.by_group(self.agents.to_json_dict()["entries"]),
         }
 
     @classmethod
@@ -141,8 +132,9 @@ class FairDivInstance:
         except (KeyError, TypeError) as exc:
             raise InputError("instance JSON needs a groups field") from exc
         _check_nesting(groups)
+        ratios = parse_ratios(u for group in groups for agent in group for u in agent)
         instance = cls._from_ratios(
-            [[[parse_ratio(u) for u in agent] for agent in group] for group in groups]
+            [[[ratios[u] for u in agent] for agent in group] for group in groups]
         )
         for field in ("k", "group_sizes", "m"):
             if field in data:
@@ -276,9 +268,10 @@ def _cover(units, ranking, assignment, bundles, deficit, limit):
 class _MinC:
     """One instance and notion scaled to integers for the min-c routine.
 
-    Each agent's integer numerators are multiplied by k, which scales it by
-    k times its denominator, so its utilities, every bundle value and its
-    1/k share (the plain sum of its numerators) are ints.
+    Each agent's integer numerators are multiplied by k, which scales every
+    utility by k times the instance's denominator, so utilities, every
+    bundle value and an agent's 1/k share (the plain sum of its numerators)
+    are ints.
     `agents[a]` is (group, units, share, ranking) with `ranking` the goods
     agent a values above 0, ordered by (-utility, index): the c best goods
     of any set are its first c members in that order.
@@ -290,7 +283,7 @@ class _MinC:
         k = instance.k
         self.tag = tag
         self.agents = []
-        for i, group in enumerate(instance.nums):
+        for i, group in enumerate(instance.by_group(instance.agents.nums)):
             for nums in group:
                 units = [k * a for a in nums]
                 ranking = sorted((g for g in range(instance.m) if units[g] > 0),
@@ -391,10 +384,9 @@ def brute_force_min_c(
     remaining.reverse()  # remaining[g][a]: agent a's value of goods g..m-1
     # opener[b]: the previous bundle of b's class (-1 for the first);
     # twin[g]: the previous good identical to g (-1 for none)
-    opener = previous_equal(
-        [None if tag == "CD" else tuple(sorted(zip(nums, dens)))
-         for nums, dens in zip(instance.nums, instance.dens)]
-    )
+    # (the rows share one denominator, so equal sorted rows are equal groups)
+    groups = instance.by_group(instance.agents.nums)
+    opener = previous_equal([None if tag == "CD" else tuple(sorted(group)) for group in groups])
     twin = previous_equal([tuple(units) for units in by_good])
     values = [[0] * k for _ in core.agents]
     sizes = [0] * k  # sizes[b]: the goods placed in bundle b
@@ -558,7 +550,7 @@ def build_agent_scaling(nums, k: int, h: int) -> list:
     least kH goods. Goods rank by (-utility, index); a good among the kH
     top-ranked ones, or of utility 0, scales to 0, and every other good to
     a/s, where s is the numerator of the kH-th ranked good. All numerators
-    share the agent's denominator d, so (a/d)/(s/d) = a/s, within [0, 1].
+    share the instance's denominator d, so (a/d)/(s/d) = a/s, within [0, 1].
     """
     top = sorted(range(len(nums)), key=lambda g: (-nums[g], g))[: k * h]
     large = set(top)
@@ -579,12 +571,13 @@ def allocate_prop_via_odisc(instance: FairDivInstance, oracle: OracleConfig = Or
     """
     k = instance.k
     m = instance.m
+    groups = instance.by_group(instance.agents.nums)
     h = 1
     while True:
         padding = (0,) * max(0, k * h - m)
         blocks = [
             RatMatrix._from_ratios([build_agent_scaling(nums + padding, k, h) for nums in group])
-            for group in instance.nums
+            for group in groups
         ]
         coloring, _certificate = odisc_color(blocks, oracle)
         achieved = eval_asymmetric(blocks, coloring)

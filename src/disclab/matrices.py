@@ -19,12 +19,13 @@ Indices are 0-based everywhere in this package, including the JSON formats.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
-from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratio, parse_rational
+from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratios, parse_rational
 
 #: Largest Sylvester order built, as a power of two. Memory grows with the
 #: n^2 cells: on Python 3.11 `construct w` peaks at 39 MB at order 2^10 and
@@ -156,24 +157,14 @@ class RatMatrix:
     def from_json_dict(cls, data: dict) -> "RatMatrix":
         """The matrix of a JSON object with "rows", "cols" and "entries".
 
-        A file holds few distinct strings, so each distinct string cell is
-        parsed, range-checked and scaled once, keyed by its text, and the
-        cells map through that table. Any other cell goes through
-        `parse_ratio` on its own before it joins the table by value: 1, true
-        and 1.0 hash equal, so a true or a 1.0 beside a 1 is still refused.
-        The errors are those of reading cell by cell: every cell is parsed
-        before any is range-checked, and each error names the first faulty
-        cell in row-major order.
+        Each distinct cell is parsed (`parse_ratios`), range-checked and
+        scaled once, and the cells map through that table. The errors are
+        those of reading cell by cell: every cell is parsed before any is
+        range-checked, and each error names the first faulty cell in
+        row-major order.
         """
         rows, cols, raw = _read_matrix_dict(data)
-        ratios = {}  # each distinct cell's (a, b), in row-major order of first appearance
-        for row in raw:
-            for cell in row:
-                if isinstance(cell, str):
-                    if cell not in ratios:
-                        ratios[cell] = parse_ratio(cell)
-                else:
-                    ratios.setdefault(cell, parse_ratio(cell))
+        ratios = parse_ratios(itertools.chain.from_iterable(raw))
         if not ratios:
             return cls._from_ratios(raw)  # no cell: refused for its missing rows or columns
         _check_range(ratios.values())

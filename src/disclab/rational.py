@@ -2,9 +2,10 @@
 
 Certification arithmetic in this package is exact and arbitrary precision,
 so no overflow handling is needed anywhere. Input text is parsed straight
-into integer pairs (`parse_ratio`), which `over_common_denominator` turns
-into integer numerators over one least denominator (a `RatMatrix`, or one
-agent of a `FairDivInstance`); Fractions appear in reports, in the checkers
+into integer pairs (`parse_ratio`, or `parse_ratios` once per distinct
+cell of a file), which `over_common_denominator` turns into integer
+numerators over one least denominator (a `RatMatrix`, which also holds a
+`FairDivInstance`'s agents); Fractions appear in reports, in the checkers
 and where a caller asks for them. Square roots of non-square rationals are
 irrational; where a bound involves one, the comparison itself is done on
 squares and these helpers only produce one-sided rational approximations
@@ -55,6 +56,27 @@ def parse_ratio(text) -> tuple:
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return text.numerator, text.denominator
     raise InputError(f"expected rational string, got {type(text).__name__}")
+
+
+def parse_ratios(cells) -> dict:
+    """The (a, b) pair of every distinct cell of `cells`, keyed by the cell,
+    in order of first appearance.
+
+    Input files hold few distinct strings, so a string cell is parsed once,
+    keyed by its text: "2/4" and "1/2" are two keys of equal value. Any
+    other cell goes through `parse_ratio` on its own before it joins the
+    table by value: 1, true and 1.0 hash equal, so a true or a 1.0 beside a
+    1 is still refused. Every cell is parsed here, before a caller checks
+    any range, and an error names the first faulty cell in `cells`' order.
+    """
+    ratios = {}
+    for cell in cells:
+        if isinstance(cell, str):
+            if cell not in ratios:
+                ratios[cell] = parse_ratio(cell)
+        else:
+            ratios.setdefault(cell, parse_ratio(cell))
+    return ratios
 
 
 def parse_rational(text) -> Fraction:

@@ -87,11 +87,11 @@ def split(written):
 
 def lcm_scaling(groups, k):
     """_MinC's agents from the Fractions: each agent scaled by k times the
-    lcm of its utility denominators."""
+    lcm of the instance's utility denominators."""
     agents = []
     for i, group in enumerate(groups):
         for agent in group:
-            scale = k * math.lcm(*(u.denominator for u in agent))
+            scale = k * math.lcm(*(u.denominator for members in groups for row in members for u in row))
             units = [u.numerator * (scale // u.denominator) for u in agent]
             ranking = sorted((g for g in range(len(agent)) if units[g] > 0),
                              key=lambda g: (-units[g], g))
@@ -162,7 +162,7 @@ def test_unreduced_forms_read_equal():
         RatMatrix.from_rows([[Fraction(1, 2), 1]])
     two_fourths = FairDivInstance.from_json_dict({"groups": [[["2/4", "0/7"]], [["6/6", 0]]]})
     assert two_fourths == FairDivInstance.from_groups([[[Fraction(1, 2), 0]], [[1, 0]]])
-    assert (two_fourths.nums, two_fourths.dens) == ((((1, 0),), ((1, 0),)), ((2,), (1,)))
+    assert two_fourths.agents == RatMatrix.from_rows([[Fraction(1, 2), 0], [1, 0]])
 
 
 def test_boundary_errors_keep_their_messages_and_order():

@@ -237,6 +237,22 @@ def test_fd_gen_cd(tmp_path):
     assert data["k"] == 2
 
 
+def test_fd_gen_refuses_flags_its_kind_ignores(tmp_path):
+    """--istar is read by --kind prop alone and --sizes by prop and ef: given
+    to another kind, either is a usage error naming it, not dropped."""
+    amat = write_matrix(tmp_path, "w2.json", [[1, 1], [1, 0]])
+    for argv, message in (
+        (("--kind", "ef", "--istar", "2", "--sizes", "4,4"), "--istar applies only to --kind prop, not ef"),
+        (("--kind", "cd", "--istar", "1"), "--istar applies only to --kind prop, not cd"),
+        (("--kind", "cd", "--sizes", "9,9"), "--sizes does not apply to --kind cd"),
+    ):
+        outcome = invoke("fd", "gen", "--matrix", amat, "--k", "2", *argv)
+        assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (2, "", f"error: {message}\n"), argv
+    plain = invoke("fd", "gen", "--matrix", amat, "--k", "2", "--kind", "prop", "--sizes", "4,1")
+    first = invoke("fd", "gen", "--matrix", amat, "--k", "2", "--kind", "prop", "--sizes", "4,1", "--istar", "1")
+    assert plain.exit_code == 0 and plain.stdout == first.stdout
+
+
 def test_fd_gen_refuses_utilities_before_building(tmp_path):
     """An instance of more utilities than the cell cap is a budget error,
     refused before its agents are listed (tracemalloc)."""

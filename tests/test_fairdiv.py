@@ -27,6 +27,7 @@ from disclab import (
     min_c_for_allocation,
     wdisc_exact,
 )
+from disclab import rational
 from disclab.fairdiv import NOTION_TAGS, _MinC, _cover, build_agent_scaling
 
 from naive import (
@@ -292,6 +293,25 @@ def test_brute_force_reaches_stacked_w2_at_m18():
         assert c_star == 1
         assert min_c_for_allocation(inst, witness, tag) == 1
         assert_canonical(inst, tag, witness)
+
+
+def test_brute_force_ignores_agent_order_within_a_group(monkeypatch):
+    """Groups 0 and 2 hold the same two agents: listed in either order, their
+    bundles stay interchangeable for EF and PROP, so the search makes as many
+    bound calls and returns the same (c, witness)."""
+    first = [Fraction(1), Fraction(1, 2), Fraction(1, 3), 0, Fraction(2, 3)]
+    second = [Fraction(1, 4), 1, 0, Fraction(1, 2), Fraction(1, 2)]
+    ones = [1] * 5
+    calls = []
+    bound = _MinC.bound
+    monkeypatch.setattr(_MinC, "bound", lambda core, *args: calls.append(1) or bound(core, *args))
+    for tag in ("EF", "PROP"):
+        runs = []
+        for last in ([first, second], [second, first]):
+            calls.clear()
+            inst = FairDivInstance.from_groups([[first, second], [ones], last])
+            runs.append((brute_force_min_c(inst, tag), len(calls)))
+        assert runs[0] == runs[1], tag
 
 
 def test_brute_force_leaf_matches_public_checker():
@@ -564,7 +584,7 @@ def test_agent_scaling_matches_naive(case):
     utilities, k, h = case
     inst = FairDivInstance.from_groups([[utilities]])
     padding = max(0, k * h - inst.m)
-    scaled = build_agent_scaling(inst.nums[0][0] + (0,) * padding, k, h)
+    scaled = build_agent_scaling(inst.agents.nums[0] + (0,) * padding, k, h)
     expected = naive_agent_scaling(list(utilities) + [Fraction(0)] * padding, k, h)
     assert tuple(Fraction(a, b) for a, b in scaled) == expected
     assert RatMatrix._from_ratios([scaled]) == RatMatrix.from_rows([expected])
@@ -620,6 +640,45 @@ def test_json_round_trip_is_exact(inst, data):
     back = Allocation.from_json_dict(json.loads(text), inst.m)
     assert back == allocation
     assert json.dumps(back.to_json_dict()) == text
+
+
+def test_instance_json_reads_each_distinct_cell_once(monkeypatch):
+    """Spellings of one utility build one instance, an int beside its string
+    builds, and a bool or a float cell beside an equal int is still refused:
+    the reader parses each distinct string once, keyed by its text."""
+
+    def read(groups):
+        return FairDivInstance.from_json_dict({"groups": groups})
+
+    half = FairDivInstance.from_groups([[[Fraction(1, 2)] * 4], [[Fraction(1, 2), 1, 0, 1]]])
+    assert read([[["1/2", "2/4", " 1/2 ", "3/6"]], [["1/2", "1", 0, 1]]]) == half
+    assert read([[[1, "1"]]]) == FairDivInstance.from_groups([[[1, 1]]])
+    for groups, kind in (([[[1, True]]], "bool"), ([[[1]], [[1.0]]], "float"), ([[[0, False]]], "bool")):
+        with pytest.raises(InputError) as caught:
+            read(groups)
+        assert str(caught.value) == f"expected rational string, got {kind}", groups
+
+    parsed = []
+    parse_ratio = rational.parse_ratio
+    monkeypatch.setattr(rational, "parse_ratio", lambda cell: parsed.append(cell) or parse_ratio(cell))
+    assert read([[["1/2", "2/4"]] * 50, [["2/4", "1/2"]] * 50]) == read([[["1/2", "1/2"]] * 50] * 2)
+    assert parsed == ["1/2", "2/4", "1/2"]
+
+
+def test_generated_instance_memory_is_one_matrix():
+    """A CD instance of stacked W_8 (p = 1/3) over 20,000 groups, almost all
+    one all-zero agent, is built and written as JSON in under 12 MB of
+    traced memory (6.9 MB on Python 3.11): its agents are one matrix over
+    one denominator, with no numerator tuple and denominator kept per agent
+    beside it (17.0 MB)."""
+    amat = build_stacked(Fraction(1, 3), 8).matrix
+    tracemalloc.start()
+    try:
+        gen_cd_instance(amat, 20_000).to_json_dict()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
 
 
 def test_instance_json_round_trip():
