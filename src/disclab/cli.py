@@ -15,6 +15,12 @@ cap: it is refused (exit 3) when its unpruned tree has more than 2^cap
 leaves, 2^m selections of m columns or k^m colorings and allocations. --cap
 sets it, else the DISCLAB_CAP environment variable, else DEFAULT_CAP (24);
 a negative cap is a usage error (exit 2).
+
+`build_parser`'s tree is the only grammar. `run` looks up the leaf parser
+its command words name (`fd minc`, `experiment`) and parses the rest of
+argv with that leaf alone; on any refusal (a usage error, help, arguments
+left over, or no leaf named) it parses argv with the whole tree instead, so
+every message and exit code is the tree's own.
 """
 
 from __future__ import annotations
@@ -179,45 +185,62 @@ class _Parser(argparse.ArgumentParser):
             _printed.__dict__.setdefault("messages", []).append((file is sys.stdout, message))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The disclab parser; what it prints reaches the outcome of `run`."""
+def _add_leaf(leaves, commands, *words, **kwargs):
+    """Add the parser of the command named by `words` to `commands` (its
+    group's subparsers, or the top level's) and file it in `leaves` under
+    those words, with the attributes the tree's parse sets from them: the
+    first word to `command`, a second to the group's own dest."""
+    parser = commands.add_parser(words[-1], **kwargs)
+    leaves[words] = parser, dict(zip(("command", commands.dest), words))
+    return parser
+
+
+def build_parser(leaves=None) -> argparse.ArgumentParser:
+    """The disclab parser; what it prints reaches the outcome of `run`.
+
+    `leaves`, when given, is filled with every leaf of the tree, the parser
+    of one runnable command: `leaves[("fd", "minc")]` is that parser and
+    {"command": "fd", "what": "minc"}."""
+    if leaves is None:
+        leaves = {}
     parser = _Parser(prog="disclab")
     top = parser.add_subparsers(dest="command", required=True)
 
     construct = top.add_parser("construct", help="emit matrices as JSON")
     csub = construct.add_subparsers(dest="what", required=True)
-    stacked = csub.add_parser("stacked", help="t copies of W side by side, t = floor(1/(2p))")
+    stacked = _add_leaf(leaves, csub, "construct", "stacked",
+                        help="t copies of W side by side, t = floor(1/(2p))")
     stacked.add_argument("--p", type=parse_rational, required=True)
     stacked.add_argument("--n", type=_power_of_two, required=True)
     stacked.add_argument("--out", default="")
-    hadamard = csub.add_parser("hadamard", help="Sylvester sign matrix of the given order")
+    hadamard = _add_leaf(leaves, csub, "construct", "hadamard", help="Sylvester sign matrix of the given order")
     hadamard.add_argument("--n", type=_power_of_two, required=True)
     hadamard.add_argument("--out", default="")
-    wmat = csub.add_parser("w", help="(1 + H)/2 for the Sylvester H of the given order")
+    wmat = _add_leaf(leaves, csub, "construct", "w", help="(1 + H)/2 for the Sylvester H of the given order")
     wmat.add_argument("--n", type=_power_of_two, required=True)
     wmat.add_argument("--out", default="")
 
     wdisc = top.add_parser("wdisc", help="weighted discrepancy solvers")
     wsub = wdisc.add_subparsers(dest="how", required=True)
-    wexact = wsub.add_parser("exact")
+    wexact = _add_leaf(leaves, wsub, "wdisc", "exact")
     wexact.add_argument("--matrix", required=True)
     wexact.add_argument("--p", type=parse_rational, required=True)
     wexact.add_argument("--cap", type=int, default=None, help=CAP_HELP)
-    wheur = wsub.add_parser("heur")
+    wheur = _add_leaf(leaves, wsub, "wdisc", "heur")
     wheur.add_argument("--matrix", required=True)
     wheur.add_argument("--p", type=parse_rational, required=True)
     _add_oracle_flags(wheur, default_kind="local-search", kinds=("greedy", "local-search"))
 
     odisc = top.add_parser("odisc", help="multicolor / asymmetric discrepancy")
     osub = odisc.add_subparsers(dest="how", required=True)
-    oexact = osub.add_parser("exact")
+    oexact = _add_leaf(leaves, osub, "odisc", "exact")
     oexact.add_argument("--matrix", action="append", required=True,
                         help="repeat for one block per color")
     oexact.add_argument("--k", type=int, default=None,
                         help="with a single --matrix: use k identical copies")
     oexact.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     _add_threads_flag(oexact)
-    ocolor = osub.add_parser("color")
+    ocolor = _add_leaf(leaves, osub, "odisc", "color")
     ocolor.add_argument("--matrix", action="append", required=True)
     ocolor.add_argument("--k", type=int, default=None)
     ocolor.add_argument("--cap", type=int, default=None, help=CAP_HELP)
@@ -225,23 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     certify = top.add_parser("certify", help="exact lower-bound certification")
     certsub = certify.add_subparsers(dest="what", required=True)
-    cwd = certsub.add_parser("wdisc-lb")
+    cwd = _add_leaf(leaves, certsub, "certify", "wdisc-lb")
     cwd.add_argument("--p", type=parse_rational, required=True)
     cwd.add_argument("--n", type=_power_of_two, required=True)
     cwd.add_argument("--cap", type=int, default=None, help=CAP_HELP)
-    cmc = certsub.add_parser("multicolor-lb")
+    cmc = _add_leaf(leaves, certsub, "certify", "multicolor-lb")
     cmc.add_argument("--k", type=int, required=True)
     cmc.add_argument("--n", type=_power_of_two, required=True)
     cmc.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     _add_threads_flag(cmc)
-    clem = certsub.add_parser("hadamard-lemma")
+    clem = _add_leaf(leaves, certsub, "certify", "hadamard-lemma")
     clem.add_argument("--n", type=_power_of_two, required=True)
     clem.add_argument("--trials", type=int, default=1000)
     clem.add_argument("--seed", type=int, default=0)
 
     fd = top.add_parser("fd", help="group fair division")
     fdsub = fd.add_subparsers(dest="what", required=True)
-    fgen = fdsub.add_parser("gen")
+    fgen = _add_leaf(leaves, fdsub, "fd", "gen")
     fgen.add_argument("--kind", choices=["prop", "ef", "cd"], required=True)
     fgen.add_argument("--matrix", required=True)
     fgen.add_argument("--k", type=int, required=True)
@@ -250,22 +273,22 @@ def build_parser() -> argparse.ArgumentParser:
     fgen.add_argument("--sizes", type=_int_list, default=None,
                       help="comma-separated group sizes, descending")
     fgen.add_argument("--out", default="")
-    fcheck = fdsub.add_parser("check")
+    fcheck = _add_leaf(leaves, fdsub, "fd", "check")
     fcheck.add_argument("--instance", required=True)
     fcheck.add_argument("--allocation", required=True)
     fcheck.add_argument("--notion", choices=["ef", "prop", "cd"], required=True)
     fcheck.add_argument("--c", type=int, required=True)
-    fminc = fdsub.add_parser("minc")
+    fminc = _add_leaf(leaves, fdsub, "fd", "minc")
     fminc.add_argument("--instance", required=True)
     fminc.add_argument("--notion", choices=["ef", "prop", "cd"], required=True)
     fminc.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     _add_threads_flag(fminc)
-    falloc = fdsub.add_parser("allocate")
+    falloc = _add_leaf(leaves, fdsub, "fd", "allocate")
     falloc.add_argument("--instance", required=True)
     _add_oracle_flags(falloc)
     falloc.add_argument("--cap", type=int, default=None, help=CAP_HELP)
 
-    experiment = top.add_parser("experiment", help="CSV sweep over (n, p, k, solver)")
+    experiment = _add_leaf(leaves, top, "experiment", help="CSV sweep over (n, p, k, solver)")
     experiment.add_argument("--n", type=_int_list, default=[])
     experiment.add_argument("--p", type=_rat_list, default=[])
     experiment.add_argument("--k", type=_int_list, default=[])
@@ -285,10 +308,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `run` uses, built once per process. Parsing leaves it
-    unchanged, and no command mutates its `args` or their defaults."""
-    return build_parser()
+def _parser() -> tuple:
+    """The parser `run` uses and its leaves, built once per process. Parsing
+    leaves them unchanged, and no command mutates its `args` or their
+    defaults."""
+    leaves = {}
+    return build_parser(leaves), leaves
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed as `build_parser`'s tree parses it.
+
+    The command words, argv's first one or two, pick the leaf that parses
+    the rest of argv, starting from the attributes the tree sets from those
+    words. The tree hands its leaf exactly that rest, and a leaf that reads
+    it all leaves nothing for the levels above to check. Otherwise (no leaf
+    named, a leaf that exits on a usage error or help, or arguments left
+    over) what the leaf printed is dropped and the whole tree parses argv,
+    so every message and exit code is the tree's own.
+    """
+    parser, leaves = _parser()
+    words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
+    if words in leaves:
+        leaf, attributes = leaves[words]
+        try:
+            args, extras = leaf.parse_known_args(argv[len(words):], argparse.Namespace(**attributes))
+            if not extras:
+                return args
+        except SystemExit:
+            _printed.__dict__.pop("messages", None)
+    return parser.parse_args(argv)
 
 
 def _cmd_construct(args) -> CommandOutcome:
@@ -502,7 +551,7 @@ def _cmd_experiment(args) -> CommandOutcome:
 def run(argv) -> CommandOutcome:
     """Execute one CLI invocation and report (exit code, stdout, stderr)."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         messages = _printed.__dict__.pop("messages", [])
         stdout = "".join(text for to_stdout, text in messages if to_stdout)

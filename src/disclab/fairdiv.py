@@ -5,14 +5,16 @@ of a partition of the goods. Three approximate fairness notions are checked
 exactly: envy-freeness, proportionality, and consensus division, each "up to
 c goods". An instance stores its agents once, as the rows of one
 `RatMatrix`, group after group, over one least denominator for the whole
-instance, read straight from the input text; `FairDivInstance.groups` views
-them as Fractions for the lemma check. For additive utilities, removing the c
-highest-valued goods (as seen by the evaluating agent) is the best possible
-removal, so every comparison reduces to covering a value deficit with a
-top-c removal. One integer routine (`_MinC`) does this for every caller:
-every agent's numerators are multiplied by k so that utilities, bundle values
-and the 1/k share are ints, and its goods are ranked once, so a top-c
-removal is a scan of that ranking that stops when the deficit is covered.
+instance, read straight from the input text: each distinct utility is
+parsed, range-checked and scaled once, and every cell maps through that
+table. `FairDivInstance.groups` views them as Fractions for the lemma
+check. For additive utilities, removing the c highest-valued goods (as seen
+by the evaluating agent) is the best possible removal, so every comparison
+reduces to covering a value deficit with a top-c removal. One integer
+routine (`_MinC`) does this for every caller: every agent's numerators are
+multiplied by k so that utilities, bundle values and the 1/k share are
+ints, and its goods are ranked once, so a top-c removal is a scan of that
+ranking that stops when the deficit is covered.
 The same routine bounds c from below on a partial allocation (the unplaced
 goods can shrink a deficit by at most their value), which prunes the exact
 minimum search over all allocations; checking a given c is comparing it
@@ -36,12 +38,13 @@ point the coloring is a PROP(2H) allocation (verified before returning).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, InputError, VerificationError
 from .matrices import RatMatrix, check_cells
-from .rational import as_ratio, parse_ratios, pos_part
+from .rational import as_ratio, over_common_denominator, parse_ratios, pos_part
 from .recursive_coloring import odisc_color
 from .solvers import DEFAULT_CAP, OracleConfig, check_search, eval_asymmetric, previous_equal
 
@@ -86,9 +89,18 @@ class FairDivInstance:
         )
 
     @classmethod
-    def _from_ratios(cls, groups) -> "FairDivInstance":
+    def _from_ratios(cls, groups, ratios=None) -> "FairDivInstance":
         """The instance whose groups[i][j][g], agent j of group i's utility
-        for good g, is a (numerator, positive denominator) pair."""
+        for good g, is a cell that `ratios` maps to its (numerator, positive
+        denominator) pair, or that pair itself when `ratios` is None.
+
+        Each distinct cell is range-checked and scaled once, and the agents'
+        rows map their cells through that table. The errors are those of
+        checking agent by agent: no group, an empty group, no good, then per
+        agent its length and then its first utility outside [0, 1].
+        """
+        if ratios is None:
+            ratios = {u: u for group in groups for agent in group for u in agent}
         if not groups:
             raise InputError("instance needs at least one group")
         sizes = tuple(len(group) for group in groups)
@@ -97,14 +109,20 @@ class FairDivInstance:
         m = len(groups[0][0])
         if m == 0:
             raise InputError("instance needs at least one good")
+        outside = {u for u, (a, b) in ratios.items() if a < 0 or a > b}
         agents = [agent for group in groups for agent in group]
         for agent in agents:
             if len(agent) != m:
                 raise DimensionMismatchError("agents disagree on the number of goods")
-            for a, b in agent:
-                if a < 0 or a > b:
-                    raise InputError(f"utility {Fraction(a, b)} outside [0, 1]")
-        return cls(k=len(groups), group_sizes=sizes, m=m, agents=RatMatrix._from_ratios(agents))
+            if outside and not outside.isdisjoint(agent):
+                a, b = ratios[next(u for u in agent if u in outside)]
+                raise InputError(f"utility {Fraction(a, b)} outside [0, 1]")
+        distinct, den = over_common_denominator(list(ratios.values()))
+        scaled = dict(zip(ratios, distinct)).__getitem__
+        # Rows built at their final size, as in RatMatrix.from_json_dict.
+        nums = tuple([tuple(list(map(scaled, agent))) for agent in agents])
+        return cls(k=len(groups), group_sizes=sizes, m=m,
+                   agents=RatMatrix(rows=len(agents), cols=m, nums=nums, den=den))
 
     def by_group(self, rows) -> list:
         """`rows`, one per agent in `agents` order, cut into the k groups."""
@@ -127,15 +145,23 @@ class FairDivInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FairDivInstance":
+        """The instance of a JSON object with "groups" and optionally "k",
+        "group_sizes" and "m", which must match the groups.
+
+        Each distinct utility is parsed (`parse_ratios`), range-checked and
+        scaled once, and the cells map through that table straight into
+        `agents`. The errors are those of reading cell by cell: every cell
+        is parsed before any is range-checked, and the checks run in
+        `_from_ratios`' order.
+        """
         try:
             groups = data["groups"]
         except (KeyError, TypeError) as exc:
             raise InputError("instance JSON needs a groups field") from exc
         _check_nesting(groups)
-        ratios = parse_ratios(u for group in groups for agent in group for u in agent)
-        instance = cls._from_ratios(
-            [[[ratios[u] for u in agent] for agent in group] for group in groups]
-        )
+        flat = itertools.chain.from_iterable
+        ratios = parse_ratios(flat(flat(groups)))
+        instance = cls._from_ratios(groups, ratios)
         for field in ("k", "group_sizes", "m"):
             if field in data:
                 declared = data[field]
@@ -285,9 +311,10 @@ class _MinC:
         self.agents = []
         for i, group in enumerate(instance.by_group(instance.agents.nums)):
             for nums in group:
-                units = [k * a for a in nums]
-                ranking = sorted((g for g in range(instance.m) if units[g] > 0),
-                                 key=lambda g: (-units[g], g))
+                units = list(map(k.__mul__, nums))
+                # a stable sort: goods of equal utility stay in index order
+                ranking = sorted(itertools.compress(range(instance.m), units),
+                                 key=units.__getitem__, reverse=True)
                 self.agents.append((i, units, sum(nums), ranking))
         self.alone = [(b,) for b in range(k)]
         self.outside = [tuple(o for o in range(k) if o != b) for b in range(k)]
@@ -377,17 +404,17 @@ def brute_force_min_c(
     m = instance.m
     check_search(k, m, cap)
 
-    by_good = [[units[g] for _i, units, _s, _r in core.agents] for g in range(m)]
-    remaining = [[0] * len(core.agents)]
+    by_good = list(zip(*(units for _i, units, _s, _r in core.agents)))
+    remaining = [(0,) * len(core.agents)]
     for units in reversed(by_good):
-        remaining.append([r + u for r, u in zip(remaining[-1], units)])
+        remaining.append(tuple(map(operator.add, remaining[-1], units)))
     remaining.reverse()  # remaining[g][a]: agent a's value of goods g..m-1
     # opener[b]: the previous bundle of b's class (-1 for the first);
     # twin[g]: the previous good identical to g (-1 for none)
     # (the rows share one denominator, so equal sorted rows are equal groups)
     groups = instance.by_group(instance.agents.nums)
     opener = previous_equal([None if tag == "CD" else tuple(sorted(group)) for group in groups])
-    twin = previous_equal([tuple(units) for units in by_good])
+    twin = previous_equal(by_good)
     values = [[0] * k for _ in core.agents]
     sizes = [0] * k  # sizes[b]: the goods placed in bundle b
     # every allocation has c <= m: removing all goods passes

@@ -27,7 +27,7 @@ from disclab import (
     min_c_for_allocation,
     wdisc_exact,
 )
-from disclab import rational
+from disclab import fairdiv, matrices, rational
 from disclab.fairdiv import NOTION_TAGS, _MinC, _cover, build_agent_scaling
 
 from naive import (
@@ -663,6 +663,66 @@ def test_instance_json_reads_each_distinct_cell_once(monkeypatch):
     monkeypatch.setattr(rational, "parse_ratio", lambda cell: parsed.append(cell) or parse_ratio(cell))
     assert read([[["1/2", "2/4"]] * 50, [["2/4", "1/2"]] * 50]) == read([[["1/2", "1/2"]] * 50] * 2)
     assert parsed == ["1/2", "2/4", "1/2"]
+
+
+def test_instance_json_scales_each_distinct_utility_once(monkeypatch):
+    """An instance file is read without RatMatrix._from_ratios, with one
+    over_common_denominator call over its distinct utilities."""
+    groups = [[["1/2", "2/4", "1/3"], ["1", "0", "1/3"]], [["1/6", "1", "1/2"]]]
+    expected = FairDivInstance.from_groups([[[Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)], [1, 0, Fraction(1, 3)]],
+                                            [[Fraction(1, 6), 1, Fraction(1, 2)]]])
+
+    def refuse(_rows):
+        raise AssertionError("a second scaling pass")
+
+    monkeypatch.setattr(RatMatrix, "_from_ratios", refuse)
+    scaled = []
+    over = rational.over_common_denominator
+    for module in (rational, matrices, fairdiv):
+        monkeypatch.setattr(module, "over_common_denominator", lambda pairs: scaled.append(list(pairs)) or over(pairs))
+    instance = FairDivInstance.from_json_dict({"groups": groups})
+    assert instance == expected
+    assert instance.agents.nums == ((3, 3, 2), (6, 0, 2), (1, 6, 3)) and instance.agents.den == 6
+    assert scaled == [[(1, 2), (2, 4), (1, 3), (1, 1), (0, 1), (1, 6)]]
+
+
+@pytest.mark.parametrize("groups, error", [
+    # agent 2 (group 0) is too short before agent 3 is out of range
+    ([[["1", "0"], ["1"]], [["3/2", "0"]]], "agents disagree on the number of goods"),
+    # agent 1 is out of range before agent 2 is too short
+    ([[["0", "5/4"], ["1"]], [["3/2", "0"]]], "utility 5/4 outside [0, 1]"),
+    # within an agent, its first utility out of range in good order
+    ([[["1", "-1/2", "3/2"]]], "utility -1/2 outside [0, 1]"),
+    ([[["1", "0"]], [["1", "6/4", "2"]]], "agents disagree on the number of goods"),
+    ([[["1", "0"]], [["0", "6/4"]], [["1"]]], "utility 3/2 outside [0, 1]"),
+])
+def test_instance_errors_keep_agent_order(groups, error):
+    """Per agent in order: its length, then its first utility outside [0, 1]."""
+    with pytest.raises(InputError) as caught:
+        FairDivInstance.from_json_dict({"groups": groups})
+    assert str(caught.value) == error
+
+
+def test_brute_force_bound_calls_pinned(monkeypatch):
+    """The min-c search visits the same nodes: the count of _MinC.bound
+    calls on complement-pair and random instances is pinned."""
+    calls = []
+    bound = _MinC.bound
+    monkeypatch.setattr(_MinC, "bound", lambda core, *args: calls.append(1) or bound(core, *args))
+    amat = build_stacked(Fraction(1, 10), 2).matrix
+    pairs = {"EF": gen_ef_lb_instance(amat, 2, (4, 1)), "PROP": gen_prop_lb_instance(amat, 2, 1, (4, 1)),
+             "CD": gen_cd_instance(amat, 2)}
+    rng = random.Random(24)
+    instances = [random_instance(rng, m=rng.randint(3, 7)) for _ in range(12)]
+    for tag, pinned in (("EF", 83), ("PROP", 83), ("CD", 61)):
+        calls.clear()
+        assert brute_force_min_c(pairs[tag], tag)[0] == 1
+        assert len(calls) == pinned, tag
+    for tag, pinned in (("EF", 374), ("PROP", 362), ("CD", 268)):
+        calls.clear()
+        for instance in instances:
+            brute_force_min_c(instance, tag)
+        assert len(calls) == pinned, tag
 
 
 def test_generated_instance_memory_is_one_matrix():
