@@ -141,7 +141,7 @@ def _oracle_config(args) -> OracleConfig:
 
 def _add_oracle_flags(parser, default_kind="exact", kinds=("exact", "greedy", "local-search")):
     parser.add_argument("--oracle", choices=kinds, default=default_kind)
-    parser.add_argument("--iters", type=int, default=2000, help="heuristic move budget")
+    parser.add_argument("--iters", type=int, default=2000, help="heuristic budget: one unit per move and per restart")
     parser.add_argument("--seed", type=int, default=0)
 
 

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import lshift, not_
+from operator import add, lshift, not_, sub
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
 from .matrices import RatMatrix, check_blocks, check_selection, stack_vertical
@@ -60,7 +61,8 @@ class OracleConfig:
 
     kind "exact" runs the branch-and-bound (refusing more than 2^cap
     leaves, `check_search`); "greedy" runs one seeded descent;
-    "local-search" restarts descents until the move budget is spent.
+    "local-search" restarts descents until the budget is spent, each move
+    and each restart costing one unit.
     """
 
     kind: str = "exact"
@@ -432,74 +434,104 @@ def _descent(values, columns, x, budget, nodes):
     """Steepest-descent on single-bit flips and 1<->0 pair swaps, in place.
 
     Returns the number of moves used; candidate evaluations accumulate in
-    nodes[0], one per flip and one per pair swap considered in each move.
-    Each move takes the first candidate, in scan order (flips by column,
-    then swaps by (one, zero) column pair), whose max |row value| is
-    strictly below the best score so far, so runs are reproducible.
+    nodes[0], m + |ones| * |zeros| per move: one per flip and one per pair
+    swap considered. Each move takes the first candidate, in scan order
+    (flips by column, then swaps by (one, zero) column pair), whose max
+    |row value| is strictly below the best score so far, so runs are
+    reproducible.
 
-    Early reject: a candidate's score is the max over rows, so it is at
-    least its value on any one row. Rows are checked worst first, and a
-    candidate is dropped as soon as one row reaches the best score. Every
-    dropped candidate provably scores >= best_score and could never have
-    been taken, so the moves and the tie-break are those of the full scan.
+    A candidate beats the best score s exactly when every one of its row
+    values v has -s < v < s, so it is tested row by row on plain ints, worst
+    row first, and dropped at the first row outside that interval. Every
+    dropped candidate provably scores >= s and could never have been taken,
+    so the moves and the tie-break are those of the full scan. Only a
+    candidate inside on every row has its exact score computed, which
+    becomes the new s. On the worst row a swap of one column a for zero
+    column b moves the value to base - B, where base adds a's entry to it
+    and B is b's entry, so its test is base - s < B < base + s, with both
+    bounds fixed per a until s falls.
+
+    The ascending lists of the one and zero columns, and the row order by
+    descending |value|, are built once per call and kept across moves: an
+    accepted move updates the lists by remove and insort, and the row
+    order is re-sorted in place, nearly sorted already.
     """
     n = len(values)
     m = len(columns)
+    ones = list(compress(range(m), x))
+    zeros = list(compress(range(m), map(not_, x)))
+    order = list(range(n))
     used = 0
     while used < budget:
-        order = sorted(range(n), key=[-abs(v) for v in values].__getitem__)
-        worst, rest = order[0], order[1:]
+        order.sort(key=list(map(abs, values)).__getitem__, reverse=True)
+        worst = order[0]
+        rest = order[1:]
         value_worst = values[worst]
         best_score = abs(value_worst)
+        below = -best_score
         best_move = None
-        ones = list(compress(range(m), x))
-        zeros = list(compress(range(m), map(not_, x)))
         nodes[0] += m + len(ones) * len(zeros)
         for j in range(m):
             col = columns[j]
-            sign = -1 if x[j] == 0 else 1
-            score = abs(value_worst + sign * col[worst])
-            if score >= best_score:
-                continue
-            for i in rest:
-                v = abs(values[i] + sign * col[i])
-                if v >= best_score:
-                    break
-                if v > score:
-                    score = v
+            if x[j]:
+                if not below < value_worst + col[worst] < best_score:
+                    continue
+                for i in rest:
+                    if not below < values[i] + col[i] < best_score:
+                        break
+                else:
+                    best_score = max(map(abs, map(add, values, col)))
+                    below = -best_score
+                    best_move = (j,)
             else:
-                best_score = score
-                best_move = (j,)
+                if not below < value_worst - col[worst] < best_score:
+                    continue
+                for i in rest:
+                    if not below < values[i] - col[i] < best_score:
+                        break
+                else:
+                    best_score = max(map(abs, map(sub, values, col)))
+                    below = -best_score
+                    best_move = (j,)
         zeros_worst = [(b, columns[b][worst]) for b in zeros]
         for a in ones:
             ca = columns[a]
             base = value_worst + ca[worst]
+            lo = base - best_score
+            hi = base + best_score
             for b, cb_worst in zeros_worst:
-                score = abs(base - cb_worst)
-                if score >= best_score:
+                if not lo < cb_worst < hi:
                     continue
                 cb = columns[b]
                 for i in rest:
-                    v = abs(values[i] + ca[i] - cb[i])
-                    if v >= best_score:
+                    if not below < values[i] + ca[i] - cb[i] < best_score:
                         break
-                    if v > score:
-                        score = v
                 else:
-                    best_score = score
+                    best_score = max(map(abs, map(sub, map(add, values, ca), cb)))
+                    below = -best_score
                     best_move = (a, b)
+                    lo = base - best_score
+                    hi = base + best_score
         if best_move is None:
             break
         if len(best_move) == 1:
             j = best_move[0]
-            sign = -1 if x[j] == 0 else 1
-            for i in range(n):
-                values[i] += sign * columns[j][i]
+            if x[j]:
+                values[:] = map(add, values, columns[j])
+                ones.remove(j)
+                insort(zeros, j)
+            else:
+                values[:] = map(sub, values, columns[j])
+                zeros.remove(j)
+                insort(ones, j)
             x[j] ^= 1
         else:
             a, b = best_move
-            for i in range(n):
-                values[i] += columns[a][i] - columns[b][i]
+            values[:] = map(sub, map(add, values, columns[a]), columns[b])
+            ones.remove(a)
+            insort(zeros, a)
+            zeros.remove(b)
+            insort(ones, b)
             x[a], x[b] = 0, 1
         used += 1
     return used
@@ -529,8 +561,9 @@ def wdisc_heuristic(matrix: RatMatrix, p: Fraction, config: OracleConfig = Oracl
     Random restarts initialize each column to 1 with probability p, then
     steepest descent over bit flips and pair swaps runs to a local minimum.
     "greedy" stops after the first descent; "local-search" restarts until the
-    move budget is exhausted; "exact" is refused. Deterministic for a fixed
-    seed, and the value always equals the returned witness re-evaluated exactly.
+    budget is exhausted, each move and each restart costing one unit; "exact"
+    is refused. Deterministic for a fixed seed, and the value always equals
+    the returned witness re-evaluated exactly.
     """
     if config.kind == "exact":
         raise InputError("wdisc_heuristic runs the greedy or local-search oracle, not exact")

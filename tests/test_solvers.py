@@ -29,7 +29,7 @@ from disclab import (
     wdisc_heuristic,
 )
 
-from disclab.solvers import _Packing, _draw_threshold, _search, check_search
+from disclab.solvers import _Packing, _descent, _draw_threshold, _search, check_search
 
 from conftest import (
     ENTRIES,
@@ -41,7 +41,7 @@ from conftest import (
     random_01_matrix,
     random_rational_matrix,
 )
-from naive import naive_asymmetric, naive_odisc, naive_wdisc, naive_wdisc_heuristic
+from naive import naive_asymmetric, naive_descent, naive_odisc, naive_wdisc, naive_wdisc_heuristic
 
 
 def test_eval_weighted_pinned(w2):
@@ -231,6 +231,36 @@ def test_wdisc_heuristic_matches_naive_descent():
                     heur = wdisc_heuristic(matrix, p, OracleConfig(kind=kind, budget=budget, seed=seed))
                     expected = naive_wdisc_heuristic(matrix, p, kind, budget, seed)
                     assert (heur.value, heur.witness, heur.nodes_explored) == expected
+
+
+def test_descent_matches_naive_descent_move_for_move():
+    """At allocate scale (up to 8 rows, 40 columns) the one/zero lists and
+    the row order `_descent` keeps across moves stay in step with x and the
+    row values. Columns repeat a few distinct ones from a small palette,
+    scaled by 6, and the row values are those of p = pn/6, so candidate
+    scores and |row values| tie; the starting x is all 0, all 1 or random,
+    and the budgets 1, 2 and 7 cut descents short before the last one runs
+    to its local minimum."""
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        m = rng.randint(1, 40)
+        distinct = [[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)] for _ in range(rng.randint(1, 8))]
+        columns = [rng.choice(distinct) for _ in range(m)]
+        pn = rng.randint(1, 5)
+        fill = rng.choice((0, 1, None))
+        x = [rng.randint(0, 1) if fill is None else fill for _ in range(m)]
+        values = [
+            pn * sum(col[i] for col in columns) - 6 * sum(col[i] for col, bit in zip(columns, x) if bit)
+            for i in range(n)
+        ]
+        columns = [[6 * entry for entry in col] for col in columns]
+        fast = (list(values), list(x), [0])
+        slow = (list(values), list(x), [0])
+        for budget in (1, 2, 7, 10**6):
+            used = _descent(fast[0], columns, fast[1], budget, fast[2])
+            assert used == naive_descent(slow[0], columns, slow[1], budget, slow[2])
+            assert fast == slow
 
 
 def test_draw_threshold_decides_each_draw_exactly():
