@@ -7,8 +7,12 @@ T_i is the i-th row sum of B. Minimizing the max absolute row value is then an
 integer problem, and the reported Fraction is exact by construction.
 
 The k-color objective is this one at p = 1/k, color class s a selection
-judged on block s: `eval_asymmetric` and `odisc_exact` go through
-`eval_weighted` and `_scale_weighted`, one scaling for every exact search.
+judged on block s: `eval_asymmetric` goes through `eval_weighted`, and
+both exact solvers through `_Packing.scaled`, `odisc_exact` with pn = 1 and
+pd = k: one scaling for every exact search. Each exact solver transposes its integer numerators
+once, for the packed columns, and sizes the packing from the row sums T_i
+alone: entries are nonnegative, so no row value leaves [pn*T_i - pd*T_i,
+pn*T_i].
 
 The branch-and-bound prunes with per-row reachable intervals: entries are
 nonnegative, so selecting columns only subtracts, and a branch is dead once
@@ -31,9 +35,14 @@ merged duplicate columns (only the selection count within an
 identical-column group matters): the value search finds the optimum, and
 feasibility searches, each stopping at the first selection within the
 optimum, rebuild the witness column by column in original order, each over
-the groups of the columns after the one being fixed. Every search reads its
-groups off one column order, by descending mass, sorted once per call. That
-keeps the documented tie-break: the lexicographically smallest optimal x.
+the groups of the columns after the one being fixed. Most of them fail at
+their root, so two masked tests decide the root before any grouping: the
+lower test, and the upper test against the packed mass of every later
+column (`_lex_least`). Every search reads its groups off one column order,
+by descending mass, sorted once per call. That keeps the documented
+tie-break: the lexicographically smallest optimal x. A new incumbent is
+unpacked in place and shifts the bars of the interval rule; no search
+rebuilds them.
 """
 
 from __future__ import annotations
@@ -168,11 +177,11 @@ class _Packing:
     Field i of a packed value vector holds v_i + 2^(w-1), so the vector is the
     int sum_i (v_i + 2^(w-1)) * 2^(w*i), and a packed column or remaining mass
     holds its plain entries. A child node is then one subtraction of a packed
-    column. w is fixed per call from the row values `start` at the root, the
-    `columns` the search subtracts, whose entries in row i sum to mass_i, and
-    the initial incumbent `limit`: every value the search meets lies in
-    [start_i - mass_i, start_i], so
-    2^(w-1) > 2 * max_i(|start_i| + mass_i) + limit keeps every field of the
+    column. A packing of `rows` fields under `bound` has 2^(w-1) > bound: if
+    every row value the search meets lies in [start_i - mass_i, start_i], for
+    the root values `start`, the columns' entries in row i summing to mass_i,
+    and the initial incumbent is `limit`, then
+    bound = 2 * max_i(|start_i| + mass_i) + limit keeps every field of the
     expressions below in [0, 2^w), and no borrow crosses between fields.
 
     The row-interval rule: entries are nonnegative, so selecting only
@@ -184,10 +193,12 @@ class _Packing:
     field's top bit says whether it is at least 2^(w-1). The search loops
     apply the rule inline. Each keeps one gate per depth, R + high for the
     mass R the later depths can still subtract, so the upper test is one
-    subtraction and one mask, and rebuilds the gates when the incumbent
-    improves. A test runs only where it can fail: a child whose values equal
-    its parent's, as at a `_search` descent, passes the lower test with its
-    parent, and only a subtraction can newly fail it.
+    subtraction and one mask. When the incumbent falls from b to b', low and
+    every gate fall by (b - b') * ones, so an update shifts the bars it has
+    and never rebuilds them from the masses. A test runs only where it can
+    fail: a child whose values equal its parent's, as at a `_search`
+    descent, passes the lower test with its parent, and only a subtraction
+    can newly fail it.
 
     The field offsets w*i are kept as a range, `shifts`, so a packing over
     many rows takes no memory per row: `pack` shifts each entry by its
@@ -197,12 +208,25 @@ class _Packing:
 
     __slots__ = ("width", "shifts", "ones", "top")
 
-    def __init__(self, start, columns, limit: int):
-        bound = 2 * max(abs(v) + sum(mass) for v, mass in zip(start, zip(*columns))) + limit
+    def __init__(self, rows: int, bound: int):
         self.width = bound.bit_length() + 1
-        self.shifts = range(0, self.width * len(start), self.width)  # field i's offset, w*i
+        self.shifts = range(0, self.width * rows, self.width)  # field i's offset, w*i
         self.ones = sum(1 << shift for shift in self.shifts)
         self.top = self.ones << (self.width - 1)
+
+    @classmethod
+    def scaled(cls, sums, pn: int, pd: int, limit: int) -> "_Packing":
+        """The packing of the weighted objective at p = pn/pd over a matrix
+        of integer numerators B with row sums `sums`, T_i = sum_j B_ij, from
+        the initial incumbent `limit`.
+
+        There start_i = pn*T_i and column j subtracts pd*B_ij from row i, so
+        mass_i = pd*T_i. Entries are nonnegative, so
+        |start_i| + mass_i = (pn + pd)*T_i, and the bound is
+        2*(pn + pd)*max_i T_i + limit: the row sums alone fix w, and no
+        scaled column is built to find it.
+        """
+        return cls(len(sums), 2 * (pn + pd) * max(sums) + limit)
 
     def pack(self, column) -> int:
         """A column or mass vector, one plain field per row."""
@@ -218,13 +242,6 @@ class _Packing:
         half = 1 << (self.width - 1)
         return max(max(fields) - half, half - min(fields))
 
-    def bars(self, limit: int, below) -> tuple:
-        """(low, gates) of the row-interval rule under `limit`, for a search
-        whose depth d leaves the packed mass below[d] to later depths:
-        gates[d] = below[d] + high."""
-        high = limit * self.ones
-        return (limit - 1) * self.ones, [mass + high for mass in below]
-
 
 def _group_columns(columns, order, after):
     """Merge identical columns among the indices above `after` into
@@ -237,15 +254,6 @@ def _group_columns(columns, order, after):
         if j > after:
             members.setdefault(columns[j], []).append(j)
     return list(members.items())
-
-
-def _below(masses):
-    """below[d]: the packed mass the depths after d can still subtract, from
-    each depth's packed mass."""
-    below = [0] * len(masses)
-    for d in range(len(masses) - 1, 0, -1):
-        below[d - 1] = below[d] + masses[d]
-    return below
 
 
 def _search(packing, groups, values, limit, first):
@@ -264,7 +272,8 @@ def _search(packing, groups, values, limit, first):
     packed values of the admitted node at each depth and the count tried
     there. Each depth keeps its upper gate, the packed mass of the groups
     after it plus the high bar, so a child's upper test is one subtraction
-    and one mask; the gates are rebuilt when the incumbent improves.
+    and one mask. A new incumbent is unpacked in place, and the low bar and
+    the gates shift down by its drop times `ones` (see `_Packing`).
 
     Each step pays only the tests that can fail. The root counts as a node
     and takes one lower test before the loop; its upper test is left to the
@@ -286,15 +295,19 @@ def _search(packing, groups, values, limit, first):
     if not groups:
         value = packing.worst(values)
         return (value, [], 1) if value < limit else (limit, None, 1)
+    width, shifts, ones, top = packing.width, packing.shifts, packing.ones, packing.top
     cols = [col for col, _members in groups]
     sizes = [len(members) for _col, members in groups]
-    below = _below([size * col for col, size in zip(cols, sizes)])
-    top = packing.top
-    low, gates = packing.bars(limit, below)
+    last = len(cols) - 1
+    low = (limit - 1) * ones
+    gates = [limit * ones] * len(cols)  # gates[d]: the packed mass of the groups after d, plus high
+    for d in range(last, 0, -1):
+        gates[d - 1] = gates[d] + sizes[d] * cols[d]
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
     best, found, nodes = limit, None, 1
     if (values + low) & top != top:
         return best, found, nodes
-    last = len(cols) - 1
     node = [values] * len(cols)  # node[d]: the admitted child at depth d, counts[d] of its group selected
     counts = [0] * len(cols)
     pending = []  # the depths above d whose group has a count left, deepest last
@@ -312,11 +325,16 @@ def _search(packing, groups, values, limit, first):
                 d += 1
                 count = 0
                 continue
-            best = packing.worst(child)
+            fields = [(child >> shift) & mask for shift in shifts]
+            value = max(max(fields) - half, half - min(fields))
             found = counts[:]
-            if first or not best:
+            if first or not value:
+                best = value
                 break
-            low, gates = packing.bars(best, below)
+            drop = (best - value) * ones
+            best = value
+            low -= drop
+            gates = [gate - drop for gate in gates]
         # Next count of group d, unless the group is spent or a row is at or
         # below -limit, where more of the group lowers it further; else the
         # next count of the deepest pending depth that passes the lower test.
@@ -350,15 +368,38 @@ def _lex_least(packing, columns, order, start, target, selected):
     search with x_d = 0 over the groups of columns d+1, ..., read off the
     search's column `order` (`_group_columns`), decides: on success x_d = 0
     and its selection becomes the tail of `known`, otherwise x_d = 1.
+
+    Most such searches fail at their root, so the root is decided first,
+    before any grouping, by two masked tests under limit = target + 1: the
+    lower test, and the upper test against the packed mass S of every
+    column after d (`after`, suffix sums built once per call). If either
+    fails, the search would have returned no selection after one node, so
+    one node is counted and x_d = 1 is fixed. Proof: where the lower test
+    fails, `_search` returns before its loop. Where the upper test fails,
+    some row i has v_i - S_i >= limit: that row cannot get below the limit
+    even with every later column selected. A depth-0 child selects c <= |G|
+    columns of the first group G, and its gate leaves out of the mass
+    exactly that group, S - |G|*G, so the row its gate tests is
+    v_i - c*G_i - (S_i - |G|*G_i) >= v_i - S_i >= limit. So every depth-0
+    child fails its gate and counts no node, and the search ends with its
+    root alone.
     """
     m = len(columns)
     known = [0] * m
     for j in selected:
         known[j] = 1
+    top, ones = packing.top, packing.ones
+    low = target * ones
+    # after[d]: the packed mass of columns d, ..., m - 1, plus high
+    after = list(accumulate(reversed(columns), initial=(target + 1) * ones))[::-1]
     values = start
     nodes = 0
     for d in range(m):
         if not known[d]:
+            continue
+        if (values + low) & top != top or (values - after[d + 1]) & top:
+            nodes += 1
+            values -= columns[d]
             continue
         groups = _group_columns(columns, order, d)
         _value, tail, searched = _search(packing, groups, values, target + 1, True)
@@ -408,17 +449,19 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, cap: int = DEFAULT_CAP) -> Wdisc
     """
     p = _check_probability(p)
     check_search(2, matrix.cols, cap)
-    columns, start, denom = _scale_weighted(matrix, p)
-    masses = [sum(col) for col in columns]
+    pn, pd = p.numerator, p.denominator
+    sums = list(map(sum, matrix.nums))
+    limit = pn * max(sums) + 1
+    packing = _Packing.scaled(sums, pn, pd, limit)
+    columns = list(zip(*matrix.nums))
+    masses = list(map(sum, columns))
     order = sorted(range(matrix.cols), key=masses.__getitem__, reverse=True)  # stable: ties by index
-    limit = max(map(abs, start)) + 1
-    packing = _Packing(start, columns, limit)
-    packed = [packing.pack(col) for col in columns]
-    root = packing.pack_values(start)
+    packed = [pd * packing.pack(col) for col in columns]
+    root = packing.pack_values([pn * total for total in sums])
     value, selected, nodes_value = _search(packing, _group_columns(packed, order, -1), root, limit, False)
     witness, nodes_witness = _lex_least(packing, packed, order, root, value, selected)
     return WdiscResult(
-        value=Fraction(value, denom),
+        value=Fraction(value, matrix.den * pd),
         witness=witness,
         nodes_explored=nodes_value + nodes_witness,
         exact=True,
@@ -641,16 +684,20 @@ def odisc_exact(blocks, cap: int = DEFAULT_CAP) -> OdiscResult:
     k = len(blocks)
     check_search(k, blocks[0].cols, cap)
     offsets = list(accumulate((block.rows for block in blocks), initial=0))
-    columns, start, denom = _scale_weighted(stack_vertical(blocks), Fraction(1, k))
-    best, chi, nodes = _odisc_dfs(columns, start, offsets, previous_equal(blocks), previous_equal(columns))
-    return OdiscResult(value=Fraction(best, denom), witness=chi, nodes_explored=nodes, exact=True)
+    stacked = stack_vertical(blocks)
+    columns = list(zip(*stacked.nums))
+    sums = list(map(sum, stacked.nums))
+    best, chi, nodes = _odisc_dfs(columns, sums, offsets, previous_equal(blocks), previous_equal(columns))
+    return OdiscResult(value=Fraction(best, stacked.den * k), witness=chi, nodes_explored=nodes, exact=True)
 
 
-def _odisc_dfs(columns, start, offsets, opener, twin):
+def _odisc_dfs(columns, sums, offsets, opener, twin):
     """Search colorings of the stacked blocks, block s holding rows
-    offsets[s] to offsets[s + 1] - 1, in the weighted objective at p = 1/k as
-    `_scale_weighted` scales it: `columns` hold k times each entry, `start`
-    each row sum T. Returns (scaled value, coloring, nodes).
+    offsets[s] to offsets[s + 1] - 1, in the weighted objective at p = 1/k:
+    `columns` hold the stacked integer numerators B, `sums` each row sum T,
+    and the scaled search starts at T and subtracts k*B, so that the
+    packing is `_Packing.scaled` with pn = 1 and pd = k. Returns (scaled
+    value, coloring, nodes).
 
     A coloring subtracts from row r only the columns of its block's color,
     so every value lies in [T - k*T, T]; the incumbent starts above
@@ -663,21 +710,26 @@ def _odisc_dfs(columns, start, offsets, opener, twin):
     it. So no table spans the rows above a block, and memory is linear in k.
 
     One loop walks the tree depth first, keeping per depth the packed values
-    of the node being branched and, in chi, the color tried; the upper gates
-    are rebuilt as in `_search` when the incumbent improves. Every child
-    tried counts as a node, admitted or not, until the incumbent is 0.
+    of the node being branched and, in chi, the color tried; as in
+    `_search`, a new incumbent is unpacked in place and shifts the low bar
+    and the upper gates down by its drop. Every child tried counts as a
+    node, admitted or not, until the incumbent is 0.
     """
     k = len(opener)
-    limit = k * max(start) + 1
-    packing = _Packing(start, columns, limit)
+    limit = k * max(sums) + 1
+    packing = _Packing.scaled(sums, 1, k, limit)
+    pack, width, field_shifts, ones, top = packing.pack, packing.width, packing.shifts, packing.ones, packing.top
     m = len(columns)
     # tables[c]: the columns of color c + 1's block, packed unshifted
-    tables = [tuple(packing.pack(col[lo:hi]) for col in columns) for lo, hi in zip(offsets, offsets[1:])]
-    shifts = [packing.width * lo for lo in offsets]
-    root = packing.pack_values(start)
-    below = _below([packing.pack(col) for col in columns])
-    top = packing.top
-    low, gates = packing.bars(limit, below)
+    tables = [tuple(k * pack(col[lo:hi]) for col in columns) for lo, hi in zip(offsets, offsets[1:])]
+    shifts = [width * lo for lo in offsets]
+    root = packing.pack_values(sums)
+    low = (limit - 1) * ones
+    gates = [limit * ones] * m  # gates[d]: the packed mass of the columns after d, plus high
+    for d in range(m - 1, 0, -1):
+        gates[d - 1] = gates[d] + k * pack(columns[d])
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
     best, witness, nodes = limit, None, 1
     node = [root] * m  # node[d]: the admitted node whose column d is being colored
     chi = [0] * m
@@ -701,10 +753,16 @@ def _odisc_dfs(columns, start, offsets, opener, twin):
             continue
         chi[d] = color
         if d == last:
-            best, witness = packing.worst(child), tuple(chi)
-            if not best:
+            fields = [(child >> shift) & mask for shift in field_shifts]
+            value = max(max(fields) - half, half - min(fields))
+            witness = tuple(chi)
+            if not value:
+                best = value
                 break
-            low, gates = packing.bars(best, below)
+            drop = (best - value) * ones
+            best = value
+            low -= drop
+            gates = [gate - drop for gate in gates]
             continue
         sizes[color - 1] += 1
         d += 1

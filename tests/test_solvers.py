@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,9 @@ from disclab import (
     wdisc_heuristic,
 )
 
-from disclab.solvers import _Packing, _descent, _draw_threshold, _search, check_search
+from disclab import solvers
+from disclab.matrices import stack_vertical
+from disclab.solvers import _Packing, _descent, _draw_threshold, _group_columns, _search, check_search
 
 from conftest import (
     ENTRIES,
@@ -598,10 +601,132 @@ def test_search_refuses_a_root_below_the_floor():
     """A root with a row at or below -limit is refused before the loop: no
     selection, one node. One above the floor is admitted, and its empty
     selection is the optimum, since the column only lowers the -3 row."""
-    packing = _Packing((2, -3), [(1, 1)], 4)
+    packing = _Packing(2, 12)  # 2 * max(|2| + 1, |-3| + 1) + 4
     groups = [(packing.pack((1, 1)), [0])]
     assert _search(packing, groups, packing.pack_values((2, -3)), 3, True) == (3, None, 1)
     assert _search(packing, groups, packing.pack_values((2, -3)), 4, False) == (3, [], 2)
+
+
+def _lex_least_by_search(packing, columns, order, start, target, selected):
+    """The witness rebuild with no root test: a `first` search over the
+    groups after every open column, as `_lex_least` is documented to equal."""
+    m = len(columns)
+    known = [0] * m
+    for j in selected:
+        known[j] = 1
+    values, nodes = start, 0
+    for d in range(m):
+        if not known[d]:
+            continue
+        _value, tail, searched = _search(packing, _group_columns(columns, order, d), values, target + 1, True)
+        nodes += searched
+        if tail is None:
+            values -= columns[d]
+        else:
+            known[d:] = [0] * (m - d)
+            for j in tail:
+                known[j] = 1
+    return tuple(known), nodes
+
+
+@st.composite
+def duplicated_columns(draw):
+    """Matrices drawn as for RANDOM_WDISC_NODES: each column a copy of an
+    earlier one or fresh entries a/den."""
+    rows = draw(st.integers(1, 6))
+    den = draw(st.sampled_from((1, 2, 3, 4)))
+    fresh = st.lists(st.integers(0, den), min_size=rows, max_size=rows)
+    columns = []
+    for _ in range(draw(st.integers(1, 12))):
+        if columns and draw(st.booleans()):
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            columns.append([Fraction(a, den) for a in draw(fresh)])
+    return RatMatrix.from_rows(list(zip(*columns)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplicated_columns(),
+       st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(5, 6), Fraction(1)]))
+def test_lex_least_root_tests_match_a_search_per_open_column_property(matrix, p):
+    """`_lex_least` decides a witness search at its root where either masked
+    test fails; witness and node count equal those of a `first` search run
+    for every open column, on the arguments `wdisc_exact` gives."""
+    lex_least = solvers._lex_least
+    rebuilt = []
+
+    def checked(*args):
+        result = lex_least(*args)
+        assert result == _lex_least_by_search(*args)
+        rebuilt.append(result)
+        return result
+
+    with mock.patch.object(solvers, "_lex_least", checked):
+        result = wdisc_exact(matrix, p)
+    assert [witness for witness, _nodes in rebuilt] == [result.witness]
+
+
+def _column_formula_width(nums, pn, pd, limit):
+    """w from the scaled columns: 2^(w-1) > 2 * max_i(|start_i| + mass_i) +
+    limit, with start_i = pn * T_i and mass_i the sum of the pd * B_ij."""
+    start = [pn * sum(row) for row in nums]
+    columns = [[pd * b for b in col] for col in zip(*nums)]
+    mass = [sum(col[i] for col in columns) for i in range(len(nums))]
+    return (2 * max(abs(v) + r for v, r in zip(start, mass)) + limit).bit_length() + 1
+
+
+def _packing_widths(solve, *args):
+    """The widths of the packings `solve(*args)` builds."""
+    widths = []
+
+    class Recorded(_Packing):
+        __slots__ = ()
+
+        def __init__(self, rows, bound):
+            super().__init__(rows, bound)
+            widths.append(self.width)
+
+    with mock.patch.object(solvers, "_Packing", Recorded):
+        solve(*args)
+    return widths
+
+
+def _check_wdisc_width(matrix, p):
+    limit = p.numerator * max(map(sum, matrix.nums)) + 1
+    assert _packing_widths(wdisc_exact, matrix, p) == [_column_formula_width(matrix.nums, p.numerator, p.denominator, limit)]
+
+
+def _check_odisc_width(matrix):
+    """k - 1 copies of `matrix` over its mirror image, at p = 1/k."""
+    mirrored = RatMatrix.from_rows([row[::-1] for row in matrix.entries])
+    for k in (1, 2, 3):
+        blocks = [matrix] * (k - 1) + [mirrored]
+        nums = stack_vertical(blocks).nums
+        limit = k * max(map(sum, nums)) + 1
+        assert _packing_widths(odisc_exact, blocks) == [_column_formula_width(nums, 1, k, limit)]
+
+
+@pytest.mark.parametrize("rows", [
+    [[0]], [[1]], [[Fraction(1, WIDE)]], [[Fraction(WIDE - 1, WIDE)]],
+    [[1, Fraction(1, 2), 0, 1]], [[Fraction(3, 2**67 + 5), 1, Fraction(1, WIDE)]],
+    [[1, Fraction(1, 3)], [Fraction(2, 3), 0], [1, 1]],
+])
+def test_row_sum_width_equals_the_column_formula(rows):
+    """`_Packing.scaled` takes w from the row sums alone. It equals the
+    column formula for `wdisc_exact` at every p, and for `odisc_exact` at
+    p = 1/k with its incumbent bound k * max T + 1, on 1x1 and one-row
+    matrices, at p = 0 and p = 1, with denominators above 2^64."""
+    matrix = RatMatrix.from_rows(rows)
+    for p in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(WIDE - 1, WIDE), Fraction(2**65, 3**45)):
+        _check_wdisc_width(matrix, p)
+    _check_odisc_width(matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pooled_matrices(4, 6, WIDE_ENTRIES), WIDE_P)
+def test_row_sum_width_equals_the_column_formula_property(matrix, p):
+    _check_wdisc_width(matrix, p)
+    _check_odisc_width(matrix)
 
 
 # (k, n): (value, nodes_explored) of odisc_exact on k copies of the stacked
