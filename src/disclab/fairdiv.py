@@ -16,14 +16,20 @@ multiplied by k so that utilities, bundle values and the 1/k share are
 ints, and its goods are ranked once, so a top-c removal is a scan of that
 ranking that stops when the deficit is covered.
 The same routine bounds c from below on a partial allocation (the unplaced
-goods can shrink a deficit by at most their value), which prunes the exact
-minimum search over all allocations; checking a given c is comparing it
-with the allocation's minimum. That search also skips allocations that are
-relabellings of one it visits first: bundles that are interchangeable (every
-bundle for CD, bundles of groups with the same agents for EF and PROP) open
-in index order, and goods that every agent values the same go to
-non-decreasing bundles. Both moves keep c and the lex-least minimizer obeys
-both rules, so the witness stays the lex-least one.
+goods can shrink a deficit by at most their value); checking a given c is
+comparing it with the allocation's minimum. The exact minimum over all
+allocations runs in rounds. The first settles c = 0: there every
+comparison is linear in the placements, so one packed int holds a field per
+agent and comparison, a child adds per-good packed columns, and one masked
+test admits or prunes it (`_zero_round`). Later rounds run the bound's
+branch and bound under doubling limits, each stopping once it meets the
+floor the round before proved (`_bound_round`). Every round skips
+allocations that are relabellings of one it visits first: bundles that are
+interchangeable (every bundle for CD, bundles of groups with the same
+agents for EF and PROP) open in index order, and goods that every agent
+values the same go to non-decreasing bundles. Both moves keep c and the
+lex-least minimizer obeys both rules, so the witness stays the lex-least
+one.
 
 The generators build the complement-pair instances whose minimal c is forced
 up by the weighted discrepancy of an embedded matrix, each complement as
@@ -46,7 +52,16 @@ from .errors import DimensionMismatchError, InputError, VerificationError
 from .matrices import RatMatrix, check_cells
 from .rational import as_ratio, over_common_denominator, parse_ratios, pos_part
 from .recursive_coloring import odisc_color
-from .solvers import DEFAULT_CAP, OracleConfig, check_search, eval_asymmetric, previous_equal
+from .solvers import (
+    DEFAULT_CAP,
+    OracleConfig,
+    _Packing,
+    check_search,
+    eval_asymmetric,
+    pack_at,
+    previous_equal,
+    spaced_ones,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -271,19 +286,25 @@ def min_c_for_allocation(instance: FairDivInstance, allocation: Allocation, tag:
     return core.bound(assignment, values, [0] * len(values), instance.m + 1)
 
 
-def _cover(units, ranking, assignment, bundles, deficit, limit):
+def _check_tag(tag: str) -> None:
+    if tag not in NOTION_TAGS:
+        raise InputError(f"unknown fairness notion {tag!r}")
+
+
+def _cover(units, ranking, assignment, bundles, deficit, limit, outside=False):
     """Least c whose c most valued goods among those assigned to `bundles`
-    sum to at least `deficit`, or `limit` once c reaches it.
+    (with `outside`, to none of them) sum to at least `deficit`, or `limit`
+    once c reaches it.
 
     `ranking` lists the agent's valued goods best first, so the scan skips
-    goods assigned elsewhere (or unplaced) and stops as soon as the deficit
-    is covered; no sort happens here.
+    the other goods and stops as soon as the deficit is covered; no sort
+    happens here.
     """
     if deficit <= 0:
         return 0
     c = 0
     for g in ranking:
-        if assignment[g] in bundles:
+        if (assignment[g] in bundles) is not outside:  # `in` gives True or False
             c += 1
             deficit -= units[g]
             if deficit <= 0 or c >= limit:
@@ -304,8 +325,7 @@ class _MinC:
     """
 
     def __init__(self, instance: FairDivInstance, tag: str):
-        if tag not in NOTION_TAGS:
-            raise InputError(f"unknown fairness notion {tag!r}")
+        _check_tag(tag)
         k = instance.k
         self.tag = tag
         self.agents = []
@@ -316,8 +336,6 @@ class _MinC:
                 ranking = sorted(itertools.compress(range(instance.m), units),
                                  key=units.__getitem__, reverse=True)
                 self.agents.append((i, units, sum(nums), ranking))
-        self.alone = [(b,) for b in range(k)]
-        self.outside = [tuple(o for o in range(k) if o != b) for b in range(k)]
 
     def bound(self, assignment, values, remaining, limit):
         """Lower bound on min c over every completion of a partial allocation.
@@ -332,94 +350,214 @@ class _MinC:
 
         - EF/CD (own, other): removal from `other`, deficit
           v(other) - v(own); CD takes the worst own, the least-valued bundle.
-        - PROP: removal from the goods outside the own bundle, deficit
-          share - v(own).
+        - PROP: removal from the placed goods outside the own bundle, those
+          assigned neither to it nor to -1, deficit share - v(own).
 
         With nothing unplaced this is the allocation's exact min c. Returns
         `limit` as soon as one pair reaches it.
         """
         need = 0
-        for (i, units, share, ranking), vals, slack in zip(self.agents, values, remaining):
-            if self.tag == "PROP":
-                c = _cover(units, ranking, assignment, self.outside[i],
-                           share - vals[i] - slack, limit)
+        if self.tag == "PROP":
+            for (i, units, share, ranking), vals, slack in zip(self.agents, values, remaining):
+                c = _cover(units, ranking, assignment, (i, -1),
+                           share - vals[i] - slack, limit, outside=True)
                 if c > need:
+                    if c >= limit:
+                        return limit
                     need = c
-            else:
-                base = (vals[i] if self.tag == "EF" else min(vals)) + slack
-                for other, value in enumerate(vals):
-                    if value > base:
-                        c = _cover(units, ranking, assignment, self.alone[other],
-                                   value - base, limit)
-                        if c > need:
-                            need = c
-            if need >= limit:
-                return limit
+            return need
+        worst = self.tag == "CD"
+        for (i, units, _share, ranking), vals, slack in zip(self.agents, values, remaining):
+            base = (min(vals) if worst else vals[i]) + slack
+            for other, value in enumerate(vals):
+                if value > base:
+                    c = _cover(units, ranking, assignment, (other,), value - base, limit)
+                    if c > need:
+                        if c >= limit:
+                            return limit
+                        need = c
         return need
 
 
-def brute_force_min_c(
-    instance: FairDivInstance,
-    tag: str,
-    cap: int = DEFAULT_CAP,
-) -> tuple:
-    """Exact minimum of min_c over all k^m allocations, with its witness.
-
-    One sequential branch and bound assigns goods in base-k order (good 0
-    most significant, bundles ascending) on the integer-scaled instance,
-    keeping per-agent bundle values incrementally. After each placement the
-    `_MinC.bound` lower bound over every completion is computed, scanning
-    stops once it reaches the incumbent, and the subtree is pruned when it
-    does; at a leaf the same routine gives the exact c. Only a strictly
-    smaller c replaces the incumbent and the search stops at c = 0, so the
-    witness is the lexicographically least minimizer. More than 2^cap
-    allocations, the leaves of the unpruned search, are refused. The search
-    is one loop whose stack is the assignment itself, the bundle tried at
-    each placed good, so Python's recursion limit does not bound m.
-
-    The search visits only canonical allocations under two symmetries that
-    keep c:
-
-    - Interchangeable bundles: for CD every bundle (c does not depend on the
-      grouping), for EF and PROP the bundles of groups holding the same
-      multiset of agents. A bundle of such a class may take a good only
-      once the class's previous bundle holds one.
-    - Identical goods, valued the same by every agent: a good never goes to
-      a lower bundle than the previous good identical to it.
-
-    Relabelling the bundles of a class, or swapping two identical goods,
-    turns any allocation into one with the same c. The lex-least member of
-    such an orbit obeys both rules: if a bundle held a good before its
-    class's previous bundle, swapping the two labels would give a smaller
-    allocation (they agree up to that good, which then takes the lower
-    label), and if a good sat in a higher bundle than the previous good
-    identical to it, swapping the two goods would too. The lex-least
-    minimizer is the lex-least member of its orbit, so it is canonical,
-    and a lex-order search over the canonical allocations returns it:
-    c and the witness are those of the full search (and, read for colors
-    and columns, those of `solvers.odisc_exact`'s search).
-    """
-    core = _MinC(instance, tag)
-    k = instance.k
-    m = instance.m
-    check_search(k, m, cap)
-
-    by_good = list(zip(*(units for _i, units, _s, _r in core.agents)))
-    remaining = [(0,) * len(core.agents)]
-    for units in reversed(by_good):
-        remaining.append(tuple(map(operator.add, remaining[-1], units)))
-    remaining.reverse()  # remaining[g][a]: agent a's value of goods g..m-1
-    # opener[b]: the previous bundle of b's class (-1 for the first);
-    # twin[g]: the previous good identical to g (-1 for none)
-    # (the rows share one denominator, so equal sorted rows are equal groups)
+def _symmetries(instance: FairDivInstance, tag: str) -> tuple:
+    """(columns, opener, twin): columns[g] every agent's numerator of good
+    g; opener[b] the previous bundle of b's class of interchangeable bundles
+    (-1 for the first) and twin[g] the previous good identical to g (-1 for
+    none), the two rules of `brute_force_min_c`. The rows share one
+    denominator, so equal sorted rows are equal groups."""
+    columns = list(zip(*instance.agents.nums))
     groups = instance.by_group(instance.agents.nums)
     opener = previous_equal([None if tag == "CD" else tuple(sorted(group)) for group in groups])
-    twin = previous_equal(by_good)
+    return columns, opener, previous_equal(columns)
+
+
+def _zero_round(instance: FairDivInstance, tag: str, columns, opener, twin):
+    """The lex-least canonical allocation with c = 0, as each good's bundle,
+    or None when there is none; and the number of children tried.
+
+    At c = 0 every comparison behind the notion is linear in the
+    placements. For an agent of group i, let v(b) be its value of the goods
+    placed in bundle b and R its value of the unplaced goods. It has one
+    field per pair:
+
+    - EF: v(o) - v(i) - R for each bundle o other than i (k - 1 fields);
+    - PROP: s - v(i) - R, with s its 1/k share (1 field);
+    - CD: v(o) - v(0) - R and v(0) - v(o) - R for each bundle o >= 1
+      (2(k - 1) fields; every agent, whatever its group).
+
+    Placing a good the agent values u in bundle b lowers R by u and raises
+    v(b) by u, so it adds u(1 + [b = p] - [b = q]) >= 0 to a field
+    v(p) - v(q) - R, and u(1 - [b = i]) to the PROP field: no field ever
+    falls along a path. A node with a positive field is pruned, and a leaf
+    that is not is returned.
+
+    Proof that this returns the lex-least c = 0 allocation. Prune: a field
+    positive at a node stays positive at every leaf below it, where R = 0.
+    There a positive EF or PROP field is a deficit that no removal-free
+    comparison covers, and a positive CD field makes v(o) differ from
+    v(0), so the leaf's max minus min bundle value is positive: every leaf
+    of a pruned subtree has c >= 1. Leaf: with R = 0 and no positive field,
+    EF gives v(o) <= v(i) for every o and PROP gives v(i) >= s, and CD
+    gives v(o) = v(0) for every o, all bundles valued alike: each is c = 0.
+    So the test is exact at a leaf. At an inner node the CD test is weaker
+    than the exact max - min <= R, since it compares each bundle with
+    bundle 0 only; it admits nodes the exact test would prune, which costs
+    time but, by the prune argument, loses no c = 0 leaf. The walk visits
+    the canonical allocations in lex order (`brute_force_min_c`'s two
+    rules, stepped as in `_bound_round`), so the first leaf admitted is the
+    lex-least canonical allocation with c = 0, which is the lex-least
+    allocation with c = 0.
+
+    Packed. All fields go into one int (`solvers._Packing`), agent-major:
+    agent a's fields are slots 0, 1, ... of `stride` = w * (fields per
+    agent) bits from bit a * stride. PROP counts in units of 1/k, where s
+    is an int. Every field lies in [-T, T] for the agent's scaled total T,
+    and 2^(w-1) > max T; a field f is stored as f + 2^(w-1) - 1, so its top
+    bit is set exactly when f > 0, and one masked test decides the node. A
+    child is its parent plus a nonnegative delta per field, so no carry
+    crosses a field. The deltas are built at the child from per-good
+    columns, each agent's u in its first field (`cols`) or in all of them
+    (`full`), shifted into place as in `solvers._odisc_dfs`; for EF and
+    PROP group b's fields are cut out of them with one mask per group, as
+    wide as the group ("without group b"):
+
+    - PROP: `cols` without group b (one field per agent: `full` is `cols`).
+    - EF: `full` without group b, plus u on the field of bundle b. Bundle
+      o's field is slot o, except bundle k - 1's, which takes slot i (free,
+      as o != i). So for b < k - 1 that is `cols` without group b, shifted
+      to slot b, and for b = k - 1 it is `diag`, group i's column in slot i
+      for every i < k - 1.
+    - CD: slots 0..k-2 hold v(o) - v(0) - R for o = 1..k-1, slots
+      k-1..2k-3 the reverse. Bundle 0 adds 2u to the second half
+      (`twice`); bundle b >= 1 adds u everywhere (`full`), plus u to
+      v(b) - v(0) - R and minus u to v(0) - v(b) - R.
+
+    Set-up and memory are O(m + k) packed ints: `cols`, `full`, `diag`,
+    `twice` and the path's nodes hold one per good, and the masks one per
+    group, each as wide as its group.
+    """
+    k = instance.k
+    nums = instance.agents.nums
+    sums = list(map(sum, nums))
+    scale = k if tag == "PROP" else 1
+    slots = k - 1 if tag == "EF" else 1 if tag == "PROP" else 2 * (k - 1)
+    packing = _Packing(len(nums) * slots, scale * max(sums))
+    width = packing.width
+    stride = width * max(slots, 1)  # k = 1 has no field: one empty slot keeps it positive
+    fill = spaced_ones(width, slots)  # a one in each of an agent's fields
+    firsts = range(0, stride * len(nums), stride)  # each agent's first field
+    cols = [scale * pack_at(col, firsts) for col in columns]
+    full = [col * fill for col in cols]
+    # every field starts at -T, and PROP's at s - T = -(k - 1)s in units of 1/k
+    root = packing.top - packing.ones - pack_at(sums, firsts) * fill * (k - 1 if tag == "PROP" else 1)
+    if tag == "CD":
+        twice = [2 * col * spaced_ones(width, k - 1) << width * (k - 1) for col in cols]
+        plus = [width * (b - 1) for b in range(k)]
+        minus = [width * (k - 2 + b) for b in range(k)]
+
+        def delta(g, b):
+            if not b:
+                return twice[g]
+            col = cols[g]
+            return full[g] + (col << plus[b]) - (col << minus[b])
+    else:
+        offsets = list(itertools.accumulate(instance.group_sizes, initial=0))
+        shifts = [stride * lo for lo in offsets]
+        masks = [(1 << stride * size) - 1 for size in instance.group_sizes]
+
+        # x - ((x >> shift & mask) << shift) is x without group b's fields
+        if tag == "PROP":
+            def delta(g, b):
+                col, shift = cols[g], shifts[b]
+                return col - ((col >> shift & masks[b]) << shift)
+        else:
+            last = k - 1
+            # agent a of group i < k - 1 at its slot i
+            places = [a * stride + width * i for i in range(last) for a in range(offsets[i], offsets[i + 1])]
+            diag = [pack_at(col[:len(places)], places) for col in columns]
+
+            def delta(g, b):
+                col, whole, shift, mask = cols[g], full[g], shifts[b], masks[b]
+                rest = whole - ((whole >> shift & mask) << shift)
+                if b < last:
+                    return rest + (col - ((col >> shift & mask) << shift) << width * b)
+                return rest + diag[g]
+    top = packing.top
+    m = instance.m
+    node = [root] * m  # node[g]: the admitted node whose good g is being placed
+    assignment = [-1] * m  # the stack: the bundle tried at each placed good
+    sizes = [0] * k
+    nodes = 0
+    good = 0
+    while True:
+        b = assignment[good]
+        if b >= 0:
+            sizes[b] -= 1
+            b += 1
+        else:
+            b = assignment[twin[good]] if twin[good] >= 0 else 0
+        while b < k and opener[b] >= 0 and not sizes[opener[b]]:
+            b += 1
+        if b == k:
+            assignment[good] = -1
+            if not good:
+                return None, nodes
+            good -= 1
+            continue
+        assignment[good] = b
+        sizes[b] += 1
+        nodes += 1
+        child = node[good] + delta(good, b)
+        if child & top:
+            continue
+        if good == m - 1:
+            return tuple(assignment), nodes
+        good += 1
+        node[good] = child
+
+
+def _bound_round(core: _MinC, by_good, remaining, opener, twin, floor, limit):
+    """(c, assignment) of the lex-least canonical allocation of least c
+    among those with c < `limit`, given that none has c < `floor`; (limit,
+    None) when none has c < `limit`.
+
+    One loop assigns goods in base-k order (good 0 most significant,
+    bundles ascending) over the canonical allocations, its stack the
+    assignment itself, keeping per-agent bundle values incrementally. After
+    each placement `core.bound` over every completion is computed, scanning
+    stops once it reaches the incumbent, which starts at `limit`, and the
+    subtree is pruned when it does; at a leaf the same routine gives the
+    exact c. Only a strictly smaller c replaces the incumbent, so the last
+    one is the lex-least allocation of least c below `limit`. The loop
+    stops once the incumbent reaches `floor`: no allocation has a smaller
+    c, so the rest of the walk would replace nothing.
+    """
+    k = len(opener)
+    m = len(by_good)
     values = [[0] * k for _ in core.agents]
     sizes = [0] * k  # sizes[b]: the goods placed in bundle b
-    # every allocation has c <= m: removing all goods passes
-    best_c, best = m + 1, None
-    assignment = [-1] * m  # the stack: the bundle tried at each placed good
+    best_c, best = limit, None
+    assignment = [-1] * m
     last = m - 1
     good = 0
     while True:
@@ -450,12 +588,87 @@ def brute_force_min_c(
             good += 1
         else:
             best_c, best = c, tuple(assignment)
-            if not best_c:
+            if best_c <= floor:
                 break
+    return best_c, best
+
+
+def brute_force_min_c(
+    instance: FairDivInstance,
+    tag: str,
+    cap: int = DEFAULT_CAP,
+) -> tuple:
+    """Exact minimum of min_c over all k^m allocations, with its witness.
+
+    The search runs in rounds, each over the allocations in base-k order
+    (good 0 most significant, bundles ascending), and returns the
+    lex-least minimizer. Round 0 (`_zero_round`) settles c = 0 with one
+    packed test per node. Each later round (`_bound_round`) has a floor and
+    a limit, (1, 2), then (2, 4), (4, 8) and so on, each floor the limit of
+    the round before: it runs the `_MinC.bound` branch and bound from
+    incumbent `limit` and stops once the incumbent reaches `floor`. Every
+    allocation has c <= m (removing every good passes), so the round whose
+    limit exceeds m finds one. More than 2^cap allocations, the leaves of
+    the unpruned search, are refused, before anything is built; an unknown
+    notion first.
+
+    Proof that the witness is the lex-least minimizer. Round 0 returns the
+    lex-least allocation with c = 0 or proves there is none. A round with
+    (floor, limit) starts where no allocation has c < floor: round 0 and
+    every round before it found none below its limit. Its branch and bound
+    prunes only subtrees whose every allocation has c at least the
+    incumbent, and replaces the incumbent only with a strictly smaller c,
+    so after the whole walk the incumbent would be the lex-least of the
+    allocations of least c below `limit`, if any. Stopping once the
+    incumbent reaches `floor` changes nothing: no later leaf has c < floor.
+    So the first round that finds an allocation returns c* (c* < limit, and
+    the minimizers are exactly the allocations of least c below it) with
+    the lex-least minimizer.
+
+    Every round visits only canonical allocations under two symmetries that
+    keep c:
+
+    - Interchangeable bundles: for CD every bundle (c does not depend on the
+      grouping), for EF and PROP the bundles of groups holding the same
+      multiset of agents. A bundle of such a class may take a good only
+      once the class's previous bundle holds one.
+    - Identical goods, valued the same by every agent: a good never goes to
+      a lower bundle than the previous good identical to it.
+
+    Relabelling the bundles of a class, or swapping two identical goods,
+    turns any allocation into one with the same c. The lex-least member of
+    such an orbit obeys both rules: if a bundle held a good before its
+    class's previous bundle, swapping the two labels would give a smaller
+    allocation (they agree up to that good, which then takes the lower
+    label), and if a good sat in a higher bundle than the previous good
+    identical to it, swapping the two goods would too. The lex-least
+    allocation of a given c (the lex-least minimizer among them) is the
+    lex-least member of its orbit, so it is canonical, and a lex-order walk
+    over the canonical allocations meets it first: c and the witness are
+    those of the full search (and, read for colors and columns, those of
+    `solvers.odisc_exact`'s search).
+    """
+    _check_tag(tag)
+    k = instance.k
+    check_search(k, instance.m, cap)
+    columns, opener, twin = _symmetries(instance, tag)
+    best, _nodes = _zero_round(instance, tag, columns, opener, twin)
+    c = 0
+    if best is None:
+        core = _MinC(instance, tag)
+        by_good = [tuple(map(k.__mul__, col)) for col in columns]
+        remaining = [(0,) * len(core.agents)]
+        for units in reversed(by_good):
+            remaining.append(tuple(map(operator.add, remaining[-1], units)))
+        remaining.reverse()  # remaining[g][a]: agent a's value of goods g..m-1
+        floor = 1
+        while best is None:
+            c, best = _bound_round(core, by_good, remaining, opener, twin, floor, 2 * floor)
+            floor *= 2
     witness = [[] for _ in range(k)]
     for good, b in enumerate(best):
         witness[b].append(good)
-    return best_c, Allocation(bundles=tuple(tuple(b) for b in witness))
+    return c, Allocation(bundles=tuple(tuple(b) for b in witness))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ MAX_LOG2_ORDER = 11
 MAX_CELLS = 4**MAX_LOG2_ORDER
 #: One shared string per sign-matrix value in the JSON form.
 _SIGN_TEXT = {1: "1", -1: "-1"}
+#: One bit per sign-matrix value, set for -1 (`SignMatrix.check_orthogonal`).
+_SIGN_BIT = {1: "0", -1: "1"}
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,28 @@ class SignMatrix:
     entries: tuple
 
     def check_orthogonal(self) -> bool:
-        """Verify H * H^T == order * I exactly."""
+        """Verify H * H^T == order * I exactly.
+
+        Each row is read once into an int with a bit set where its entry is
+        -1. Two rows of n signs have product n - 2d, for the d places where
+        they differ, the set bits of their XOR. So the diagonal is n, and
+        rows i != j are orthogonal exactly when (r_i ^ r_j).bit_count() is
+        n/2: O(n^2) XORs of n-bit ints, and no product per entry.
+        """
         n = self.order
-        for i in range(n):
-            for j in range(i, n):
-                dot = sum(a * b for a, b in zip(self.entries[i], self.entries[j]))
-                if dot != (n if i == j else 0):
-                    return False
-        return True
+        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+            return False
+        try:
+            rows = [int("".join(map(_SIGN_BIT.__getitem__, row)) or "0", 2) for row in self.entries]
+        except KeyError:  # an entry that is not +-1
+            return False
+        if n % 2 and n > 1:  # rows of odd length never have product 0
+            return False
+        half = {n // 2}
+        return all(
+            set(map(int.bit_count, map(row.__xor__, rows[i + 1:]))) <= half
+            for i, row in enumerate(rows)
+        )
 
     def to_json_dict(self) -> dict:
         return {

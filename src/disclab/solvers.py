@@ -52,7 +52,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import add, lshift, not_, sub
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
@@ -171,6 +171,38 @@ def _scale_weighted(matrix: RatMatrix, p: Fraction):
     return columns, start, matrix.den * pd
 
 
+def spaced_ones(stride: int, count: int) -> int:
+    """sum of 2^(stride*i) over i < count: one set bit every `stride` bits.
+
+    It is (2^(stride*count) - 1) / (2^stride - 1), the geometric series, so
+    it costs one shift and one division, not `count` additions of ever
+    longer ints.
+    """
+    return ((1 << stride * count) - 1) // ((1 << stride) - 1)
+
+
+def pack_at(values, offsets) -> int:
+    """sum of values[i] << offsets[i] over the sequence `values`, for
+    non-decreasing `offsets`, which may run past `values`.
+
+    Summing the shifted values one by one copies the growing total once
+    per value. So neighbours are joined first, v + (w << (o' - o)) at
+    offset o, then the pairs, and so on, until at most 16 remain to sum:
+    every bit is copied O(log n) times.
+    """
+    if len(values) > 16:
+        values = list(values)
+        offsets = list(islice(offsets, len(values)))
+        while len(values) > 16:
+            if len(values) % 2:
+                values.append(0)
+                offsets.append(offsets[-1])
+            values = [low + (high << upper - lower) for low, high, lower, upper
+                      in zip(values[::2], values[1::2], offsets[::2], offsets[1::2])]
+            offsets = offsets[::2]
+    return sum(map(lshift, values, offsets))
+
+
 class _Packing:
     """Row vectors of one exact search packed into one int, w bits per row.
 
@@ -202,8 +234,9 @@ class _Packing:
 
     The field offsets w*i are kept as a range, `shifts`, so a packing over
     many rows takes no memory per row: `pack` shifts each entry by its
-    offset and sums, and `worst` unpacks every field and takes the larger
-    of the max field's and the min field's distance from 2^(w-1).
+    offset and sums (`pack_at`), and `worst` unpacks every field and takes the larger
+    of the max field's and the min field's distance from 2^(w-1). `ones`
+    is built in closed form (`spaced_ones`), in time linear in its bits.
     """
 
     __slots__ = ("width", "shifts", "ones", "top")
@@ -211,7 +244,7 @@ class _Packing:
     def __init__(self, rows: int, bound: int):
         self.width = bound.bit_length() + 1
         self.shifts = range(0, self.width * rows, self.width)  # field i's offset, w*i
-        self.ones = sum(1 << shift for shift in self.shifts)
+        self.ones = spaced_ones(self.width, rows)
         self.top = self.ones << (self.width - 1)
 
     @classmethod
@@ -230,7 +263,7 @@ class _Packing:
 
     def pack(self, column) -> int:
         """A column or mass vector, one plain field per row."""
-        return sum(map(lshift, column, self.shifts))
+        return pack_at(column, self.shifts)
 
     def pack_values(self, values) -> int:
         return self.pack(values) + self.top

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -705,24 +706,117 @@ def test_instance_errors_keep_agent_order(groups, error):
 
 def test_brute_force_bound_calls_pinned(monkeypatch):
     """The min-c search visits the same nodes: the count of _MinC.bound
-    calls on complement-pair and random instances is pinned."""
+    calls, and of the children the packed zero round tries, on
+    complement-pair and random instances is pinned."""
     calls = []
     bound = _MinC.bound
     monkeypatch.setattr(_MinC, "bound", lambda core, *args: calls.append(1) or bound(core, *args))
+    tried = []
+    zero_round = fairdiv._zero_round
+
+    def counted(*args):
+        found, nodes = zero_round(*args)
+        tried.append(nodes)
+        return found, nodes
+
+    monkeypatch.setattr(fairdiv, "_zero_round", counted)
     amat = build_stacked(Fraction(1, 10), 2).matrix
     pairs = {"EF": gen_ef_lb_instance(amat, 2, (4, 1)), "PROP": gen_prop_lb_instance(amat, 2, 1, (4, 1)),
              "CD": gen_cd_instance(amat, 2)}
     rng = random.Random(24)
     instances = [random_instance(rng, m=rng.randint(3, 7)) for _ in range(12)]
-    for tag, pinned in (("EF", 83), ("PROP", 83), ("CD", 61)):
+    for tag, pinned, zero in (("EF", 12, 66), ("PROP", 12, 66), ("CD", 12, 37)):
         calls.clear()
+        tried.clear()
         assert brute_force_min_c(pairs[tag], tag)[0] == 1
-        assert len(calls) == pinned, tag
-    for tag, pinned in (("EF", 374), ("PROP", 362), ("CD", 268)):
+        assert (len(calls), sum(tried)) == (pinned, zero), tag
+    for tag, pinned, zero in (("EF", 61, 223), ("PROP", 19, 297), ("CD", 187, 67)):
         calls.clear()
+        tried.clear()
         for instance in instances:
             brute_force_min_c(instance, tag)
-        assert len(calls) == pinned, tag
+        assert (len(calls), sum(tried)) == (pinned, zero), tag
+
+
+def first_zero_allocation(inst, tag):
+    """The zero round's answer as bundles, or None."""
+    columns, opener, twin = fairdiv._symmetries(inst, tag)
+    found, _nodes = fairdiv._zero_round(inst, tag, columns, opener, twin)
+    if found is None:
+        return None
+    return tuple(tuple(g for g in range(inst.m) if found[g] == b) for b in range(inst.k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_instances(), symmetric_instances()), st.sampled_from(NOTION_TAGS))
+def test_zero_round_finds_the_first_c0_allocation(inst, tag):
+    """The packed zero round returns the lex-order scan's first allocation
+    with c = 0, or nothing when no allocation has c = 0."""
+    c, bundles = lex_order_scan(inst, tag)
+    assert first_zero_allocation(inst, tag) == (bundles if c == 0 else None)
+
+
+def test_brute_force_stacked_w16_cd():
+    """Stacked W_16 at p = 1/2 as a CD instance over k = 2: the rounds
+    reach c = 4 through (1, 2), (2, 4) and (4, 8), with the witness of the
+    single branch and bound they replace."""
+    inst = gen_cd_instance(build_stacked(Fraction(1, 2), 16).matrix, 2)
+    c, witness = brute_force_min_c(inst, "CD")
+    assert (c, witness.bundles) == (4, ((0, 1, 2, 3, 4, 5, 8, 9), (6, 7, 10, 11, 12, 13, 14, 15)))
+
+
+def one_agent_per_group(k, m, seed):
+    rng = random.Random(seed)
+    return FairDivInstance.from_groups(
+        [[[Fraction(rng.randint(0, b), b) for b in (rng.randint(1, 6) for _ in range(m))]] for _ in range(k)]
+    )
+
+
+@pytest.mark.parametrize("tag", ["EF", "CD"])
+def test_brute_force_many_groups_stays_fast(tag):
+    """k = 256 groups of one agent over m = 3 goods: the zero round packs
+    255 (EF) or 510 (CD) fields per agent into ints built from O(m + k)
+    pieces, so the search takes well under a second (0.03-0.07 s on Python
+    3.11); a table of packed deltas per good and bundle would hold 768 ints
+    of 65,280 (EF) or 130,560 (CD) fields each. Its answer re-checks with
+    the public checker."""
+    inst = one_agent_per_group(256, 3, 7)
+    started = time.process_time()
+    c, witness = brute_force_min_c(inst, tag)
+    assert time.process_time() - started < 5
+    assert c == 1
+    assert min_c_for_allocation(inst, witness, tag) == 1
+    assert first_zero_allocation(inst, tag) is None
+
+
+def test_brute_force_refuses_before_building(monkeypatch):
+    """An unknown notion is refused first, then more than 2^cap
+    allocations, before the integer core or any packed column is built."""
+    built = []
+    monkeypatch.setattr(_MinC, "__init__", lambda core, *args: built.append(1))
+    monkeypatch.setattr(fairdiv, "_zero_round", lambda *args: built.append(1))
+    inst = FairDivInstance.from_groups([[[1, 0] * 15] * 3, [[0, 1] * 15] * 3])
+    with pytest.raises(InputError, match="unknown fairness notion 'XX'"):
+        brute_force_min_c(inst, "XX")
+    for tag in NOTION_TAGS:
+        with pytest.raises(CapExceededError):
+            brute_force_min_c(inst, tag)
+    assert not built
+
+
+def test_min_c_core_memory_is_linear_in_k():
+    """The PROP bound keeps no table of the bundles outside each bundle: at
+    k = 2,048 groups of one agent, building the integer core peaks under
+    4 MB of traced memory (0.9 MB on Python 3.11; k tuples of the k - 1
+    other bundles took 152 MB)."""
+    inst = one_agent_per_group(2048, 2, 3)
+    tracemalloc.start()
+    try:
+        _MinC(inst, "PROP")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_generated_instance_memory_is_one_matrix():

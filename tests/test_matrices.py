@@ -52,6 +52,39 @@ def test_orthogonality_all_orders(log2):
     assert hadamard_sylvester(log2).check_orthogonal()
 
 
+@pytest.mark.parametrize("log2", [1, 2, 3, 5])
+def test_one_flipped_entry_is_not_orthogonal(log2):
+    """Flipping any one entry changes that row's product with every other
+    row by 2, so the check fails, and the reader refuses the matrix."""
+    h = hadamard_sylvester(log2)
+    rng = random.Random(log2)
+    for _ in range(4):
+        i, j = rng.randrange(h.order), rng.randrange(h.order)
+        rows = [list(row) for row in h.entries]
+        rows[i][j] = -rows[i][j]
+        flipped = SignMatrix(order=h.order, entries=tuple(map(tuple, rows)))
+        assert not flipped.check_orthogonal()
+        with pytest.raises(InputError, match="not pairwise orthogonal"):
+            SignMatrix.from_json_dict(flipped.to_json_dict())
+
+
+def test_orthogonality_matches_direct_products():
+    """On random sign matrices of orders 1 to 8, the XOR count agrees with
+    H * H^T == order * I computed entry by entry."""
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, 4, 8])
+        base = hadamard_sylvester(n.bit_length() - 1).entries if n & (n - 1) == 0 else None
+        rows = [list(row) for row in base] if base and rng.random() < 0.5 else [
+            [rng.choice((1, -1)) for _ in range(n)] for _ in range(n)]
+        if base and rng.random() < 0.5:
+            rows[rng.randrange(n)] = [-a for a in rows[rng.randrange(n)]]
+        direct = all(sum(a * b for a, b in zip(rows[i], rows[j])) == (n if i == j else 0)
+                     for i in range(n) for j in range(n))
+        matrix = SignMatrix(order=n, entries=tuple(map(tuple, rows)))
+        assert matrix.check_orthogonal() == direct
+
+
 def test_first_row_and_column_all_ones():
     h = hadamard_sylvester(4)
     assert all(e == 1 for e in h.entries[0])

@@ -32,7 +32,16 @@ from disclab import (
 
 from disclab import solvers
 from disclab.matrices import stack_vertical
-from disclab.solvers import _Packing, _descent, _draw_threshold, _group_columns, _search, check_search
+from disclab.solvers import (
+    _Packing,
+    _descent,
+    _draw_threshold,
+    _group_columns,
+    _search,
+    check_search,
+    pack_at,
+    spaced_ones,
+)
 
 from conftest import (
     ENTRIES,
@@ -820,3 +829,22 @@ def test_result_json_shapes(w2):
     assert data == {"value": "1/2", "witness": list(result.witness), "exact": True}
     assert result.nodes_explored > 0
     assert odisc_exact([w2]).nodes_explored == 3  # k = 1: one path, m + 1 nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**40), 2**40), max_size=80), st.data())
+def test_pack_at_is_the_plain_sum(values, data):
+    """pack_at joins neighbours pairwise past 16 values; the result is the
+    plain sum of shifted values for any ints and non-decreasing offsets,
+    also when the offsets run past the values."""
+    offsets = sorted(data.draw(st.lists(st.integers(0, 3000), min_size=len(values), max_size=len(values) + 3)))
+    assert pack_at(values, offsets) == sum(v << o for v, o in zip(values, offsets))
+    stride = data.draw(st.integers(1, 64))
+    expected = sum(v << stride * i for i, v in enumerate(values))
+    assert pack_at(tuple(values), range(0, stride * (len(values) + 2), stride)) == expected
+
+
+@pytest.mark.parametrize("stride, count", [(1, 0), (1, 1), (1, 70), (7, 3), (31, 40), (64, 5), (200, 9)])
+def test_spaced_ones_is_the_geometric_sum(stride, count):
+    assert spaced_ones(stride, count) == sum(1 << stride * i for i in range(count))
+    assert _Packing(count, (1 << stride - 1) - 1).ones == spaced_ones(stride, count)
