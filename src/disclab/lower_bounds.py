@@ -20,17 +20,11 @@ from itertools import compress
 from operator import mul
 
 from .errors import InputError
-from .matrices import RatMatrix, check_cells, hadamard_sylvester, lift_w, stack_horizontal
+from .matrices import RatMatrix, check_cells, hadamard_sylvester, lift_w, require_power_of_two, stack_horizontal
 from .rational import format_rational, sqrt_lower
 from .solvers import DEFAULT_CAP, check_search, odisc_exact, wdisc_exact
 
 _HALF = Fraction(1, 2)
-
-
-def _require_power_of_two(n: int) -> int:
-    if n < 1 or n & (n - 1) != 0:
-        raise InputError(f"{n} is not a power of two")
-    return n.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ def stacked_shape(p: Fraction, n: int) -> tuple:
     p = Fraction(p)
     if not 0 < p < 1:
         raise InputError(f"p must lie strictly between 0 and 1, got {p}")
-    _require_power_of_two(n)
+    require_power_of_two(n)
     if p > _HALF:
         p = 1 - p
     t = int(Fraction(1, 2) / p)  # floor of 1/(2p) for positive rationals
@@ -125,7 +119,7 @@ def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
     """
     if w.rows != w.cols:
         raise InputError("lemma check needs a square matrix")
-    _require_power_of_two(w.rows)
+    require_power_of_two(w.rows)
     z = [v if isinstance(v, int) else Fraction(v) for v in z]
     if len(z) != w.cols:
         raise InputError(f"vector length {len(z)} != order {w.rows}")
@@ -151,7 +145,7 @@ def lb_value(n: int, variant: str) -> Fraction:
     if variant == "statement":
         return sqrt_lower(Fraction(n - 1, 256))
     if variant == "proof":
-        _require_power_of_two(n)
+        require_power_of_two(n)
         return sqrt_lower(Fraction(n - 1, 64))
     raise InputError(f"unknown variant {variant!r}")
 

@@ -1,10 +1,11 @@
 """Dense exact matrices and the Hadamard-derived building blocks.
 
-Two matrix kinds live here: `SignMatrix` (entries +1/-1, pairwise orthogonal
-rows, orders that are powers of two via Sylvester doubling) and `RatMatrix`
-(entries in [0, 1]; rows play the role of hyperedges or agents, columns of
-vertices or goods). Both are immutable after construction and safe to share
-across threads.
+Two matrix kinds live here: `SignMatrix` (entries +1/-1 of power-of-two
+order with pairwise orthogonal rows, held as one int of sign bits per row,
+which Sylvester doubling, the orthogonality check, W and the JSON reader and
+writer all read) and `RatMatrix` (entries in [0, 1]; rows play the role of
+hyperedges or agents, columns of vertices or goods). Both are immutable
+after construction and safe to share across threads.
 
 `RatMatrix` holds integer numerators over one least common denominator,
 scaled once where the matrix is read (`from_rows` from values, each cell,
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
-from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratios, parse_rational
+from .rational import as_ratio, format_ratio, over_common_denominator, parse_ratios
 
 #: Largest Sylvester order built, as a power of two. Memory grows with the
 #: n^2 cells: on Python 3.11 `construct w` peaks at 39 MB at order 2^10 and
@@ -35,38 +36,46 @@ MAX_LOG2_ORDER = 11
 #: largest Sylvester order. `check_cells` refuses a larger stack before any
 #: cell is built.
 MAX_CELLS = 4**MAX_LOG2_ORDER
-#: One shared string per sign-matrix value in the JSON form.
-_SIGN_TEXT = {1: "1", -1: "-1"}
-#: One bit per sign-matrix value, set for -1 (`SignMatrix.check_orthogonal`).
-_SIGN_BIT = {1: "0", -1: "1"}
+#: A sign-matrix bit ("0" for +1, "1" for -1) as a value, as JSON text and as a W byte.
+_SIGN_VALUE = {"0": 1, "1": -1}
+_SIGN_TEXT = {"0": "1", "1": "-1"}
+_W_CELL = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def require_power_of_two(n: int) -> None:
+    """Refuse an order n that is not a power of two (1, 2, 4, ...)."""
+    if n < 1 or n & (n - 1) != 0:
+        raise InputError(f"order {n} is not a power of two")
 
 
 @dataclass(frozen=True)
 class SignMatrix:
-    """Square +1/-1 matrix of power-of-two order with orthogonal rows."""
+    """Square +1/-1 matrix H of power-of-two order with orthogonal rows, held
+    as one int per row: bit b of rows[i] is set exactly where H[i][b] is -1."""
 
     order: int
-    entries: tuple
+    rows: tuple
+
+    def _bits(self, row: int) -> str:
+        return format(row, f"0{self.order}b")[::-1]  # the row's bits as "0"/"1", column 0 first
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as +1/-1 ints, one tuple per row; built on each access."""
+        return tuple(tuple(map(_SIGN_VALUE.__getitem__, self._bits(row))) for row in self.rows)
 
     def check_orthogonal(self) -> bool:
         """Verify H * H^T == order * I exactly.
 
-        Each row is read once into an int with a bit set where its entry is
-        -1. Two rows of n signs have product n - 2d, for the d places where
+        Two rows of n signs have product n - 2d, for the d places where
         they differ, the set bits of their XOR. So the diagonal is n, and
         rows i != j are orthogonal exactly when (r_i ^ r_j).bit_count() is
-        n/2: O(n^2) XORs of n-bit ints, and no product per entry.
+        n/2: O(n^2) XORs of n-bit ints. A row outside [0, 2^n) fails.
         """
-        n = self.order
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        n, rows = self.order, self.rows
+        if len(rows) != n or not all(0 <= row < 1 << n for row in rows):
             return False
-        try:
-            rows = [int("".join(map(_SIGN_BIT.__getitem__, row)) or "0", 2) for row in self.entries]
-        except KeyError:  # an entry that is not +-1
-            return False
-        if n % 2 and n > 1:  # rows of odd length never have product 0
-            return False
-        half = {n // 2}
+        half = set() if n % 2 else {n // 2}  # rows of odd length never have product 0
         return all(
             set(map(int.bit_count, map(row.__xor__, rows[i + 1:]))) <= half
             for i, row in enumerate(rows)
@@ -76,26 +85,23 @@ class SignMatrix:
         return {
             "rows": self.order,
             "cols": self.order,
-            "entries": [list(map(_SIGN_TEXT.__getitem__, row)) for row in self.entries],
+            "entries": [list(map(_SIGN_TEXT.__getitem__, self._bits(row))) for row in self.rows],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SignMatrix":
-        rows, cols, raw = _read_matrix_dict(data)
-        if rows != cols:
+        """Refuse a bad order before any cell is parsed, and any parse error before a cell not +-1."""
+        order, cols, raw = _read_matrix_dict(data)
+        if order != cols:
             raise InputError("sign matrix must be square")
-        entries = []
-        for row in raw:
-            parsed = []
-            for cell in row:
-                value = parse_rational(cell)
-                if value not in (1, -1):
-                    raise InputError(f"sign matrix entry {cell!r} is not +-1")
-                parsed.append(int(value))
-            entries.append(tuple(parsed))
-        matrix = cls(order=rows, entries=tuple(entries))
-        if rows & (rows - 1) != 0 or rows == 0:
-            raise InputError(f"sign matrix order {rows} is not a power of two")
+        require_power_of_two(order)
+        bit = {}
+        for cell, (a, b) in parse_ratios(itertools.chain.from_iterable(raw)).items():
+            if abs(a) != b:
+                raise InputError(f"sign matrix entry {cell!r} is not +-1")
+            bit[cell] = "1" if a < 0 else "0"
+        rows = tuple(int("".join(map(bit.__getitem__, reversed(row))), 2) for row in raw)
+        matrix = cls(order=order, rows=rows)
         if not matrix.check_orthogonal():
             raise InputError("sign matrix rows are not pairwise orthogonal")
         return matrix
@@ -228,20 +234,20 @@ def hadamard_sylvester(log2_order: int) -> SignMatrix:
         raise InputError("log2_order must be nonnegative")
     if log2_order > MAX_LOG2_ORDER:
         raise CapExceededError(f"log2_order {log2_order} exceeds cap {MAX_LOG2_ORDER}")
-    block = [[1]]
-    for _ in range(log2_order):
-        block = [row + row for row in block] + [
-            row + [-e for e in row] for row in block
-        ]
-    return SignMatrix(order=1 << log2_order, entries=tuple(tuple(r) for r in block))
+    rows = [0]
+    for level in range(log2_order):
+        width = 1 << level
+        flip = (1 << width) - 1
+        rows = [row | row << width for row in rows] + [row | (flip ^ row) << width for row in rows]
+    return SignMatrix(order=1 << log2_order, rows=tuple(rows))
 
 
 def lift_w(matrix: SignMatrix) -> RatMatrix:
-    """Shift a sign matrix into 0/1 entries: (1 + H_ij) / 2 entrywise."""
+    """Shift a sign matrix into 0/1 entries: (1 + H_ij) / 2, 1 where the bit is clear."""
     return RatMatrix(
         rows=matrix.order,
         cols=matrix.order,
-        nums=tuple(tuple((1 + e) // 2 for e in row) for row in matrix.entries),
+        nums=tuple([tuple(matrix._bits(row).encode().translate(_W_CELL)) for row in matrix.rows]),
         den=1,
     )
 

@@ -49,6 +49,13 @@ def naive_wdisc(matrix, p):
             best = (value, tuple(bits))
 
 
+def naive_sylvester(log2):
+    """The Sylvester matrix of order 2^log2 from its definition,
+    H[i][j] = (-1)^popcount(i & j), as one tuple of +1/-1 per row."""
+    n = 1 << log2
+    return tuple(tuple(-1 if bin(i & j).count("1") % 2 else 1 for j in range(n)) for i in range(n))
+
+
 def naive_descent(values, columns, x, budget, nodes):
     """Steepest descent over flips and 1<->0 pair swaps, scoring every row of
     every candidate; the first strict improvement in scan order wins."""

@@ -21,6 +21,8 @@ from disclab import (
     transfer_z,
 )
 
+from naive import naive_sylvester
+
 
 def test_order_one_is_identity_case():
     h = hadamard_sylvester(0)
@@ -52,6 +54,38 @@ def test_orthogonality_all_orders(log2):
     assert hadamard_sylvester(log2).check_orthogonal()
 
 
+@pytest.mark.parametrize("log2", range(8))
+def test_sylvester_matches_definition(log2):
+    """H[i][j] = (-1)^popcount(i & j): the entries, the JSON text and W all
+    read the definition, and each row's int holds n bits, none in row 0."""
+    n = 1 << log2
+    h = hadamard_sylvester(log2)
+    expected = naive_sylvester(log2)
+    assert h.entries == expected
+    assert h.to_json_dict() == {"rows": n, "cols": n, "entries": [[str(e) for e in row] for row in expected]}
+    w_nums = tuple(tuple((1 + e) // 2 for e in row) for row in expected)
+    assert lift_w(h) == RatMatrix(rows=n, cols=n, nums=w_nums, den=1)
+    assert h.rows[0] == 0
+    assert all(0 <= row < 1 << n for row in h.rows)
+
+
+def sign_rows(entries):
+    """One int per row of +1/-1 entries, bit j set where entry j is -1."""
+    return tuple(sum(1 << j for j, e in enumerate(row) if e == -1) for row in entries)
+
+
+def test_orthogonality_refuses_malformed_rows():
+    """A wrong row count, a negative row and a row with a bit at or above n
+    each fail the check, though every pair of their rows XORs to n/2 bits."""
+    h4 = hadamard_sylvester(2)
+    assert SignMatrix(order=4, rows=h4.rows).check_orthogonal()
+    assert not SignMatrix(order=4, rows=h4.rows[:3]).check_orthogonal()
+    assert not SignMatrix(order=2, rows=(0,)).check_orthogonal()
+    assert not SignMatrix(order=2, rows=(-2, 2)).check_orthogonal()
+    assert not SignMatrix(order=2, rows=(4, 6)).check_orthogonal()
+    assert not SignMatrix(order=2, rows=(1 << 5, 2 | 1 << 5)).check_orthogonal()
+
+
 @pytest.mark.parametrize("log2", [1, 2, 3, 5])
 def test_one_flipped_entry_is_not_orthogonal(log2):
     """Flipping any one entry changes that row's product with every other
@@ -62,7 +96,7 @@ def test_one_flipped_entry_is_not_orthogonal(log2):
         i, j = rng.randrange(h.order), rng.randrange(h.order)
         rows = [list(row) for row in h.entries]
         rows[i][j] = -rows[i][j]
-        flipped = SignMatrix(order=h.order, entries=tuple(map(tuple, rows)))
+        flipped = SignMatrix(order=h.order, rows=sign_rows(rows))
         assert not flipped.check_orthogonal()
         with pytest.raises(InputError, match="not pairwise orthogonal"):
             SignMatrix.from_json_dict(flipped.to_json_dict())
@@ -81,7 +115,7 @@ def test_orthogonality_matches_direct_products():
             rows[rng.randrange(n)] = [-a for a in rows[rng.randrange(n)]]
         direct = all(sum(a * b for a, b in zip(rows[i], rows[j])) == (n if i == j else 0)
                      for i in range(n) for j in range(n))
-        matrix = SignMatrix(order=n, entries=tuple(map(tuple, rows)))
+        matrix = SignMatrix(order=n, rows=sign_rows(rows))
         assert matrix.check_orthogonal() == direct
 
 
@@ -270,6 +304,42 @@ def test_sign_matrix_json_round_trip():
     data["entries"][0][0] = "0"
     with pytest.raises(InputError):
         SignMatrix.from_json_dict(data)
+    # each distinct cell is read once: every spelling of +-1 reads alike
+    h2 = hadamard_sylvester(1)
+    assert json_sign_matrix([["1", "2/2"], [" 1 ", "-3/3"]]) == h2
+    assert json_sign_matrix([[1, "1"], [1, -1]]) == h2
+
+
+def json_sign_matrix(entries):
+    return SignMatrix.from_json_dict({"rows": len(entries), "cols": len(entries[0]), "entries": entries})
+
+
+def test_sign_matrix_json_errors_come_in_reading_order():
+    """The shape and the order are refused before any cell is parsed; then
+    every cell is parsed before any is checked to be +-1, and each error
+    names the first faulty cell in row-major order."""
+    for data, message in (
+        ({"rows": 2, "cols": 3, "entries": [["x", "1", "1"], ["1", "1", "1"]]}, "sign matrix must be square"),
+        ({"rows": 3, "cols": 3, "entries": [["1", "1", "1"], ["1", "x", "1"], ["1", "1", "1"]]},
+         "order 3 is not a power of two"),
+        ({"rows": 0, "cols": 0, "entries": []}, "order 0 is not a power of two"),
+    ):
+        with pytest.raises(InputError) as caught:
+            SignMatrix.from_json_dict(data)
+        assert str(caught.value) == message, data
+    for entries, message in (
+        ([["0", "1"], ["1", "x"]], "not a rational: 'x'"),
+        ([["1", "1/0"], ["0", "1"]], "zero denominator: '1/0'"),
+        ([["0", True], ["1", 1]], "expected rational string, got bool"),
+        ([["0", 1.0], ["1", 1]], "expected rational string, got float"),
+        ([["1", "2"], ["0", "2"]], "sign matrix entry '2' is not +-1"),
+        ([["1", 1], [0, "0"]], "sign matrix entry 0 is not +-1"),
+        ([["1", "1/2"], ["1", "-1"]], "sign matrix entry '1/2' is not +-1"),
+        ([["1", "1"], ["1", "1"]], "sign matrix rows are not pairwise orthogonal"),
+    ):
+        with pytest.raises(InputError) as caught:
+            json_sign_matrix(entries)
+        assert str(caught.value) == message, entries
 
 
 def test_restrict_columns(w4):
