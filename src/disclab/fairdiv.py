@@ -20,16 +20,16 @@ goods can shrink a deficit by at most their value); checking a given c is
 comparing it with the allocation's minimum. The exact minimum over all
 allocations runs in rounds. The first settles c = 0: there every
 comparison is linear in the placements, so one packed int holds a field per
-agent and comparison, a child adds per-good packed columns, and one masked
-test admits or prunes it (`_zero_round`). Later rounds run the bound's
-branch and bound under doubling limits, each stopping once it meets the
-floor the round before proved (`_bound_round`). Every round skips
-allocations that are relabellings of one it visits first: bundles that are
-interchangeable (every bundle for CD, bundles of groups with the same
-agents for EF and PROP) open in index order, and goods that every agent
-values the same go to non-decreasing bundles. Both moves keep c and the
-lex-least minimizer obeys both rules, so the witness stays the lex-least
-one.
+agent and bundle (one per agent for PROP), a child adds per-good packed
+columns, and one masked test admits or prunes it (`_zero_round`). Later
+rounds run the bound's branch and bound under doubling limits, each
+stopping once it meets the floor the round before proved (`_bound_round`).
+Every round skips allocations that are relabellings of one it visits
+first: bundles that are interchangeable (every bundle for CD, bundles of
+groups with the same agents for EF and PROP) open in index order, and goods
+that every agent values the same go to non-decreasing bundles. Both moves
+keep c and the lex-least minimizer obeys both rules, so the witness stays
+the lex-least one.
 
 The generators build the complement-pair instances whose minimal c is forced
 up by the weighted discrepancy of an embedded matrix, each complement as
@@ -397,92 +397,75 @@ def _zero_round(instance: FairDivInstance, tag: str, columns, opener, twin):
 
     At c = 0 every comparison behind the notion is linear in the
     placements. For an agent of group i, let v(b) be its value of the goods
-    placed in bundle b and R its value of the unplaced goods. It has one
-    field per pair:
+    placed in bundle b, R its value of the unplaced goods and T its total.
+    It has one field per bundle, or one in all for PROP:
 
-    - EF: v(o) - v(i) - R for each bundle o other than i (k - 1 fields);
-    - PROP: s - v(i) - R, with s its 1/k share (1 field);
-    - CD: v(o) - v(0) - R and v(0) - v(o) - R for each bundle o >= 1
-      (2(k - 1) fields; every agent, whatever its group).
+    - EF: v(o) - v(i) - R for every bundle o (k fields; field i reads -R);
+    - PROP: T - k v(i) - k R, k times s - v(i) - R for its 1/k share
+      s = T/k (1 field);
+    - CD: k v(o) - T for every bundle o (k fields; every agent, whatever
+      its group).
 
     Placing a good the agent values u in bundle b lowers R by u and raises
-    v(b) by u, so it adds u(1 + [b = p] - [b = q]) >= 0 to a field
-    v(p) - v(q) - R, and u(1 - [b = i]) to the PROP field: no field ever
-    falls along a path. A node with a positive field is pruned, and a leaf
-    that is not is returned.
+    v(b) by u, so it adds u(1 + [o = b] - [b = i]) >= 0 to EF field o,
+    k u(1 - [b = i]) to the PROP field and k u [o = b] to CD field o: no
+    field ever falls along a path. A node with a positive field is pruned,
+    and a leaf that is not is returned.
 
     Proof that this returns the lex-least c = 0 allocation. Prune: a field
     positive at a node stays positive at every leaf below it, where R = 0.
     There a positive EF or PROP field is a deficit that no removal-free
-    comparison covers, and a positive CD field makes v(o) differ from
-    v(0), so the leaf's max minus min bundle value is positive: every leaf
-    of a pruned subtree has c >= 1. Leaf: with R = 0 and no positive field,
-    EF gives v(o) <= v(i) for every o and PROP gives v(i) >= s, and CD
-    gives v(o) = v(0) for every o, all bundles valued alike: each is c = 0.
-    So the test is exact at a leaf. At an inner node the CD test is weaker
-    than the exact max - min <= R, since it compares each bundle with
-    bundle 0 only; it admits nodes the exact test would prune, which costs
-    time but, by the prune argument, loses no c = 0 leaf. The walk visits
-    the canonical allocations in lex order (`brute_force_min_c`'s two
-    rules, stepped as in `_bound_round`), so the first leaf admitted is the
-    lex-least canonical allocation with c = 0, which is the lex-least
-    allocation with c = 0.
+    comparison covers, and a positive CD field gives a bundle worth more
+    than T/k, so another is worth less and the bundle values differ: every
+    leaf of a pruned subtree has c >= 1. Leaf: with R = 0 and no positive
+    field, EF gives v(o) <= v(i) for every o and PROP gives v(i) >= s; the
+    k CD fields sum to k T - k T = 0, so none positive means all zero, and
+    every bundle is worth T/k: each is c = 0. So the test is exact at a
+    leaf. The walk visits the canonical allocations in lex order
+    (`brute_force_min_c`'s two rules, stepped as in `_bound_round`), so the
+    first leaf admitted is the lex-least canonical allocation with c = 0,
+    which is the lex-least allocation with c = 0.
 
     Packed. All fields go into one int (`solvers._Packing`), agent-major:
     agent a's fields are slots 0, 1, ... of `stride` = w * (fields per
-    agent) bits from bit a * stride. PROP counts in units of 1/k, where s
-    is an int. Every field lies in [-T, T] for the agent's scaled total T,
-    and 2^(w-1) > max T; a field f is stored as f + 2^(w-1) - 1, so its top
-    bit is set exactly when f > 0, and one masked test decides the node. A
-    child is its parent plus a nonnegative delta per field, so no carry
-    crosses a field. The deltas are built at the child from per-good
-    columns, each agent's u in its first field (`cols`) or in all of them
-    (`full`), shifted into place as in `solvers._odisc_dfs`; for EF and
-    PROP group b's fields are cut out of them with one mask per group, as
-    wide as the group ("without group b"):
+    agent) bits from bit a * stride, field o in slot o. Values are the
+    instance's integer numerators, so every field is an int. An EF field
+    lies in [-T, T], a PROP or CD field in [-kT, kT], and 2^(w-1) > max T
+    (EF) or k max T (PROP, CD); a field f is stored as f + 2^(w-1) - 1, so
+    its top bit is set exactly when f > 0, and one masked test decides the
+    node. A child is its parent plus a nonnegative delta per field, so no
+    carry crosses a field. The deltas are built at the child from per-good
+    columns, each agent's u (EF) or k u (PROP, CD) in its first field
+    (`cols`) or, for EF, in all of them (`full`), shifted into place as in
+    `solvers._odisc_dfs`; for EF and PROP group b's fields are cut out of
+    them with one mask per group, as wide as the group ("without group b"):
 
-    - PROP: `cols` without group b (one field per agent: `full` is `cols`).
-    - EF: `full` without group b, plus u on the field of bundle b. Bundle
-      o's field is slot o, except bundle k - 1's, which takes slot i (free,
-      as o != i). So for b < k - 1 that is `cols` without group b, shifted
-      to slot b, and for b = k - 1 it is `diag`, group i's column in slot i
-      for every i < k - 1.
-    - CD: slots 0..k-2 hold v(o) - v(0) - R for o = 1..k-1, slots
-      k-1..2k-3 the reverse. Bundle 0 adds 2u to the second half
-      (`twice`); bundle b >= 1 adds u everywhere (`full`), plus u to
-      v(b) - v(0) - R and minus u to v(0) - v(b) - R.
+    - EF: `full` without group b, plus `cols` shifted to slot b.
+    - PROP: `cols` without group b.
+    - CD: `cols` shifted to slot b.
 
-    Set-up and memory are O(m + k) packed ints: `cols`, `full`, `diag`,
-    `twice` and the path's nodes hold one per good, and the masks one per
-    group, each as wide as its group.
+    Set-up and memory are O(m + k) packed ints: `cols`, `full` and the
+    path's nodes hold one per good, and the masks one per group, each as
+    wide as its group.
     """
     k = instance.k
     nums = instance.agents.nums
     sums = list(map(sum, nums))
-    scale = k if tag == "PROP" else 1
-    slots = k - 1 if tag == "EF" else 1 if tag == "PROP" else 2 * (k - 1)
+    scale = 1 if tag == "EF" else k
+    slots = 1 if tag == "PROP" else k
     packing = _Packing(len(nums) * slots, scale * max(sums))
     width = packing.width
-    stride = width * max(slots, 1)  # k = 1 has no field: one empty slot keeps it positive
+    stride = width * slots
     fill = spaced_ones(width, slots)  # a one in each of an agent's fields
     firsts = range(0, stride * len(nums), stride)  # each agent's first field
     cols = [scale * pack_at(col, firsts) for col in columns]
-    full = [col * fill for col in cols]
-    # every field starts at -T, and PROP's at s - T = -(k - 1)s in units of 1/k
+    # every field starts at -T, and PROP's at T - kT
     root = packing.top - packing.ones - pack_at(sums, firsts) * fill * (k - 1 if tag == "PROP" else 1)
     if tag == "CD":
-        twice = [2 * col * spaced_ones(width, k - 1) << width * (k - 1) for col in cols]
-        plus = [width * (b - 1) for b in range(k)]
-        minus = [width * (k - 2 + b) for b in range(k)]
-
         def delta(g, b):
-            if not b:
-                return twice[g]
-            col = cols[g]
-            return full[g] + (col << plus[b]) - (col << minus[b])
+            return cols[g] << width * b
     else:
-        offsets = list(itertools.accumulate(instance.group_sizes, initial=0))
-        shifts = [stride * lo for lo in offsets]
+        shifts = [stride * lo for lo in itertools.accumulate(instance.group_sizes, initial=0)]
         masks = [(1 << stride * size) - 1 for size in instance.group_sizes]
 
         # x - ((x >> shift & mask) << shift) is x without group b's fields
@@ -491,17 +474,11 @@ def _zero_round(instance: FairDivInstance, tag: str, columns, opener, twin):
                 col, shift = cols[g], shifts[b]
                 return col - ((col >> shift & masks[b]) << shift)
         else:
-            last = k - 1
-            # agent a of group i < k - 1 at its slot i
-            places = [a * stride + width * i for i in range(last) for a in range(offsets[i], offsets[i + 1])]
-            diag = [pack_at(col[:len(places)], places) for col in columns]
+            full = [col * fill for col in cols]
 
             def delta(g, b):
-                col, whole, shift, mask = cols[g], full[g], shifts[b], masks[b]
-                rest = whole - ((whole >> shift & mask) << shift)
-                if b < last:
-                    return rest + (col - ((col >> shift & mask) << shift) << width * b)
-                return rest + diag[g]
+                whole, shift = full[g], shifts[b]
+                return whole - ((whole >> shift & masks[b]) << shift) + (cols[g] << width * b)
     top = packing.top
     m = instance.m
     node = [root] * m  # node[g]: the admitted node whose good g is being placed

@@ -113,8 +113,8 @@ def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
     rationals in [0, 1] and z's any rationals. Wz is computed on W's integer
     numerators, in integers when z's entries are ints, and divided by W's
     denominator once; when most of z is zero, as for a unit vector, only the
-    columns of its nonzero coordinates enter, so the check costs O(n) rather
-    than O(n^2). The first coordinate is the all-ones row/column direction
+    columns of its nonzero coordinates enter, added one column at a time, so
+    the check costs O(n) rather than O(n^2). The first coordinate is the all-ones row/column direction
     and is excluded from the right-hand side.
     """
     if w.rows != w.cols:
@@ -125,7 +125,10 @@ def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
         raise InputError(f"vector length {len(z)} != order {w.rows}")
     nonzero = list(compress(range(len(z)), z))
     if 2 * len(nonzero) < len(z):
-        image = [sum([row[i] * z[i] for i in nonzero]) for row in w.nums]
+        image = [0] * w.rows
+        for i in nonzero:
+            zi = z[i]
+            image = [v + row[i] * zi for v, row in zip(image, w.nums)]
     else:
         image = [sum(map(mul, row, z)) for row in w.nums]
     lhs = Fraction(sum(v * v for v in image), w.den * w.den)

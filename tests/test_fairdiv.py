@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disclab import (
@@ -730,7 +730,7 @@ def test_brute_force_bound_calls_pinned(monkeypatch):
         tried.clear()
         assert brute_force_min_c(pairs[tag], tag)[0] == 1
         assert (len(calls), sum(tried)) == (pinned, zero), tag
-    for tag, pinned, zero in (("EF", 61, 223), ("PROP", 19, 297), ("CD", 187, 67)):
+    for tag, pinned, zero in (("EF", 61, 223), ("PROP", 19, 297), ("CD", 187, 55)):
         calls.clear()
         tried.clear()
         for instance in instances:
@@ -747,11 +747,34 @@ def first_zero_allocation(inst, tag):
     return tuple(tuple(g for g in range(inst.m) if found[g] == b) for b in range(inst.k))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(small_instances(), symmetric_instances()), st.sampled_from(NOTION_TAGS))
+@st.composite
+def four_bundle_instances(draw):
+    """k = 4 groups of one or two agents over m <= 4 goods, each group a
+    copy of the one before or not: either four copies of one column, which
+    one bundle each can share out with c = 0, or goods drawn from a pool of
+    at most m columns."""
+    copies = draw(st.booleans())
+    m = 4 if copies else draw(st.integers(1, 4))
+    pool = 1 if copies else draw(st.integers(1, m))
+    columns = draw(st.lists(st.integers(0, pool - 1), min_size=m, max_size=m))
+    group = st.lists(st.lists(UTILITIES, min_size=pool, max_size=pool), min_size=1, max_size=2)
+    groups = [draw(group)]
+    for _ in range(3):
+        groups.append(groups[-1] if draw(st.booleans()) else draw(group))
+    return FairDivInstance.from_groups(
+        [[[agent[q] for q in columns] for agent in agents] for agents in groups]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_instances(), symmetric_instances(), four_bundle_instances()),
+       st.sampled_from(NOTION_TAGS))
+@example(FairDivInstance.from_groups([[[Fraction(1, 3)] * 4, [1] * 4]] * 4), "CD")
+@example(FairDivInstance.from_groups([[[1] * 4], [[Fraction(1, 2)] * 4]] * 2), "EF")
 def test_zero_round_finds_the_first_c0_allocation(inst, tag):
     """The packed zero round returns the lex-order scan's first allocation
-    with c = 0, or nothing when no allocation has c = 0."""
+    with c = 0, or nothing when no allocation has c = 0, at k <= 3 and at
+    k = 4."""
     c, bundles = lex_order_scan(inst, tag)
     assert first_zero_allocation(inst, tag) == (bundles if c == 0 else None)
 
@@ -775,11 +798,10 @@ def one_agent_per_group(k, m, seed):
 @pytest.mark.parametrize("tag", ["EF", "CD"])
 def test_brute_force_many_groups_stays_fast(tag):
     """k = 256 groups of one agent over m = 3 goods: the zero round packs
-    255 (EF) or 510 (CD) fields per agent into ints built from O(m + k)
-    pieces, so the search takes well under a second (0.03-0.07 s on Python
+    256 (EF) or 256 (CD) fields per agent into ints built from O(m + k)
+    pieces, so the search takes well under a second (0.01-0.04 s on Python
     3.11); a table of packed deltas per good and bundle would hold 768 ints
-    of 65,280 (EF) or 130,560 (CD) fields each. Its answer re-checks with
-    the public checker."""
+    of 65,536 fields each. Its answer re-checks with the public checker."""
     inst = one_agent_per_group(256, 3, 7)
     started = time.process_time()
     c, witness = brute_force_min_c(inst, tag)

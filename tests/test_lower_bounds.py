@@ -18,6 +18,7 @@ from disclab import (
     transfer_z,
     wdisc_exact,
 )
+from disclab import lower_bounds
 
 
 def test_build_stacked_t_formula(w2, w4):
@@ -97,6 +98,30 @@ def test_hadamard_lemma_random_sweep(log2):
         unit[i] = 1
         assert check_hadamard_lemma(w, unit)[2]
 
+
+
+@pytest.mark.parametrize("log2", [2, 3, 4])
+def test_hadamard_lemma_sparse_path_matches_dense(log2, monkeypatch):
+    """z with one or two nonzero Fractions takes the column-at-a-time sparse
+    path; with every coordinate counted as nonzero the same z takes the
+    dense row products. Both give the lhs of a product over the entries."""
+    n = 1 << log2
+    w = lift_w(hadamard_sylvester(log2))
+    rng = random.Random(log2)
+    vectors = []
+    for count in (1, 2):
+        for _ in range(10):
+            z = [0] * n
+            for i in rng.sample(range(n), count):
+                z[i] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            vectors.append(z)
+    sparse = [check_hadamard_lemma(w, z) for z in vectors]
+    monkeypatch.setattr(lower_bounds, "compress", lambda indices, z: indices)
+    dense = [check_hadamard_lemma(w, z) for z in vectors]
+    assert sparse == dense
+    for z, (lhs, _rhs, holds) in zip(vectors, sparse):
+        image = [sum(e * v for e, v in zip(row, z)) for row in w.entries]
+        assert lhs == sum(v * v for v in image) and holds
 
 def test_lb_value():
     assert lb_value(1, "statement") == 0
