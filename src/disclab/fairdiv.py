@@ -279,10 +279,13 @@ def min_c_for_allocation(instance: FairDivInstance, allocation: Allocation, tag:
     for b, bundle in enumerate(allocation.bundles):
         for g in bundle:
             assignment[g] = b
-    values = [
-        [sum(units[g] for g in bundle) for bundle in allocation.bundles]
-        for _i, units, _share, _ranking in core.agents
-    ]
+    if tag == "PROP":
+        values = [sum(units[g] for g in allocation.bundles[i]) for i, units, _share, _ranking in core.agents]
+    else:
+        values = [
+            [sum(units[g] for g in bundle) for bundle in allocation.bundles]
+            for _i, units, _share, _ranking in core.agents
+        ]
     return core.bound(assignment, values, [0] * len(values), instance.m + 1)
 
 
@@ -321,13 +324,15 @@ class _MinC:
     are ints.
     `agents[a]` is (group, units, share, ranking) with `ranking` the goods
     agent a values above 0, ordered by (-utility, index): the c best goods
-    of any set are its first c members in that order.
+    of any set are its first c members in that order. Agents run group
+    after group, group i's from `spans[i]` to `spans[i + 1]` - 1.
     """
 
     def __init__(self, instance: FairDivInstance, tag: str):
         _check_tag(tag)
         k = instance.k
         self.tag = tag
+        self.spans = list(itertools.accumulate(instance.group_sizes, initial=0))
         self.agents = []
         for i, group in enumerate(instance.by_group(instance.agents.nums)):
             for nums in group:
@@ -341,12 +346,13 @@ class _MinC:
         """Lower bound on min c over every completion of a partial allocation.
 
         `assignment[g]` is good g's bundle (-1 while unplaced), `values[a][b]`
-        agent a's value of the goods placed in bundle b, and `remaining[a]`
-        its value of the unplaced goods. Placing those goods lowers a pair's
-        deficit by at most remaining[a] and only adds goods to the removal
-        side, which never lowers the c it needs, so each pair needs at least
-        the least c whose top-c removal from its placed goods covers the
-        deficit minus remaining[a]:
+        agent a's value of the goods placed in bundle b (for PROP, which
+        reads only the own bundle, `values[a]` is that value alone), and
+        `remaining[a]` its value of the unplaced goods. Placing those goods
+        lowers a pair's deficit by at most remaining[a] and only adds goods
+        to the removal side, which never lowers the c it needs, so each pair
+        needs at least the least c whose top-c removal from its placed goods
+        covers the deficit minus remaining[a]:
 
         - EF/CD (own, other): removal from `other`, deficit
           v(other) - v(own); CD takes the worst own, the least-valued bundle.
@@ -358,9 +364,9 @@ class _MinC:
         """
         need = 0
         if self.tag == "PROP":
-            for (i, units, share, ranking), vals, slack in zip(self.agents, values, remaining):
+            for (i, units, share, ranking), own, slack in zip(self.agents, values, remaining):
                 c = _cover(units, ranking, assignment, (i, -1),
-                           share - vals[i] - slack, limit, outside=True)
+                           share - own - slack, limit, outside=True)
                 if c > need:
                     if c >= limit:
                         return limit
@@ -520,7 +526,8 @@ def _bound_round(core: _MinC, by_good, remaining, opener, twin, floor, limit):
 
     One loop assigns goods in base-k order (good 0 most significant,
     bundles ascending) over the canonical allocations, its stack the
-    assignment itself, keeping per-agent bundle values incrementally. After
+    assignment itself, keeping per-agent bundle values incrementally (for
+    PROP each agent's own bundle only, the one value its bound reads). After
     each placement `core.bound` over every completion is computed, scanning
     stops once it reaches the incumbent, which starts at `limit`, and the
     subtree is pruned when it does; at a leaf the same routine gives the
@@ -531,7 +538,12 @@ def _bound_round(core: _MinC, by_good, remaining, opener, twin, floor, limit):
     """
     k = len(opener)
     m = len(by_good)
-    values = [[0] * k for _ in core.agents]
+    prop = core.tag == "PROP"
+    if prop:  # values[a]: agent a's value of its own bundle, which only placements in it change
+        values = [0] * len(core.agents)
+        spans = core.spans
+    else:
+        values = [[0] * k for _ in core.agents]
     sizes = [0] * k  # sizes[b]: the goods placed in bundle b
     best_c, best = limit, None
     assignment = [-1] * m
@@ -541,8 +553,12 @@ def _bound_round(core: _MinC, by_good, remaining, opener, twin, floor, limit):
         b = assignment[good]
         if b >= 0:  # take good out of the bundle it was tried in
             sizes[b] -= 1
-            for vals, u in zip(values, by_good[good]):
-                vals[b] -= u
+            if prop:
+                lo, hi = spans[b], spans[b + 1]
+                values[lo:hi] = map(operator.sub, values[lo:hi], by_good[good][lo:hi])
+            else:
+                for vals, u in zip(values, by_good[good]):
+                    vals[b] -= u
             b += 1
         else:
             b = assignment[twin[good]] if twin[good] >= 0 else 0
@@ -556,8 +572,12 @@ def _bound_round(core: _MinC, by_good, remaining, opener, twin, floor, limit):
             continue
         assignment[good] = b
         sizes[b] += 1
-        for vals, u in zip(values, by_good[good]):
-            vals[b] += u
+        if prop:
+            lo, hi = spans[b], spans[b + 1]
+            values[lo:hi] = map(operator.add, values[lo:hi], by_good[good][lo:hi])
+        else:
+            for vals, u in zip(values, by_good[good]):
+                vals[b] += u
         c = core.bound(assignment, values, remaining[good + 1], best_c)
         if c >= best_c:
             continue

@@ -21,21 +21,27 @@ node's row values packed into one int, a w-bit field per row (`_Packing`),
 with w fixed per call so that no borrow crosses a field: a child node is
 one subtraction of a packed column, the interval rule is two masked tests
 on the fields' top bits, and values are unpacked only at a leaf, which the
-rule admits only when it beats the incumbent. Each search is one loop over
-an explicit stack, not a recursion: per depth it keeps the packed values of
-the admitted node and the count or color tried there, plus one upper gate
-(the mass later depths can still subtract, plus the incumbent's bar), so a
-node costs a few int operations and no Python call. The weighted search
-pays only the tests that can fail: a descent's first child selects nothing
-more, so it is its parent and goes straight to the upper gate, and the size
-and lower tests run only where a count advances.
+rule admits only when it beats the incumbent. No search recurses: per
+depth each keeps the packed values of the admitted node and the count or
+color tried there, plus one upper gate (the mass later depths can still
+subtract, plus the incumbent's bar), so a node costs a few int operations
+and no Python call. The k-color search keeps that state in lists, one loop
+over an explicit stack. The weighted search runs a kernel generated per
+search depth and compiled once per process (`_kernel`): one nested `while`
+loop per group, with each depth's state, column and size in local
+variables, so a step reads and writes no list. It pays only the tests that
+can fail: a descent's first child selects nothing more, so it is its
+parent and goes straight to the upper gate, and the size and lower tests
+run only where a count advances.
 
 One search routine serves the weighted solver in two modes, always over
 merged duplicate columns (only the selection count within an
 identical-column group matters): the value search finds the optimum, and
 feasibility searches, each stopping at the first selection within the
 optimum, rebuild the witness column by column in original order, each over
-the groups of the columns after the one being fixed. Most of them fail at
+the groups of the columns after the one being fixed, through the value
+search's kernel (a search over fewer groups enters it behind pass-through
+levels, so one call compiles at most one kernel). Most of them fail at
 their root, so two masked tests decide the root before any grouping: the
 lower test, and the upper test against the packed mass of every later
 column (`_lex_least`). Every search reads its groups off one column order,
@@ -52,6 +58,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, compress, islice
 from operator import add, lshift, not_, sub
 
@@ -222,15 +229,16 @@ class _Packing:
     every row can still end below it, -limit < v_i and v_i - R_i < limit.
     Packed, with low = (limit - 1) * ones and high = limit * ones, that is two
     masked tests, (P + low) & top == top and (P - R - high) & top == 0: a
-    field's top bit says whether it is at least 2^(w-1). The search loops
-    apply the rule inline. Each keeps one gate per depth, R + high for the
-    mass R the later depths can still subtract, so the upper test is one
-    subtraction and one mask. When the incumbent falls from b to b', low and
-    every gate fall by (b - b') * ones, so an update shifts the bars it has
-    and never rebuilds them from the masses. A test runs only where it can
-    fail: a child whose values equal its parent's, as at a `_search`
-    descent, passes the lower test with its parent, and only a subtraction
-    can newly fail it.
+    field's top bit says whether it is at least 2^(w-1). The searches apply
+    the rule inline, `_search` in its generated kernel and `_odisc_dfs` in
+    its loop. Each keeps one gate per depth, R + high for the mass R the
+    later depths can still subtract, so the upper test is one subtraction
+    and one mask. When the incumbent falls from b to b', low and every gate
+    fall by (b - b') * ones, so an update shifts the bars it has and never
+    rebuilds them from the masses. A test runs only where it can fail: a
+    child whose values equal its parent's, as at a `_search` descent,
+    passes the lower test with its parent, and only a subtraction can newly
+    fail it.
 
     The field offsets w*i are kept as a range, `shifts`, so a packing over
     many rows takes no memory per row: `pack` shifts each entry by its
@@ -289,7 +297,102 @@ def _group_columns(columns, order, after):
     return list(members.items())
 
 
-def _search(packing, groups, values, limit, first):
+_NESTED_LOOPS = 20  # CPython compiles at most 20 statically nested loops in one function
+
+
+def _kernel_source(depth: int) -> str:
+    """Python source of `_search`'s loop over `depth` groups. It depends on
+    `depth` alone and holds no data.
+
+    Group d is one `while` loop, nested in group d - 1's, with locals for
+    its node's values `v<d>`, the count `c<d>` tried, its gate `g<d>`,
+    column `k<d>` and size `s<d>`. Count 0 is the node the loop is entered
+    with, so it goes straight to the gate; each later count subtracts the
+    column once more and takes the lower test, and the loop ends where the
+    group is spent or that test fails. An admitted node enters the next
+    group's loop, and one in the last group is a new incumbent.
+
+    CPython compiles at most 20 nested loops in one function, so groups
+    a, ..., a + 19 form function `_levels_<a>`, for a = 0, 20, ...; each
+    but the last enters the next from its innermost admitted node. A
+    function takes that node, the incumbent, the low bar and the node count,
+    reads its gates off the masses `afters` plus the high bar, low + ones,
+    and returns (incumbent, low bar, nodes, found): `found` holds the counts
+    of its groups and all later ones at its last new incumbent, or None if
+    it found none. A new incumbent returns at once where the search stops,
+    else it shifts the low bar and the function's gates by the drop; a
+    caller that gets `found` back shifts its own gates the same way.
+    """
+    lines = []
+    for start in range(0, depth, _NESTED_LOOPS):
+        stop = min(start + _NESTED_LOOPS, depth)
+        levels = range(start, stop)
+        counts = ", ".join(f"c{d}" for d in levels)
+        lines += [
+            f"def _levels_{start}(v, best, low, nodes, first, afters, cols, sizes, ones, top, worst):",
+            "    high = low + ones",
+            *(f"    g{d} = afters[{d}] + high" for d in levels),
+            f"    {', '.join(f'k{d}' for d in levels)}, = cols[{start}:{stop}]",
+            f"    {', '.join(f's{d}' for d in levels)}, = sizes[{start}:{stop}]",
+            "    found = None",
+            f"    v{start} = v",
+            f"    c{start} = 0",
+        ]
+        for d in levels:
+            pad = "    " * (2 * (d - start) + 1)
+            lines += [
+                f"{pad}while True:",
+                f"{pad}    if not (v{d} - g{d}) & top:",
+                f"{pad}        nodes += 1",
+            ]
+            inner = pad + "        "
+            if d + 1 < stop:
+                lines += [f"{inner}v{d + 1} = v{d}", f"{inner}c{d + 1} = 0"]
+                continue
+            if stop == depth:
+                lines += [
+                    f"{inner}value = worst(v{d})",
+                    f"{inner}found = ({counts},)",
+                ]
+            else:
+                lines += [
+                    f"{inner}value, low, nodes, deeper = _levels_{stop}(v{d}, best, low, nodes, first, afters, cols, sizes, ones, top, worst)",
+                    f"{inner}if deeper is not None:",
+                ]
+                inner += "    "
+                lines.append(f"{inner}found = ({counts},) + deeper")
+            lines += [
+                f"{inner}if first or not value:",
+                f"{inner}    return value, low, nodes, found",
+                f"{inner}drop = (best - value) * ones",
+                f"{inner}best = value",
+                *([f"{inner}low -= drop"] if stop == depth else []),
+                *(f"{inner}g{level} -= drop" for level in levels),
+            ]
+        for d in reversed(levels):
+            pad = "    " * (2 * (d - start) + 2)
+            lines += [
+                f"{pad}if c{d} == s{d}:",
+                f"{pad}    break",
+                f"{pad}c{d} += 1",
+                f"{pad}v{d} -= k{d}",
+                f"{pad}if (v{d} + low) & top != top:",
+                f"{pad}    break",
+            ]
+        lines.append("    return best, low, nodes, found")
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _kernel(depth: int):
+    """The search loop over `depth` groups (`_kernel_source`), compiled on
+    first use and kept for the process."""
+    namespace = {}
+    exec(compile(_kernel_source(depth), f"<search kernel, depth {depth}>", "exec"), namespace)
+    return namespace["_levels_0"]
+
+
+def _search(packing, groups, values, limit, first, depth=None):
     """Least max |row value| below `limit` over selections of the merged
     columns `groups`, from packed row values `values`; with `first`, the
     first selection found below `limit` instead.
@@ -301,26 +404,29 @@ def _search(packing, groups, values, limit, first):
     incumbent, so it becomes the new one, and the search ends once a
     `first` search has its selection or the incumbent reaches 0.
 
-    One loop walks the tree depth first with explicit per-depth state: the
-    packed values of the admitted node at each depth and the count tried
-    there. Each depth keeps its upper gate, the packed mass of the groups
-    after it plus the high bar, so a child's upper test is one subtraction
-    and one mask. A new incumbent is unpacked in place, and the low bar and
-    the gates shift down by its drop times `ones` (see `_Packing`).
+    The walk is a generated kernel (`_kernel`), one nested `while` loop per
+    group, with each depth's values, count, gate, column and size in
+    locals. A depth's gate is the packed mass of the groups after it plus
+    the high bar, so a child's upper test is one subtraction and one mask.
+    A new incumbent is unpacked in place, and the low bar and the gates
+    shift down by its drop times `ones` (see `_Packing`).
 
     Each step pays only the tests that can fail. The root counts as a node
-    and takes one lower test before the loop; its upper test is left to the
-    depth-0 children, since selecting only subtracts. A descent from an
+    and takes one lower test before the kernel; its upper test is left to
+    the depth-0 children, since selecting only subtracts. A descent from an
     admitted node at depth d to count 0 at depth d + 1 selects nothing, so
     the child is the node itself: it has passed the lower test under the
     same incumbent, count 0 never exceeds a group's size, and only the
     upper gate, which leaves group d out of the mass, is new. The size and
     lower tests run only after a count advances, one more column of the
-    group subtracted. Where they fail, the search resumes the next count of
-    the deepest depth above whose group still has a count to try: a stack,
-    `pending`, holds the depths on the current path that a descent left
-    with their count below their group's size, so the depths whose group is
-    spent are skipped without a step. It ends once the stack is empty.
+    group subtracted; where either fails, the depth's loop ends and the
+    depth above advances its own count.
+
+    A search over fewer groups than `depth` (by default their number) runs
+    `depth`'s kernel behind leading pass-through levels: each has size 0
+    and a gate equal to the root, so it admits its one child, the root
+    itself, and ends; its node is subtracted from the count. So the
+    witness searches of `_lex_least` share the value search's kernel.
     Returns (value, selected, nodes): `selected` lists the chosen indices,
     each group's 1s on its latest indices, and is None when no selection
     gets below `limit`.
@@ -328,66 +434,23 @@ def _search(packing, groups, values, limit, first):
     if not groups:
         value = packing.worst(values)
         return (value, [], 1) if value < limit else (limit, None, 1)
-    width, shifts, ones, top = packing.width, packing.shifts, packing.ones, packing.top
-    cols = [col for col, _members in groups]
-    sizes = [len(members) for _col, members in groups]
-    last = len(cols) - 1
+    ones, top = packing.ones, packing.top
     low = (limit - 1) * ones
-    gates = [limit * ones] * len(cols)  # gates[d]: the packed mass of the groups after d, plus high
-    for d in range(last, 0, -1):
-        gates[d - 1] = gates[d] + sizes[d] * cols[d]
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    best, found, nodes = limit, None, 1
     if (values + low) & top != top:
-        return best, found, nodes
-    node = [values] * len(cols)  # node[d]: the admitted child at depth d, counts[d] of its group selected
-    counts = [0] * len(cols)
-    pending = []  # the depths above d whose group has a count left, deepest last
-    push, pop = pending.append, pending.pop
-    d, count, child = 0, 0, values
-    while True:
-        # `child`, count `count` of group d, has passed the size and lower tests.
-        if not (child - gates[d]) & top:
-            nodes += 1
-            counts[d] = count
-            if d < last:
-                if count < sizes[d]:
-                    push(d)
-                node[d] = child
-                d += 1
-                count = 0
-                continue
-            fields = [(child >> shift) & mask for shift in shifts]
-            value = max(max(fields) - half, half - min(fields))
-            found = counts[:]
-            if first or not value:
-                best = value
-                break
-            drop = (best - value) * ones
-            best = value
-            low -= drop
-            gates = [gate - drop for gate in gates]
-        # Next count of group d, unless the group is spent or a row is at or
-        # below -limit, where more of the group lowers it further; else the
-        # next count of the deepest pending depth that passes the lower test.
-        count += 1
-        if count <= sizes[d]:
-            child -= cols[d]
-            if (child + low) & top == top:
-                continue
-        while pending:
-            d = pop()
-            count = counts[d] + 1
-            child = node[d] - cols[d]
-            if (child + low) & top == top:
-                break
-        else:
-            break  # no depth has a count left: the search is over
+        return limit, None, 1
+    skip = 0 if depth is None else depth - len(groups)
+    cols = [0] * skip + [col for col, _members in groups]
+    sizes = [0] * skip + [len(members) for _col, members in groups]
+    # afters[d]: the packed mass of the groups after d; a pass-through level's makes its gate the root
+    afters = [values - low - ones] * skip + [0] * len(groups)
+    for d in range(len(cols) - 1, skip, -1):
+        afters[d - 1] = afters[d] + sizes[d] * cols[d]
+    best, _low, nodes, found = _kernel(len(cols))(
+        values, limit, low, 1 - skip, first, afters, cols, sizes, ones, top, packing.worst)
     if found is None:
         return best, None, nodes
     selected = []
-    for (_col, members), count in zip(groups, found):
+    for (_col, members), count in zip(groups, found[skip:]):
         selected.extend(members[len(members) - count:])
     return best, selected, nodes
 
@@ -416,6 +479,9 @@ def _lex_least(packing, columns, order, start, target, selected):
     v_i - c*G_i - (S_i - |G|*G_i) >= v_i - S_i >= limit. So every depth-0
     child fails its gate and counts no node, and the search ends with its
     root alone.
+
+    Every search that runs enters the value search's kernel: its depth is
+    the number of distinct columns, at least the groups of any later ones.
     """
     m = len(columns)
     known = [0] * m
@@ -425,6 +491,7 @@ def _lex_least(packing, columns, order, start, target, selected):
     low = target * ones
     # after[d]: the packed mass of columns d, ..., m - 1, plus high
     after = list(accumulate(reversed(columns), initial=(target + 1) * ones))[::-1]
+    depth = len(set(columns))
     values = start
     nodes = 0
     for d in range(m):
@@ -435,7 +502,7 @@ def _lex_least(packing, columns, order, start, target, selected):
             values -= columns[d]
             continue
         groups = _group_columns(columns, order, d)
-        _value, tail, searched = _search(packing, groups, values, target + 1, True)
+        _value, tail, searched = _search(packing, groups, values, target + 1, True, depth)
         nodes += searched
         if tail is None:
             values -= columns[d]

@@ -315,6 +315,14 @@ def test_brute_force_ignores_agent_order_within_a_group(monkeypatch):
         assert runs[0] == runs[1], tag
 
 
+def bound_values(core, table):
+    """The values `_MinC.bound` reads from `table`, each agent's value of
+    every bundle: the table itself, or for PROP each agent's own bundle."""
+    if core.tag == "PROP":
+        return [vals[i] for (i, _units, _s, _r), vals in zip(core.agents, table)]
+    return table
+
+
 def test_brute_force_leaf_matches_public_checker():
     """The integer routine with nothing unplaced and the public min-c both
     equal the subset-enumerating reference; on a partial allocation the
@@ -328,8 +336,8 @@ def test_brute_force_leaf_matches_public_checker():
             allocation = Allocation.from_bundles(bundles, inst.m)
             for tag in ("EF", "PROP", "CD"):
                 core = _MinC(inst, tag)
-                values = [[sum(units[g] for g in bundle) for bundle in bundles]
-                          for _i, units, _s, _r in core.agents]
+                values = bound_values(core, [[sum(units[g] for g in bundle) for bundle in bundles]
+                                             for _i, units, _s, _r in core.agents])
                 expected = naive_min_c(inst, bundles, tag)
                 exact[tag, assignment] = expected
                 zeros = [0] * len(values)
@@ -340,8 +348,8 @@ def test_brute_force_leaf_matches_public_checker():
             for placed in range(inst.m):
                 for prefix in product(range(inst.k), repeat=placed):
                     assignment = list(prefix) + [-1] * (inst.m - placed)
-                    values = [[sum(units[g] for g in range(placed) if prefix[g] == b)
-                               for b in range(inst.k)] for _i, units, _s, _r in core.agents]
+                    values = bound_values(core, [[sum(units[g] for g in range(placed) if prefix[g] == b)
+                                                  for b in range(inst.k)] for _i, units, _s, _r in core.agents])
                     remaining = [sum(units[placed:]) for _i, units, _s, _r in core.agents]
                     bound = core.bound(assignment, values, remaining, inst.m + 1)
                     completions = [c for (t, full), c in exact.items()
@@ -830,15 +838,21 @@ def test_min_c_core_memory_is_linear_in_k():
     """The PROP bound keeps no table of the bundles outside each bundle: at
     k = 2,048 groups of one agent, building the integer core peaks under
     4 MB of traced memory (0.9 MB on Python 3.11; k tuples of the k - 1
-    other bundles took 152 MB)."""
+    other bundles took 152 MB). Nor does it keep every agent's value of
+    every bundle: the min-c search and the checker each peak under 4 MB too
+    (1.5 and 0.7 MB on Python 3.11; an N x k table of bundle values took
+    35.0 and 38.1 MB)."""
     inst = one_agent_per_group(2048, 2, 3)
-    tracemalloc.start()
-    try:
-        _MinC(inst, "PROP")
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_000_000
+    witness = brute_force_min_c(inst, "PROP")[1]
+    for call in (lambda: _MinC(inst, "PROP"), lambda: brute_force_min_c(inst, "PROP"),
+                 lambda: min_c_for_allocation(inst, witness, "PROP")):
+        tracemalloc.start()
+        try:
+            call()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def test_generated_instance_memory_is_one_matrix():

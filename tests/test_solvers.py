@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import compress
 from unittest import mock
 
 import pytest
@@ -594,6 +595,42 @@ def test_wdisc_exact_pinned_on_random_matrices():
         assert eval_weighted(matrix, Fraction(p), result.witness) == result.value
 
 
+# Seeded matrices of 3-5 rows with 21-24 distinct columns, entries in
+# multiples of 1/2, 1/3 or 1/4, padded with copies of earlier columns to 24
+# columns: (distinct columns, p, value, witness, nodes_explored), trial by
+# trial. The value search runs 21-24 groups deep, past the 20 nested loops
+# CPython compiles in one function, so its kernel chains two functions;
+# the figures are those of the explicit-stack search the kernel replaced.
+DEEP_WDISC_NODES = [
+    (21, "1/2", "0", "000000000001011101111111", 311),
+    (22, "2/5", "1/10", "000000000101111110010101", 80653),
+    (23, "2/3", "1/6", "000000000111111111111111", 26293),
+    (24, "1/3", "1/9", "000000000000001011110111", 55429),
+    (21, "3/4", "1/4", "000011101101110111111101", 6319),
+    (22, "5/8", "1/6", "000000011111100111111111", 31026),
+]
+
+
+def test_wdisc_exact_pinned_past_one_kernel_function():
+    """Value, witness and node count as pinned where the search has more
+    groups than one kernel function holds."""
+    rng = random.Random(2121)
+    for trial, (distinct, p, value, witness, nodes) in enumerate(DEEP_WDISC_NODES):
+        rows, den = rng.randint(3, 5), rng.choice((2, 3, 4))
+        columns = []
+        while len(columns) < distinct:
+            column = [Fraction(rng.randint(0, den), den) for _ in range(rows)]
+            if column not in columns:
+                columns.append(column)
+        while len(columns) < 24:
+            columns.insert(rng.randint(0, len(columns)), rng.choice(columns))
+        matrix = RatMatrix.from_rows(list(zip(*columns)))
+        result = wdisc_exact(matrix, Fraction(p))
+        expected = (Fraction(value), tuple(map(int, witness)), nodes)
+        assert (result.value, result.witness, result.nodes_explored) == expected, trial
+        assert eval_weighted(matrix, Fraction(p), result.witness) == result.value
+
+
 def test_wdisc_exact_regroups_the_columns_after_each_fixed_one():
     """Columns 0 and 2 are distinct with one mass and column 3 is a copy of
     column 0. The value search takes group {0, 3} before {2}; once x_0 is
@@ -673,6 +710,32 @@ def test_lex_least_root_tests_match_a_search_per_open_column_property(matrix, p)
     with mock.patch.object(solvers, "_lex_least", checked):
         result = wdisc_exact(matrix, p)
     assert [witness for witness, _nodes in rebuilt] == [result.witness]
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplicated_columns(),
+       st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(5, 6), Fraction(1)]),
+       st.integers(0, 24), st.booleans(), st.data())
+def test_search_through_a_deeper_kernel_matches_its_own_depth_property(matrix, p, extra, first, data):
+    """A search entered through a deeper kernel, behind `extra` pass-through
+    levels (past 20 groups deep, across chained kernel functions), returns
+    the value, selection and node count of the search at its own depth:
+    over the groups after a drawn column, from the root less a drawn
+    selection of the columns up to it, under a drawn limit."""
+    pn, pd = p.numerator, p.denominator
+    sums = list(map(sum, matrix.nums))
+    limit = pn * max(sums) + 1
+    packing = _Packing.scaled(sums, pn, pd, limit)
+    columns = [pd * packing.pack(col) for col in zip(*matrix.nums)]
+    masses = list(map(sum, zip(*matrix.nums)))
+    order = sorted(range(matrix.cols), key=masses.__getitem__, reverse=True)
+    after = data.draw(st.integers(-1, matrix.cols - 1))
+    prefix = data.draw(st.lists(st.booleans(), min_size=after + 1, max_size=after + 1))
+    values = packing.pack_values([pn * total for total in sums]) - sum(compress(columns, prefix))
+    groups = _group_columns(columns, order, after)
+    limit = data.draw(st.integers(1, limit))
+    own = _search(packing, groups, values, limit, first)
+    assert _search(packing, groups, values, limit, first, len(groups) + extra) == own
 
 
 def _column_formula_width(nums, pn, pd, limit):
