@@ -116,6 +116,8 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} nests JSON too deeply to read") from exc
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught before the digit limit
+        raise InputError(f"{path} is not UTF-8 text") from exc
     except ValueError as exc:  # a number past Python's integer string-conversion limit
         raise InputError(f"{path} holds a number with more than {sys.get_int_max_str_digits()} digits") from exc
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from operator import mul
 
 from .errors import InputError
@@ -110,17 +110,21 @@ def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
     """Evaluate ||Wz||_2^2 against (n/4) * sum of z_i^2 over i >= 2.
 
     Returns (lhs, rhs, holds) as exact values; W's entries may be any
-    rationals in [0, 1] and z's any rationals. Wz is computed on W's integer
-    numerators, in integers when z's entries are ints, and divided by W's
-    denominator once; when most of z is zero, as for a unit vector, only the
-    columns of its nonzero coordinates enter, added one column at a time, so
-    the check costs O(n) rather than O(n^2). The first coordinate is the all-ones row/column direction
-    and is excluded from the right-hand side.
+    rationals in [0, 1] and z's any rationals. z is read once: it stays a
+    list of ints when every entry is an int, else every entry is read as a
+    Fraction. Wz is computed on W's integer numerators, so in integers for
+    an int z, and divided by W's denominator once; when most of z is zero,
+    as for a unit vector, only the columns of its nonzero coordinates enter,
+    added one column at a time, so the check costs O(n) rather than O(n^2).
+    The first coordinate is the all-ones row/column direction and is
+    excluded from the right-hand side.
     """
     if w.rows != w.cols:
         raise InputError("lemma check needs a square matrix")
     require_power_of_two(w.rows)
-    z = [v if isinstance(v, int) else Fraction(v) for v in z]
+    z = list(z)
+    if not all(map(isinstance, z, repeat(int))):
+        z = list(map(Fraction, z))
     if len(z) != w.cols:
         raise InputError(f"vector length {len(z)} != order {w.rows}")
     nonzero = list(compress(range(len(z)), z))
@@ -131,8 +135,9 @@ def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
             image = [v + row[i] * zi for v, row in zip(image, w.nums)]
     else:
         image = [sum(map(mul, row, z)) for row in w.nums]
-    lhs = Fraction(sum(v * v for v in image), w.den * w.den)
-    rhs = Fraction(w.rows * sum(v * v for v in z[1:]), 4)
+    tail = [z[i] for i in nonzero if i]  # z's nonzero entries past the first: zeros add nothing
+    lhs = Fraction(sum(map(mul, image, image)), w.den * w.den)
+    rhs = Fraction(w.rows * sum(map(mul, tail, tail)), 4)
     return lhs, rhs, lhs >= rhs
 
 

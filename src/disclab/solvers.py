@@ -19,20 +19,21 @@ nonnegative, so selecting columns only subtracts, and a branch is dead once
 some row can no longer get below the incumbent. Every exact search keeps a
 node's row values packed into one int, a w-bit field per row (`_Packing`),
 with w fixed per call so that no borrow crosses a field: a child node is
-one subtraction of a packed column, the interval rule is two masked tests
-on the fields' top bits, and values are unpacked only at a leaf, which the
-rule admits only when it beats the incumbent. No search recurses: per
-depth each keeps the packed values of the admitted node and the count or
-color tried there, plus one upper gate (the mass later depths can still
-subtract, plus the incumbent's bar), so a node costs a few int operations
-and no Python call. The k-color search keeps that state in lists, one loop
-over an explicit stack. The weighted search runs a kernel generated per
-search depth and compiled once per process (`_kernel`): one nested `while`
-loop per group, with each depth's state, column and size in local
-variables, so a step reads and writes no list. It pays only the tests that
-can fail: a descent's first child selects nothing more, so it is its
-parent and goes straight to the upper gate, and the size and lower tests
-run only where a count advances.
+one subtraction of a packed column, and every node is kept offset by the
+incumbent's low bar, so the interval rule is two masked tests on the
+fields' top bits, the lower one a single mask. Values are unpacked only at
+a leaf, which the rule admits only when it beats the incumbent. No search
+recurses: per depth each keeps the packed values of the admitted node and
+the count or color tried there, plus one upper gate (the mass later depths
+can still subtract, plus the incumbent's bars), so a node costs a few int
+operations and no Python call. The k-color search keeps that state in
+lists, one loop over an explicit stack. The weighted search runs a kernel
+generated per search depth and compiled once per process (`_kernel`): one
+nested `while` loop per group, with each depth's state, column and size in
+local variables, so a step reads and writes no list. It pays only the
+tests that can fail: a descent's first child selects nothing more, so it
+is its parent and goes straight to the upper gate, and the size and lower
+tests run only where a count advances.
 
 One search routine serves the weighted solver in two modes, always over
 merged duplicate columns (only the selection count within an
@@ -47,8 +48,8 @@ lower test, and the upper test against the packed mass of every later
 column (`_lex_least`). Every search reads its groups off one column order,
 by descending mass, sorted once per call. That keeps the documented
 tie-break: the lexicographically smallest optimal x. A new incumbent is
-unpacked in place and shifts the bars of the interval rule; no search
-rebuilds them.
+unpacked in place and shifts the live nodes and the gates of the interval
+rule; no search rebuilds them.
 """
 
 from __future__ import annotations
@@ -227,18 +228,30 @@ class _Packing:
     subtracts, and row i of a node with values v and remaining mass R ends in
     [v_i - R_i, v_i]. A node is admitted under incumbent `limit` >= 1 while
     every row can still end below it, -limit < v_i and v_i - R_i < limit.
-    Packed, with low = (limit - 1) * ones and high = limit * ones, that is two
-    masked tests, (P + low) & top == top and (P - R - high) & top == 0: a
-    field's top bit says whether it is at least 2^(w-1). The searches apply
-    the rule inline, `_search` in its generated kernel and `_odisc_dfs` in
-    its loop. Each keeps one gate per depth, R + high for the mass R the
-    later depths can still subtract, so the upper test is one subtraction
-    and one mask. When the incumbent falls from b to b', low and every gate
-    fall by (b - b') * ones, so an update shifts the bars it has and never
-    rebuilds them from the masses. A test runs only where it can fail: a
-    child whose values equal its parent's, as at a `_search` descent,
-    passes the lower test with its parent, and only a subtraction can newly
-    fail it.
+    With low = (limit - 1) * ones and high = limit * ones, the searches keep
+    every packed node P offset by the low bar, X = P + low, from the root to
+    every leaf, so the rule is two masked tests, X & top == top (the lower
+    test, one mask) and (X - h) & top == 0 for h = R + high + low: a field's
+    top bit says whether it is at least 2^(w-1). X - h is P - R - high, so
+    field i of X holds v_i + limit - 1 + 2^(w-1) and field i of X - h
+    holds v_i - R_i - limit + 2^(w-1). With |v_i| <= |start_i| + mass_i,
+    R_i <= mass_i and limit at most the initial incumbent, both lie in
+    [2^(w-1) - bound, 2^(w-1) + bound] and every field of the gate h,
+    R_i + 2 * limit - 1, in [0, 2^(w-1) + bound]: all inside [0, 2^w), so
+    no borrow crosses a field. X and X - h are the very sums, P + low and
+    P - R - high, that the same tests on unshifted nodes form, so the
+    offset needs no wider field.
+
+    The searches apply the rule inline, `_search` in its generated kernel
+    and `_odisc_dfs` in its loop. Each keeps one gate per depth, h for the
+    mass R the later depths can still subtract, so the upper test is one
+    subtraction and one mask. When the incumbent falls from b to b', low
+    falls by (b - b') * ones, so every node on the live path shifts down by
+    that drop and every gate by twice it: an update shifts what it has and
+    never rebuilds a node or a gate from the masses. A test runs only where
+    it can fail: a child whose values equal its parent's, as at a `_search`
+    descent, passes the lower test with its parent, and only a subtraction
+    can newly fail it. A leaf's values are X - low, which `worst` unpacks.
 
     The field offsets w*i are kept as a range, `shifts`, so a packing over
     many rows takes no memory per row: `pack` shifts each entry by its
@@ -305,23 +318,25 @@ def _kernel_source(depth: int) -> str:
     `depth` alone and holds no data.
 
     Group d is one `while` loop, nested in group d - 1's, with locals for
-    its node's values `v<d>`, the count `c<d>` tried, its gate `g<d>`,
-    column `k<d>` and size `s<d>`. Count 0 is the node the loop is entered
-    with, so it goes straight to the gate; each later count subtracts the
-    column once more and takes the lower test, and the loop ends where the
-    group is spent or that test fails. An admitted node enters the next
-    group's loop, and one in the last group is a new incumbent.
+    its node `v<d>`, stored offset by the low bar (see `_Packing`), the
+    count `c<d>` tried, its gate `g<d>`, column `k<d>` and size `s<d>`.
+    Count 0 is the node the loop is entered with, so it goes straight to
+    the gate; each later count subtracts the column once more and takes the
+    lower test, one mask, and the loop ends where the group is spent or
+    that test fails. An admitted node enters the next group's loop, and one
+    in the last group is a new incumbent.
 
     CPython compiles at most 20 nested loops in one function, so groups
     a, ..., a + 19 form function `_levels_<a>`, for a = 0, 20, ...; each
     but the last enters the next from its innermost admitted node. A
     function takes that node, the incumbent, the low bar and the node count,
-    reads its gates off the masses `afters` plus the high bar, low + ones,
-    and returns (incumbent, low bar, nodes, found): `found` holds the counts
-    of its groups and all later ones at its last new incumbent, or None if
-    it found none. A new incumbent returns at once where the search stops,
-    else it shifts the low bar and the function's gates by the drop; a
-    caller that gets `found` back shifts its own gates the same way.
+    reads its gates off the masses `afters` plus the high and low bars,
+    2 * low + ones, and returns (incumbent, low bar, nodes, found): `found`
+    holds the counts of its groups and all later ones at its last new
+    incumbent, or None if it found none. A new incumbent returns at once
+    where the search stops, else it shifts the low bar and the function's
+    nodes by the drop and its gates by twice the drop; a caller that gets
+    `found` back shifts its own nodes and gates the same way.
     """
     lines = []
     for start in range(0, depth, _NESTED_LOOPS):
@@ -330,8 +345,8 @@ def _kernel_source(depth: int) -> str:
         counts = ", ".join(f"c{d}" for d in levels)
         lines += [
             f"def _levels_{start}(v, best, low, nodes, first, afters, cols, sizes, ones, top, worst):",
-            "    high = low + ones",
-            *(f"    g{d} = afters[{d}] + high" for d in levels),
+            "    bars = low + low + ones",
+            *(f"    g{d} = afters[{d}] + bars" for d in levels),
             f"    {', '.join(f'k{d}' for d in levels)}, = cols[{start}:{stop}]",
             f"    {', '.join(f's{d}' for d in levels)}, = sizes[{start}:{stop}]",
             "    found = None",
@@ -351,7 +366,7 @@ def _kernel_source(depth: int) -> str:
                 continue
             if stop == depth:
                 lines += [
-                    f"{inner}value = worst(v{d})",
+                    f"{inner}value = worst(v{d} - low)",
                     f"{inner}found = ({counts},)",
                 ]
             else:
@@ -367,6 +382,8 @@ def _kernel_source(depth: int) -> str:
                 f"{inner}drop = (best - value) * ones",
                 f"{inner}best = value",
                 *([f"{inner}low -= drop"] if stop == depth else []),
+                *(f"{inner}v{level} -= drop" for level in levels),
+                f"{inner}drop += drop",
                 *(f"{inner}g{level} -= drop" for level in levels),
             ]
         for d in reversed(levels):
@@ -376,7 +393,7 @@ def _kernel_source(depth: int) -> str:
                 f"{pad}    break",
                 f"{pad}c{d} += 1",
                 f"{pad}v{d} -= k{d}",
-                f"{pad}if (v{d} + low) & top != top:",
+                f"{pad}if v{d} & top != top:",
                 f"{pad}    break",
             ]
         lines.append("    return best, low, nodes, found")
@@ -405,11 +422,13 @@ def _search(packing, groups, values, limit, first, depth=None):
     `first` search has its selection or the incumbent reaches 0.
 
     The walk is a generated kernel (`_kernel`), one nested `while` loop per
-    group, with each depth's values, count, gate, column and size in
-    locals. A depth's gate is the packed mass of the groups after it plus
-    the high bar, so a child's upper test is one subtraction and one mask.
-    A new incumbent is unpacked in place, and the low bar and the gates
-    shift down by its drop times `ones` (see `_Packing`).
+    group, with each depth's node, count, gate, column and size in locals.
+    Every node is kept offset by the low bar (see `_Packing`), so a child's
+    lower test is one mask; a depth's gate is the packed mass of the groups
+    after it plus the high and low bars, so its upper test is one
+    subtraction and one mask. A new incumbent is unpacked in place, and the
+    low bar and the live nodes shift down by its drop times `ones`, the
+    gates by twice that.
 
     Each step pays only the tests that can fail. The root counts as a node
     and takes one lower test before the kernel; its upper test is left to
@@ -436,7 +455,8 @@ def _search(packing, groups, values, limit, first, depth=None):
         return (value, [], 1) if value < limit else (limit, None, 1)
     ones, top = packing.ones, packing.top
     low = (limit - 1) * ones
-    if (values + low) & top != top:
+    root = values + low
+    if root & top != top:
         return limit, None, 1
     skip = 0 if depth is None else depth - len(groups)
     cols = [0] * skip + [col for col, _members in groups]
@@ -446,7 +466,7 @@ def _search(packing, groups, values, limit, first, depth=None):
     for d in range(len(cols) - 1, skip, -1):
         afters[d - 1] = afters[d] + sizes[d] * cols[d]
     best, _low, nodes, found = _kernel(len(cols))(
-        values, limit, low, 1 - skip, first, afters, cols, sizes, ones, top, packing.worst)
+        root, limit, low, 1 - skip, first, afters, cols, sizes, ones, top, packing.worst)
     if found is None:
         return best, None, nodes
     selected = []
@@ -466,22 +486,24 @@ def _lex_least(packing, columns, order, start, target, selected):
     and its selection becomes the tail of `known`, otherwise x_d = 1.
 
     Most such searches fail at their root, so the root is decided first,
-    before any grouping, by two masked tests under limit = target + 1: the
+    before any grouping, by two masked tests under limit = target + 1, on
+    the prefix's values kept offset by the low bar (see `_Packing`): the
     lower test, and the upper test against the packed mass S of every
-    column after d (`after`, suffix sums built once per call). If either
-    fails, the search would have returned no selection after one node, so
-    one node is counted and x_d = 1 is fixed. Proof: where the lower test
-    fails, `_search` returns before its loop. Where the upper test fails,
-    some row i has v_i - S_i >= limit: that row cannot get below the limit
-    even with every later column selected. A depth-0 child selects c <= |G|
-    columns of the first group G, and its gate leaves out of the mass
-    exactly that group, S - |G|*G, so the row its gate tests is
-    v_i - c*G_i - (S_i - |G|*G_i) >= v_i - S_i >= limit. So every depth-0
-    child fails its gate and counts no node, and the search ends with its
-    root alone.
+    column after d plus both bars (`after`, suffix sums built once per
+    call). If either fails, the search would have returned no selection
+    after one node, so one node is counted and x_d = 1 is fixed. Proof:
+    where the lower test fails, `_search` returns before its loop. Where
+    the upper test fails, some row i has v_i - S_i >= limit: that row
+    cannot get below the limit even with every later column selected. A
+    depth-0 child selects c <= |G| columns of the first group G, and its
+    gate leaves out of the mass exactly that group, S - |G|*G, so the row
+    its gate tests is v_i - c*G_i - (S_i - |G|*G_i) >= v_i - S_i >= limit.
+    So every depth-0 child fails its gate and counts no node, and the
+    search ends with its root alone.
 
-    Every search that runs enters the value search's kernel: its depth is
-    the number of distinct columns, at least the groups of any later ones.
+    Every search that runs gets the plain values back, node - low, and
+    enters the value search's kernel: its depth is the number of distinct
+    columns, at least the groups of any later ones.
     """
     m = len(columns)
     known = [0] * m
@@ -489,23 +511,23 @@ def _lex_least(packing, columns, order, start, target, selected):
         known[j] = 1
     top, ones = packing.top, packing.ones
     low = target * ones
-    # after[d]: the packed mass of columns d, ..., m - 1, plus high
-    after = list(accumulate(reversed(columns), initial=(target + 1) * ones))[::-1]
+    # after[d]: the packed mass of columns d, ..., m - 1, plus high and low
+    after = list(accumulate(reversed(columns), initial=(2 * target + 1) * ones))[::-1]
     depth = len(set(columns))
-    values = start
+    node = start + low
     nodes = 0
     for d in range(m):
         if not known[d]:
             continue
-        if (values + low) & top != top or (values - after[d + 1]) & top:
+        if node & top != top or (node - after[d + 1]) & top:
             nodes += 1
-            values -= columns[d]
+            node -= columns[d]
             continue
         groups = _group_columns(columns, order, d)
-        _value, tail, searched = _search(packing, groups, values, target + 1, True, depth)
+        _value, tail, searched = _search(packing, groups, node - low, target + 1, True, depth)
         nodes += searched
         if tail is None:
-            values -= columns[d]
+            node -= columns[d]
         else:
             known[d:] = [0] * (m - d)
             for j in tail:
@@ -810,10 +832,11 @@ def _odisc_dfs(columns, sums, offsets, opener, twin):
     it. So no table spans the rows above a block, and memory is linear in k.
 
     One loop walks the tree depth first, keeping per depth the packed values
-    of the node being branched and, in chi, the color tried; as in
-    `_search`, a new incumbent is unpacked in place and shifts the low bar
-    and the upper gates down by its drop. Every child tried counts as a
-    node, admitted or not, until the incumbent is 0.
+    of the node being branched, offset by the low bar (see `_Packing`), and,
+    in chi, the color tried; as in `_search`, a new incumbent is unpacked
+    in place and shifts the low bar and the live nodes down by its drop,
+    the upper gates by twice that. Every child tried counts as a node,
+    admitted or not, until the incumbent is 0.
     """
     k = len(opener)
     limit = k * max(sums) + 1
@@ -823,9 +846,9 @@ def _odisc_dfs(columns, sums, offsets, opener, twin):
     # tables[c]: the columns of color c + 1's block, packed unshifted
     tables = [tuple(k * pack(col[lo:hi]) for col in columns) for lo, hi in zip(offsets, offsets[1:])]
     shifts = [width * lo for lo in offsets]
-    root = packing.pack_values(sums)
     low = (limit - 1) * ones
-    gates = [limit * ones] * m  # gates[d]: the packed mass of the columns after d, plus high
+    root = packing.pack_values(sums) + low
+    gates = [(2 * limit - 1) * ones] * m  # gates[d]: the packed mass of the columns after d, plus high and low
     for d in range(m - 1, 0, -1):
         gates[d - 1] = gates[d] + k * pack(columns[d])
     mask = (1 << width) - 1
@@ -849,11 +872,12 @@ def _odisc_dfs(columns, sums, offsets, opener, twin):
         nodes += 1
         child = node[d] - (tables[color][d] << shifts[color])
         color += 1
-        if (child + low) & top != top or (child - gates[d]) & top:
+        if child & top != top or (child - gates[d]) & top:
             continue
         chi[d] = color
         if d == last:
-            fields = [(child >> shift) & mask for shift in field_shifts]
+            plain = child - low
+            fields = [(plain >> shift) & mask for shift in field_shifts]
             value = max(max(fields) - half, half - min(fields))
             witness = tuple(chi)
             if not value:
@@ -862,6 +886,8 @@ def _odisc_dfs(columns, sums, offsets, opener, twin):
             drop = (best - value) * ones
             best = value
             low -= drop
+            node = [x - drop for x in node]  # at a leaf every depth's node is live
+            drop += drop
             gates = [gate - drop for gate in gates]
             continue
         sizes[color - 1] += 1

@@ -421,6 +421,22 @@ def test_deeply_nested_json_rejected(tmp_path):
         assert outcome.stderr == f"error: {deep} nests JSON too deeply to read\n", argv
 
 
+def test_json_that_is_not_utf8_rejected(tmp_path):
+    """A file with a byte that is not UTF-8 is a usage error that says so,
+    not a digit-limit error; a UTF-8 BOM keeps the JSON reader's message."""
+    text = tmp_path / "latin.json"
+    text.write_bytes(b'{"rows": 1, "cols": 1, "entries": [["1\xff"]]}')
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b'\xef\xbb\xbf{"rows": 1, "cols": 1, "entries": [["1"]]}')
+    for path, message in ((text, f"error: {text} is not UTF-8 text\n"),
+                          (bom, f"error: {bom} is not valid JSON: Unexpected UTF-8 BOM "
+                                "(decode using utf-8-sig): line 1 column 1 (char 0)\n")):
+        for argv in (["wdisc", "exact", "--matrix", str(path), "--p", "1/2"],
+                     ["fd", "minc", "--instance", str(path), "--notion", "ef"]):
+            outcome = invoke(*argv)
+            assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (2, "", message), argv
+
+
 def test_fd_minc_one_group_many_goods(tmp_path):
     """1,200 goods in one group: one leaf, searched without recursion."""
     instance = tmp_path / "inst.json"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclab import (
     CapExceededError,
@@ -122,6 +124,40 @@ def test_hadamard_lemma_sparse_path_matches_dense(log2, monkeypatch):
     for z, (lhs, _rhs, holds) in zip(vectors, sparse):
         image = [sum(e * v for e, v in zip(row, z)) for row in w.entries]
         assert lhs == sum(v * v for v in image) and holds
+
+
+@st.composite
+def lemma_cases(draw):
+    """(W, z) at order n <= 16: W a lifted Sylvester matrix or any rationals
+    in [0, 1]; z all ints, or rationals with ints among them, mostly zero
+    or mostly not, so that both the sparse and the dense path run."""
+    log2 = draw(st.integers(0, 4))
+    n = 1 << log2
+    if draw(st.booleans()):
+        w = lift_w(hadamard_sylvester(log2))
+    else:
+        entry = st.fractions(min_value=0, max_value=1, max_denominator=6)
+        w = RatMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        value = st.integers(-9, 9)
+    else:
+        value = st.one_of(st.integers(-9, 9), st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    z = draw(st.lists(st.one_of(st.just(0), value) if draw(st.booleans()) else value, min_size=n, max_size=n))
+    return w, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(lemma_cases())
+def test_hadamard_lemma_matches_a_dense_fraction_product_property(case):
+    """lhs is ||Wz||^2 from a dense product over W's Fraction entries, rhs is
+    (n/4) * sum of z_i^2 past the first coordinate, for int and rational z."""
+    w, z = case
+    image = [sum((e * Fraction(v) for e, v in zip(row, z)), Fraction(0)) for row in w.entries]
+    lhs = sum(v * v for v in image)
+    rhs = Fraction(w.rows, 4) * sum(Fraction(v) ** 2 for v in z[1:])
+    assert check_hadamard_lemma(w, z) == (lhs, rhs, lhs >= rhs)
+    assert check_hadamard_lemma(w, iter(z)) == (lhs, rhs, lhs >= rhs)
+
 
 def test_lb_value():
     assert lb_value(1, "statement") == 0

@@ -854,6 +854,17 @@ def test_odisc_exact_nodes_pinned():
     assert (split.value, split.witness, split.nodes_explored) == (0, (1, 2, 2, 1), 11)
 
 
+def test_odisc_exact_deep_stacked_chain_pinned():
+    """5 copies of stacked W_8 at p = 1/5, 16 columns, over the default cap
+    of 2^24 colorings: a 16-deep tree of 128,718 nodes in which every new
+    incumbent shifts the nodes of the whole live path. Value, witness and
+    nodes do not move."""
+    matrix = build_stacked(Fraction(1, 5), 8).matrix
+    result = odisc_exact([matrix] * 5, cap=64)
+    witness = (1, 1, 1, 2, 1, 2, 2, 3, 4, 2, 3, 5, 5, 3, 4, 5)
+    assert (result.value, result.witness, result.nodes_explored) == (Fraction(7, 5), witness, 128_718)
+
+
 def test_odisc_exact_many_colors_of_distinct_heights_pinned():
     """Five to seven distinct blocks, each shifted to its own fields: value,
     witness and nodes do not move."""
