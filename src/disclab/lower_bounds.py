@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import InputError
 from .matrices import RatMatrix, check_cells, hadamard_sylvester, lift_w, require_power_of_two, stack_horizontal
@@ -114,8 +114,10 @@ def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
     list of ints when every entry is an int, else every entry is read as a
     Fraction. Wz is computed on W's integer numerators, so in integers for
     an int z, and divided by W's denominator once; when most of z is zero,
-    as for a unit vector, only the columns of its nonzero coordinates enter,
-    added one column at a time, so the check costs O(n) rather than O(n^2).
+    as for a unit vector, only the columns of its nonzero coordinates enter:
+    the first one's column, times its coordinate unless that is 1, starts
+    the image and each later one is added, so the check costs O(n) rather
+    than O(n^2).
     The first coordinate is the all-ones row/column direction and is
     excluded from the right-hand side.
     """
@@ -130,7 +132,11 @@ def check_hadamard_lemma(w: RatMatrix, z) -> tuple:
     nonzero = list(compress(range(len(z)), z))
     if 2 * len(nonzero) < len(z):
         image = [0] * w.rows
-        for i in nonzero:
+        if nonzero:
+            zi = z[nonzero[0]]
+            column = map(itemgetter(nonzero[0]), w.nums)
+            image = list(column) if zi == 1 else [v * zi for v in column]
+        for i in nonzero[1:]:
             zi = z[i]
             image = [v + row[i] * zi for v, row in zip(image, w.nums)]
     else:

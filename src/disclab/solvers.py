@@ -50,18 +50,26 @@ by descending mass, sorted once per call. That keeps the documented
 tie-break: the lexicographically smallest optimal x. A new incumbent is
 unpacked in place and shifts the live nodes and the gates of the interval
 rule; no search rebuilds them.
+
+The heuristic oracle's steepest descent (`_descent`) is a generated kernel
+too, one per row count up to HEAD = 16 rows, compiled once per process.
+Each scan ranks the rows by |value| and unpacks the first HEAD of them,
+index and value, into locals, so every flip and swap test is one chained
+comparison over locals, worst row first; rows past HEAD are tested in a
+loop inside the same kernel, and a taller matrix runs the HEAD-row kernel.
+Moves, scan order, tie-break and node counts match the independent
+reference, `naive_descent` in tests/naive.py.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, compress, islice
-from operator import add, lshift, not_, sub
+from operator import lshift
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
 from .matrices import RatMatrix, check_blocks, check_selection, stack_vertical
@@ -400,13 +408,21 @@ def _kernel_source(depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-@cache
-def _kernel(depth: int):
-    """The search loop over `depth` groups (`_kernel_source`), compiled on
-    first use and kept for the process."""
-    namespace = {}
-    exec(compile(_kernel_source(depth), f"<search kernel, depth {depth}>", "exec"), namespace)
-    return namespace["_levels_0"]
+def _compiled(source_of, entry: str):
+    """A function from a size to the function `entry` of the Python source
+    `source_of(size)`, which it compiles on first use of that size and keeps
+    for the process."""
+
+    @cache
+    def kernel(size: int):
+        namespace = {}
+        exec(compile(source_of(size), f"<{source_of.__name__}({size})>", "exec"), namespace)
+        return namespace[entry]
+
+    return kernel
+
+
+_kernel = _compiled(_kernel_source, "_levels_0")  # the search loop over `depth` groups
 
 
 def _search(packing, groups, values, limit, first, depth=None):
@@ -595,6 +611,132 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, cap: int = DEFAULT_CAP) -> Wdisc
 # ---------------------------------------------------------------------------
 
 
+# HEAD, the rows a descent kernel unrolls into locals. A candidate is dropped
+# at its first row outside the window, rows ranked worst first, so nearly
+# every drop falls within the first few ranks and unrolling further rows saves
+# nothing measurable, while a kernel's compile time grows with the rows it
+# unrolls (1.1-1.9 ms at 16 rows, 95-157 ms at 2,048, Python 3.11 on a
+# shared 2-vCPU VM). Rows past HEAD are tested in a loop, so no kernel unrolls
+# more than HEAD rows and a process compiles at most HEAD kernels.
+_DESCENT_HEAD = 16
+
+_DESCENT_TEMPLATE = """\
+from bisect import insort
+from itertools import compress
+from operator import add, not_, sub
+
+
+def descent(values, columns, x, budget, nodes):
+    m = len(columns)
+    ones = list(compress(range(m), x))
+    zeros = list(compress(range(m), map(not_, x)))
+    order = list(range(len(values)))
+    used = 0
+    while used < budget:
+        order.sort(key=list(map(abs, values)).__getitem__, reverse=True)
+        {ranked}, = order[:{rows}]
+        tail = order[{rows}:]
+        {read}
+        best_score = abs(v0)
+        below = -best_score
+        best_move = None
+        nodes[0] += m + len(ones) * len(zeros)
+        for j in range(m):
+            col = columns[j]
+            if x[j]:
+                if {flip_one}:
+                    for i in tail:
+                        if not below < values[i] + col[i] < best_score:
+                            break
+                    else:
+                        best_score = max(map(abs, map(add, values, col)))
+                        below = -best_score
+                        best_move = (j,)
+            elif {flip_zero}:
+                for i in tail:
+                    if not below < values[i] - col[i] < best_score:
+                        break
+                else:
+                    best_score = max(map(abs, map(sub, values, col)))
+                    below = -best_score
+                    best_move = (j,)
+        zeros_worst = [(b, columns[b][r0]) for b in zeros]
+        for a in ones:
+            ca = columns[a]
+            base = v0 + ca[r0]
+            lo = base - best_score
+            hi = base + best_score
+            for b, cb_worst in zeros_worst:
+                if not lo < cb_worst < hi:
+                    continue
+                cb = columns[b]
+                if {swap}:
+                    for i in tail:
+                        if not below < values[i] + ca[i] - cb[i] < best_score:
+                            break
+                    else:
+                        best_score = max(map(abs, map(sub, map(add, values, ca), cb)))
+                        below = -best_score
+                        best_move = (a, b)
+                        lo = base - best_score
+                        hi = base + best_score
+        if best_move is None:
+            break
+        if len(best_move) == 1:
+            j = best_move[0]
+            if x[j]:
+                values[:] = map(add, values, columns[j])
+                ones.remove(j)
+                insort(zeros, j)
+            else:
+                values[:] = map(sub, values, columns[j])
+                zeros.remove(j)
+                insort(ones, j)
+            x[j] ^= 1
+        else:
+            a, b = best_move
+            values[:] = map(sub, map(add, values, columns[a]), columns[b])
+            ones.remove(a)
+            insort(zeros, a)
+            zeros.remove(b)
+            insort(ones, b)
+            x[a], x[b] = 0, 1
+        used += 1
+    return used
+"""
+
+
+def _descent_source(rows: int) -> str:
+    """Python source of `_descent` with the `rows` worst-ranked rows
+    unrolled. It depends on `rows` alone and holds no data.
+
+    Each scan unpacks the rank order into locals: the worst row's index r0
+    and value v0, the next rows' r1, v1, ..., and `tail`, the rows past
+    `rows`. A flip's test is one chained comparison over every unrolled row,
+    `below < v0 + col[r0] < best_score and below < v1 + col[r1] < ...`, and
+    a swap's, after its worst-row window, over r1 on; only a candidate that
+    passes every unrolled row meets the loop over `tail`, empty when the
+    matrix has at most `rows` rows.
+    """
+    ranks = range(rows)
+
+    def window(term, first=0):
+        tests = [f"below < {term.format(r=r)} < best_score" for r in ranks[first:]]
+        return " and ".join(tests) or "True"
+
+    return _DESCENT_TEMPLATE.format(
+        rows=rows,
+        ranked=", ".join(f"r{r}" for r in ranks),
+        read="\n        ".join(f"v{r} = values[r{r}]" for r in ranks),
+        flip_one=window("v{r} + col[r{r}]"),
+        flip_zero=window("v{r} - col[r{r}]"),
+        swap=window("v{r} + ca[r{r}] - cb[r{r}]", first=1),
+    )
+
+
+_descent_kernel = _compiled(_descent_source, "descent")  # rows 1, ..., _DESCENT_HEAD
+
+
 def _descent(values, columns, x, budget, nodes):
     """Steepest-descent on single-bit flips and 1<->0 pair swaps, in place.
 
@@ -620,86 +762,17 @@ def _descent(values, columns, x, budget, nodes):
     descending |value|, are built once per call and kept across moves: an
     accepted move updates the lists by remove and insort, and the row
     order is re-sorted in place, nearly sorted already.
+
+    The loop is a kernel generated per row count (`_descent_source`),
+    compiled on first use and kept for the process. Each scan unpacks the
+    rank order into locals, the worst row's index and value and those of
+    the next HEAD - 1 rows (HEAD = `_DESCENT_HEAD`, 16), so a candidate's
+    row tests are one chained comparison over locals; rows past HEAD are
+    tested in a loop inside the kernel, empty for a matrix of at most HEAD
+    rows. Kernels are keyed by min(rows, HEAD), so a process compiles at
+    most HEAD of them, each in about 1-2 ms.
     """
-    n = len(values)
-    m = len(columns)
-    ones = list(compress(range(m), x))
-    zeros = list(compress(range(m), map(not_, x)))
-    order = list(range(n))
-    used = 0
-    while used < budget:
-        order.sort(key=list(map(abs, values)).__getitem__, reverse=True)
-        worst = order[0]
-        rest = order[1:]
-        value_worst = values[worst]
-        best_score = abs(value_worst)
-        below = -best_score
-        best_move = None
-        nodes[0] += m + len(ones) * len(zeros)
-        for j in range(m):
-            col = columns[j]
-            if x[j]:
-                if not below < value_worst + col[worst] < best_score:
-                    continue
-                for i in rest:
-                    if not below < values[i] + col[i] < best_score:
-                        break
-                else:
-                    best_score = max(map(abs, map(add, values, col)))
-                    below = -best_score
-                    best_move = (j,)
-            else:
-                if not below < value_worst - col[worst] < best_score:
-                    continue
-                for i in rest:
-                    if not below < values[i] - col[i] < best_score:
-                        break
-                else:
-                    best_score = max(map(abs, map(sub, values, col)))
-                    below = -best_score
-                    best_move = (j,)
-        zeros_worst = [(b, columns[b][worst]) for b in zeros]
-        for a in ones:
-            ca = columns[a]
-            base = value_worst + ca[worst]
-            lo = base - best_score
-            hi = base + best_score
-            for b, cb_worst in zeros_worst:
-                if not lo < cb_worst < hi:
-                    continue
-                cb = columns[b]
-                for i in rest:
-                    if not below < values[i] + ca[i] - cb[i] < best_score:
-                        break
-                else:
-                    best_score = max(map(abs, map(sub, map(add, values, ca), cb)))
-                    below = -best_score
-                    best_move = (a, b)
-                    lo = base - best_score
-                    hi = base + best_score
-        if best_move is None:
-            break
-        if len(best_move) == 1:
-            j = best_move[0]
-            if x[j]:
-                values[:] = map(add, values, columns[j])
-                ones.remove(j)
-                insort(zeros, j)
-            else:
-                values[:] = map(sub, values, columns[j])
-                zeros.remove(j)
-                insort(ones, j)
-            x[j] ^= 1
-        else:
-            a, b = best_move
-            values[:] = map(sub, map(add, values, columns[a]), columns[b])
-            ones.remove(a)
-            insort(zeros, a)
-            zeros.remove(b)
-            insort(ones, b)
-            x[a], x[b] = 0, 1
-        used += 1
-    return used
+    return _descent_kernel(min(len(values), _DESCENT_HEAD))(values, columns, x, budget, nodes)
 
 
 def _draw_threshold(p: Fraction) -> float:

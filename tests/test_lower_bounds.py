@@ -105,8 +105,10 @@ def test_hadamard_lemma_random_sweep(log2):
 @pytest.mark.parametrize("log2", [2, 3, 4])
 def test_hadamard_lemma_sparse_path_matches_dense(log2, monkeypatch):
     """z with one or two nonzero Fractions takes the column-at-a-time sparse
-    path; with every coordinate counted as nonzero the same z takes the
-    dense row products. Both give the lhs of a product over the entries."""
+    path from n = 8 on; with every coordinate counted as nonzero the same z
+    takes the dense row products. Both give the lhs of a product over the
+    entries. Pairs of a 1 and a non-unit Fraction, in both orders, start
+    the sparse image from a plain column and from a scaled one."""
     n = 1 << log2
     w = lift_w(hadamard_sylvester(log2))
     rng = random.Random(log2)
@@ -116,6 +118,12 @@ def test_hadamard_lemma_sparse_path_matches_dense(log2, monkeypatch):
             z = [0] * n
             for i in rng.sample(range(n), count):
                 z[i] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            vectors.append(z)
+    for first, second in ((1, Fraction(-2, 3)), (Fraction(5, 7), 1), (Fraction(1), Fraction(7, 2))):
+        for _ in range(5):
+            z = [0] * n
+            i, j = sorted(rng.sample(range(n), 2))
+            z[i], z[j] = first, second
             vectors.append(z)
     sparse = [check_hadamard_lemma(w, z) for z in vectors]
     monkeypatch.setattr(lower_bounds, "compress", lambda indices, z: indices)

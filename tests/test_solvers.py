@@ -34,8 +34,10 @@ from disclab import (
 from disclab import solvers
 from disclab.matrices import stack_vertical
 from disclab.solvers import (
+    _DESCENT_HEAD,
     _Packing,
     _descent,
+    _descent_kernel,
     _draw_threshold,
     _group_columns,
     _search,
@@ -247,16 +249,17 @@ def test_wdisc_heuristic_matches_naive_descent():
 
 
 def test_descent_matches_naive_descent_move_for_move():
-    """At allocate scale (up to 8 rows, 40 columns) the one/zero lists and
-    the row order `_descent` keeps across moves stay in step with x and the
-    row values. Columns repeat a few distinct ones from a small palette,
-    scaled by 6, and the row values are those of p = pn/6, so candidate
-    scores and |row values| tie; the starting x is all 0, all 1 or random,
-    and the budgets 1, 2 and 7 cut descents short before the last one runs
-    to its local minimum."""
+    """Up to 40 columns and up to HEAD + 4 rows, so kernels with every row
+    unrolled and the kernel with rows past HEAD in its loop both run, the
+    one/zero lists and the row order `_descent` keeps across moves stay in
+    step with x and the row values. Columns repeat a few distinct ones from
+    a small palette, scaled by 6, and the row values are those of
+    p = pn/6, so candidate scores and |row values| tie; the starting x is
+    all 0, all 1 or random, and the budgets 1, 2 and 7 cut descents short
+    before the last one runs to its local minimum."""
     rng = random.Random(41)
     for _ in range(150):
-        n = rng.randint(1, 8)
+        n = rng.randint(1, _DESCENT_HEAD + 4)
         m = rng.randint(1, 40)
         distinct = [[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)] for _ in range(rng.randint(1, 8))]
         columns = [rng.choice(distinct) for _ in range(m)]
@@ -274,6 +277,22 @@ def test_descent_matches_naive_descent_move_for_move():
             used = _descent(fast[0], columns, fast[1], budget, fast[2])
             assert used == naive_descent(slow[0], columns, slow[1], budget, slow[2])
             assert fast == slow
+
+
+def test_descent_compiles_at_most_head_kernels():
+    """Kernels are keyed by min(rows, HEAD): descents on every row count
+    from 1 to HEAD + 10 compile one kernel per count up to HEAD, and every
+    taller matrix runs the HEAD-row kernel."""
+    _descent_kernel.cache_clear()
+    rng = random.Random(43)
+    for n in range(1, _DESCENT_HEAD + 11):
+        columns = [[rng.randint(0, 3) for _ in range(n)] for _ in range(6)]
+        x = [rng.randint(0, 1) for _ in columns]
+        values = [sum(col[i] for col in columns) - 2 * sum(col[i] for col, bit in zip(columns, x) if bit)
+                  for i in range(n)]
+        _descent(values, columns, x, 10**6, [0])
+    assert _descent_kernel.cache_info().currsize == _DESCENT_HEAD
+    assert _descent_kernel.cache_info().misses == _DESCENT_HEAD
 
 
 def test_draw_threshold_decides_each_draw_exactly():
