@@ -59,6 +59,14 @@ comparison over locals, worst row first; rows past HEAD are tested in a
 loop inside the same kernel, and a taller matrix runs the HEAD-row kernel.
 Moves, scan order, tie-break and node counts match the independent
 reference, `naive_descent` in tests/naive.py.
+
+A scan's move depends on the selection alone, not on the descent that
+reached it (`_descent` proves it), so each local search over at most 16
+columns keeps one memo from every selection its descents have scanned to
+the move that scan took, or to "local minimum". A restart that reaches a
+scanned selection recalls the move without ranking a row or testing a
+candidate; the moves and node counts stay those of the full scans. The
+memo lives for one `wdisc_heuristic` call and holds at most 2^16 entries.
 """
 
 from __future__ import annotations
@@ -620,66 +628,81 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, cap: int = DEFAULT_CAP) -> Wdisc
 # more than HEAD rows and a process compiles at most HEAD kernels.
 _DESCENT_HEAD = 16
 
+# The most columns for which a local search keeps a memo of its scans (see
+# `_descent`). Restarts reach scanned selections often only on few columns: on
+# the seed-1 `allocate` benchmark pass the memo answers >= 62% of the candidate
+# tests at <= 8 columns, 33% at 12, 12% at 16, 3% at 20 and <= 1% from 24 on,
+# and above 16 columns the lookups and the key upkeep cost about 3% of a scan
+# for what little they save. The limit also bounds the memo's memory: one entry
+# per selection, so at most 2^16 entries whatever the budget.
+_DESCENT_MEMO_COLUMNS = 16
+
 _DESCENT_TEMPLATE = """\
 from bisect import insort
 from itertools import compress
-from operator import add, not_, sub
+from operator import add, lshift, not_, sub
 
 
-def descent(values, columns, x, budget, nodes):
+def descent(values, columns, x, budget, nodes, memo):
     m = len(columns)
     ones = list(compress(range(m), x))
     zeros = list(compress(range(m), map(not_, x)))
     order = list(range(len(values)))
+    if memo is not None:
+        key = sum(map(lshift, x, range(m)))
     used = 0
     while used < budget:
-        order.sort(key=list(map(abs, values)).__getitem__, reverse=True)
-        {ranked}, = order[:{rows}]
-        tail = order[{rows}:]
-        {read}
-        best_score = abs(v0)
-        below = -best_score
-        best_move = None
         nodes[0] += m + len(ones) * len(zeros)
-        for j in range(m):
-            col = columns[j]
-            if x[j]:
-                if {flip_one}:
+        best_move = False if memo is None else memo.get(key, False)
+        if best_move is False:
+            order.sort(key=list(map(abs, values)).__getitem__, reverse=True)
+            {ranked}, = order[:{rows}]
+            tail = order[{rows}:]
+            {read}
+            best_score = abs(v0)
+            below = -best_score
+            best_move = None
+            for j in range(m):
+                col = columns[j]
+                if x[j]:
+                    if {flip_one}:
+                        for i in tail:
+                            if not below < values[i] + col[i] < best_score:
+                                break
+                        else:
+                            best_score = max(map(abs, map(add, values, col)))
+                            below = -best_score
+                            best_move = (j,)
+                elif {flip_zero}:
                     for i in tail:
-                        if not below < values[i] + col[i] < best_score:
+                        if not below < values[i] - col[i] < best_score:
                             break
                     else:
-                        best_score = max(map(abs, map(add, values, col)))
+                        best_score = max(map(abs, map(sub, values, col)))
                         below = -best_score
                         best_move = (j,)
-            elif {flip_zero}:
-                for i in tail:
-                    if not below < values[i] - col[i] < best_score:
-                        break
-                else:
-                    best_score = max(map(abs, map(sub, values, col)))
-                    below = -best_score
-                    best_move = (j,)
-        zeros_worst = [(b, columns[b][r0]) for b in zeros]
-        for a in ones:
-            ca = columns[a]
-            base = v0 + ca[r0]
-            lo = base - best_score
-            hi = base + best_score
-            for b, cb_worst in zeros_worst:
-                if not lo < cb_worst < hi:
-                    continue
-                cb = columns[b]
-                if {swap}:
-                    for i in tail:
-                        if not below < values[i] + ca[i] - cb[i] < best_score:
-                            break
-                    else:
-                        best_score = max(map(abs, map(sub, map(add, values, ca), cb)))
-                        below = -best_score
-                        best_move = (a, b)
-                        lo = base - best_score
-                        hi = base + best_score
+            zeros_worst = [(b, columns[b][r0]) for b in zeros]
+            for a in ones:
+                ca = columns[a]
+                base = v0 + ca[r0]
+                lo = base - best_score
+                hi = base + best_score
+                for b, cb_worst in zeros_worst:
+                    if not lo < cb_worst < hi:
+                        continue
+                    cb = columns[b]
+                    if {swap}:
+                        for i in tail:
+                            if not below < values[i] + ca[i] - cb[i] < best_score:
+                                break
+                        else:
+                            best_score = max(map(abs, map(sub, map(add, values, ca), cb)))
+                            below = -best_score
+                            best_move = (a, b)
+                            lo = base - best_score
+                            hi = base + best_score
+            if memo is not None:
+                memo[key] = best_move
         if best_move is None:
             break
         if len(best_move) == 1:
@@ -693,6 +716,8 @@ def descent(values, columns, x, budget, nodes):
                 zeros.remove(j)
                 insort(ones, j)
             x[j] ^= 1
+            if memo is not None:
+                key ^= 1 << j
         else:
             a, b = best_move
             values[:] = map(sub, map(add, values, columns[a]), columns[b])
@@ -701,6 +726,8 @@ def descent(values, columns, x, budget, nodes):
             zeros.remove(b)
             insort(ones, b)
             x[a], x[b] = 0, 1
+            if memo is not None:
+                key ^= 1 << a | 1 << b
         used += 1
     return used
 """
@@ -727,7 +754,7 @@ def _descent_source(rows: int) -> str:
     return _DESCENT_TEMPLATE.format(
         rows=rows,
         ranked=", ".join(f"r{r}" for r in ranks),
-        read="\n        ".join(f"v{r} = values[r{r}]" for r in ranks),
+        read="\n            ".join(f"v{r} = values[r{r}]" for r in ranks),
         flip_one=window("v{r} + col[r{r}]"),
         flip_zero=window("v{r} - col[r{r}]"),
         swap=window("v{r} + ca[r{r}] - cb[r{r}]", first=1),
@@ -737,12 +764,13 @@ def _descent_source(rows: int) -> str:
 _descent_kernel = _compiled(_descent_source, "descent")  # rows 1, ..., _DESCENT_HEAD
 
 
-def _descent(values, columns, x, budget, nodes):
+def _descent(values, columns, x, budget, nodes, memo=None):
     """Steepest-descent on single-bit flips and 1<->0 pair swaps, in place.
 
     Returns the number of moves used; candidate evaluations accumulate in
-    nodes[0], m + |ones| * |zeros| per move: one per flip and one per pair
-    swap considered. Each move takes the first candidate, in scan order
+    nodes[0], m + |ones| * |zeros| per scan: one per flip and one per pair
+    swap considered, in the scan that finds no move and in a recalled scan
+    too. Each move takes the first candidate, in scan order
     (flips by column, then swaps by (one, zero) column pair), whose max
     |row value| is strictly below the best score so far, so runs are
     reproducible.
@@ -771,8 +799,36 @@ def _descent(values, columns, x, budget, nodes):
     tested in a loop inside the kernel, empty for a matrix of at most HEAD
     rows. Kernels are keyed by min(rows, HEAD), so a process compiles at
     most HEAD of them, each in about 1-2 ms.
+
+    A scan's move depends on the selection x alone, given the root values
+    `start` and the columns: the row values are `start` minus the selected
+    columns, the one and zero lists are x's in ascending order, so the
+    candidates, their scan order and the row values of each are all
+    functions of x. A candidate is taken exactly when every one of its rows
+    lies strictly inside (-s, s) for the best score s so far, a test no row
+    order changes. The row order, which a descent inherits from its earlier
+    scans and breaks ties by, decides only at which row a losing candidate
+    is dropped, and a swap's worst-row window is that same test on row r0,
+    so it too drops only losers. So from the starting
+    score max |v_i| on, the sequence of best scores and taken candidates is
+    fixed by x, and so is the candidate count m + |ones| * |zeros|.
+
+    Hence `memo`, when given, maps each selection already scanned, as the
+    int sum of x_j * 2^j, to the move its scan took, or None at a local
+    minimum. A scan looks x up first; on a hit it adds the candidate count
+    and applies the recalled move, or stops, without ranking a row or
+    testing a candidate, so moves, `used` and node counts are those of the
+    full scan. The key is kept only when a memo is given, by XOR at each
+    move. A memo is valid for one `start` and one column list, which
+    `wdisc_heuristic` shares across the restarts of one local search, and
+    only when the caller's values are `start` minus x's columns. Within one
+    descent each move lowers the score strictly, so no selection repeats
+    and only a later restart can hit; a greedy search, one descent, gets no
+    memo, nor a local search over more than `_DESCENT_MEMO_COLUMNS` (16)
+    columns, where restarts rarely meet and the memo costs more than it
+    saves (see that constant).
     """
-    return _descent_kernel(min(len(values), _DESCENT_HEAD))(values, columns, x, budget, nodes)
+    return _descent_kernel(min(len(values), _DESCENT_HEAD))(values, columns, x, budget, nodes, memo)
 
 
 def _draw_threshold(p: Fraction) -> float:
@@ -801,7 +857,9 @@ def wdisc_heuristic(matrix: RatMatrix, p: Fraction, config: OracleConfig = Oracl
     "greedy" stops after the first descent; "local-search" restarts until the
     budget is exhausted, each move and each restart costing one unit; "exact"
     is refused. Deterministic for a fixed seed, and the value always equals
-    the returned witness re-evaluated exactly.
+    the returned witness re-evaluated exactly. A local search over at most
+    `_DESCENT_MEMO_COLUMNS` columns shares one memo of scanned selections
+    across its restarts (see `_descent`).
     """
     if config.kind == "exact":
         raise InputError("wdisc_heuristic runs the greedy or local-search oracle, not exact")
@@ -811,6 +869,8 @@ def wdisc_heuristic(matrix: RatMatrix, p: Fraction, config: OracleConfig = Oracl
     m = matrix.cols
     threshold = _draw_threshold(p)
     nodes = [0]
+    # one descent never revisits a selection, so only restarts can reuse a scan
+    memo = {} if config.kind == "local-search" and m <= _DESCENT_MEMO_COLUMNS else None
 
     best_scaled = None
     best_x = None
@@ -827,7 +887,7 @@ def wdisc_heuristic(matrix: RatMatrix, p: Fraction, config: OracleConfig = Oracl
             values = [s - sum(row) for s, row in zip(start, zip(*list(compress(columns, x))))]
         else:
             values = list(start)
-        budget_left -= _descent(values, columns, x, budget_left, nodes)
+        budget_left -= _descent(values, columns, x, budget_left, nodes, memo)
         scaled = max(map(abs, values))
         if best_scaled is None or scaled < best_scaled:
             best_scaled = scaled

@@ -229,7 +229,7 @@ def _descent_case_matrix(rng):
     rows = rng.randint(1, 4)
     palette = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
     distinct = [[rng.choice(palette) for _ in range(rows)] for _ in range(rng.randint(1, 8))]
-    columns = [rng.choice(distinct) for _ in range(rng.randint(1, 14))]
+    columns = [rng.choice(distinct) for _ in range(rng.randint(1, 20))]
     entries = [[col[i] for col in columns] for i in range(rows)]
     if rng.random() < 0.3:
         entries.insert(rng.randint(0, rows), [Fraction(0)] * len(columns))
@@ -255,12 +255,17 @@ def test_descent_matches_naive_descent_move_for_move():
     step with x and the row values. Columns repeat a few distinct ones from
     a small palette, scaled by 6, and the row values are those of
     p = pn/6, so candidate scores and |row values| tie; the starting x is
-    all 0, all 1 or random, and the budgets 1, 2 and 7 cut descents short
-    before the last one runs to its local minimum."""
+    all 0, all 1 or random, and the budgets 1, 2, 3 and 7 cut descents
+    short before the last one runs to its local minimum.
+
+    Each case runs twice from its starting x with one memo shared by both
+    runs. The second run reaches exactly the selections the first scanned,
+    so every one of its scans is recalled and the memo gains no entry;
+    both runs match `naive_descent` move for move, with equal node counts."""
     rng = random.Random(41)
-    for _ in range(150):
+    for _ in range(240):
         n = rng.randint(1, _DESCENT_HEAD + 4)
-        m = rng.randint(1, 40)
+        m = rng.randint(1, rng.choice((16, 40)))
         distinct = [[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)] for _ in range(rng.randint(1, 8))]
         columns = [rng.choice(distinct) for _ in range(m)]
         pn = rng.randint(1, 5)
@@ -271,12 +276,17 @@ def test_descent_matches_naive_descent_move_for_move():
             for i in range(n)
         ]
         columns = [[6 * entry for entry in col] for col in columns]
-        fast = (list(values), list(x), [0])
-        slow = (list(values), list(x), [0])
-        for budget in (1, 2, 7, 10**6):
-            used = _descent(fast[0], columns, fast[1], budget, fast[2])
-            assert used == naive_descent(slow[0], columns, slow[1], budget, slow[2])
-            assert fast == slow
+        memo = {}
+        for run in range(2):
+            fast = (list(values), list(x), [0])
+            slow = (list(values), list(x), [0])
+            for budget in (1, 2, 3, 7, 10**6):
+                used = _descent(fast[0], columns, fast[1], budget, fast[2], memo)
+                assert used == naive_descent(slow[0], columns, slow[1], budget, slow[2])
+                assert fast == slow
+            if not run:
+                scanned = len(memo)
+        assert len(memo) == scanned
 
 
 def test_descent_compiles_at_most_head_kernels():
