@@ -17,10 +17,14 @@ sets it, else the DISCLAB_CAP environment variable, else DEFAULT_CAP (24);
 a negative cap is a usage error (exit 2).
 
 `build_parser`'s tree is the only grammar. `run` looks up the leaf parser
-its command words name (`fd minc`, `experiment`) and parses the rest of
-argv with that leaf alone; on any refusal (a usage error, help, arguments
-left over, or no leaf named) it parses argv with the whole tree instead, so
-every message and exit code is the tree's own.
+its command words name (`fd minc`, `experiment`). When the rest of argv is
+in the canonical form, each token one of the leaf's option strings spelled
+out and each value one that does not start with "-" and that the option's
+type and choices accept, `run` reads it against the leaf's actions without
+calling argparse. Otherwise it parses the rest with that leaf alone; on any
+refusal (a usage error, help, arguments left over, or no leaf named) it
+parses argv with the whole tree instead, so every message and exit code is
+the tree's own.
 """
 
 from __future__ import annotations
@@ -107,9 +111,17 @@ def _dump(payload) -> str:
 
 
 def _load_json(path: str):
+    """The JSON value in the file at `path`, read as text would read it.
+
+    The bytes are decoded once, and CRLF and CR line ends read as LF as in
+    a text-mode read, so a JSON error names the same line, column and
+    character."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb", buffering=0) as handle:  # one read of the whole file
+            text = handle.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -318,20 +330,92 @@ def _parser() -> tuple:
     return build_parser(leaves), leaves
 
 
+@functools.cache
+def _options(words):
+    """What `_match` needs of the leaf that `words` name, built once per leaf
+    from its actions: each option string of a store or append action that
+    takes one value, or of a store_const flag such as store_true, mapped to
+    (action, whether it appends, type, choices); the attributes a parse
+    starts from, the tree's and then the defaults argparse sets; and the
+    required actions. None for a leaf with a positional or with a string
+    default that has a type, which argparse would convert on every parse."""
+    leaf, attributes = _parser()[1][words]
+    options, start, required = {}, dict(attributes), set()
+    for action in leaf._actions:
+        if not action.option_strings or (isinstance(action.default, str) and action.type is not None):
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            start.setdefault(action.dest, action.default)
+        if action.required:
+            required.add(action)
+        if isinstance(action, argparse._StoreConstAction):
+            entry = action, None, None, None
+        elif type(action) in (argparse._StoreAction, argparse._AppendAction) and action.nargs is None:
+            entry = action, isinstance(action, argparse._AppendAction), action.type, action.choices
+        else:
+            continue
+        options.update(dict.fromkeys(action.option_strings, entry))
+    return options, start, required
+
+
+def _match(words, tokens):
+    """`tokens` parsed as the leaf that `words` name parses them, or None
+    unless they are in the canonical form: each an option string of the
+    leaf's own, spelled out, followed by one value that does not start with
+    "-" unless the option is a flag; each value accepted by its type and
+    choices; every required option given. A None leaves the parse to
+    argparse."""
+    table = _options(words)
+    if table is None:
+        return None
+    options, start, required = table
+    values = dict(start)
+    seen = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        entry = options.get(token)
+        if entry is None:
+            return None
+        action, append, convert, choices = entry
+        seen.add(action)
+        if append is None:  # a flag
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except Exception:  # argparse reports it, or raises it, itself
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[action.dest] = [*(values[action.dest] or ()), value] if append else value
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv) -> argparse.Namespace:
     """argv parsed as `build_parser`'s tree parses it.
 
-    The command words, argv's first one or two, pick the leaf that parses
-    the rest of argv, starting from the attributes the tree sets from those
-    words. The tree hands its leaf exactly that rest, and a leaf that reads
-    it all leaves nothing for the levels above to check. Otherwise (no leaf
-    named, a leaf that exits on a usage error or help, or arguments left
-    over) what the leaf printed is dropped and the whole tree parses argv,
-    so every message and exit code is the tree's own.
+    The command words, argv's first one or two, name a leaf, and the tree
+    hands that leaf exactly the rest of argv, starting from the attributes
+    it sets from those words; a leaf that reads it all leaves nothing for
+    the levels above to check. `_match` reads the rest when it is in the
+    canonical form, with no argparse call. Otherwise the leaf parses it,
+    and when that fails too (no leaf named, a leaf that exits on a usage
+    error or help, or arguments left over) what the leaf printed is dropped
+    and the whole tree parses argv, so every message and exit code is the
+    tree's own.
     """
     parser, leaves = _parser()
     words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
     if words in leaves:
+        args = _match(words, argv[len(words):])
+        if args is not None:
+            return args
         leaf, attributes = leaves[words]
         try:
             args, extras = leaf.parse_known_args(argv[len(words):], argparse.Namespace(**attributes))

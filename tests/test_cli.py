@@ -437,6 +437,35 @@ def test_json_that_is_not_utf8_rejected(tmp_path):
             assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (2, "", message), argv
 
 
+def test_json_line_ends_read_as_text(tmp_path):
+    """CRLF and CR line ends read as LF, as a text-mode read reads them: a
+    JSON error names the same line, column and character, and a file that
+    parses gives the same stdout; a BOM or a byte that is not UTF-8 keeps
+    its message whatever the line ends."""
+    good = ['{"rows": 2, "cols": 2,', ' "entries": [["1", "0"],', '              ["0", "1"]]', "}"]
+    bad = [*good[:2], good[2] + " x", good[3]]
+    lf = tmp_path / "lf.json"
+    lf.write_bytes("\n".join(good).encode())
+    expected = invoke("wdisc", "exact", "--matrix", str(lf), "--p", "1/2")
+    assert expected.exit_code == 0
+    at = {"\r\n": "line 3 column 27 (char 74)", "\r": "line 3 column 27 (char 74)",
+          "\r\r\n": "line 5 column 27 (char 76)", "\n\r": "line 5 column 27 (char 76)"}
+    for end, position in at.items():
+        path = tmp_path / "ends.json"
+        path.write_bytes(end.join(good).encode())
+        assert invoke("wdisc", "exact", "--matrix", str(path), "--p", "1/2") == expected, repr(end)
+        for content, message in (
+                (end.join(bad).encode(), f"is not valid JSON: Expecting ',' delimiter: {position}"),
+                (b"\xef\xbb\xbf" + end.join(bad).encode(),
+                 "is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+                (end.join(bad).encode() + b"\xff", "is not UTF-8 text")):
+            path.write_bytes(content)
+            for argv in (["wdisc", "exact", "--matrix", str(path), "--p", "1/2"],
+                         ["fd", "minc", "--instance", str(path), "--notion", "ef"]):
+                outcome = invoke(*argv)
+                assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (2, "", f"error: {path} {message}\n"), (end, argv)
+
+
 def test_fd_minc_one_group_many_goods(tmp_path):
     """1,200 goods in one group: one leaf, searched without recursion."""
     instance = tmp_path / "inst.json"

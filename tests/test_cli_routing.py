@@ -1,10 +1,13 @@
-"""`cli.run` parses argv with the leaf its command words name, and with the
-whole `build_parser` tree whenever the leaf refuses: either way the result
-is the tree's own, down to every message and exit code.
+"""`cli.run` reads a canonical argv against the actions of the leaf its
+command words name, without argparse; it parses any other argv with that
+leaf, and with the whole `build_parser` tree whenever the leaf refuses.
+Every way, the result is the tree's own, down to every message and exit
+code.
 
 The reference is a fresh tree from `build_parser()`, parsing all of argv.
 """
 
+import argparse
 import json
 import tempfile
 from pathlib import Path
@@ -81,12 +84,69 @@ EDGE_CASES = [
     ["experiment", "fd", "minc"],
     [*MINC, "-h"],
     [*MINC, "--notion", "cd"],  # a repeated flag: the last one counts
+    ["odisc", "exact", "--matrix", "A.json", "--matrix", "B.json"],  # a repeated append flag
+    [*MINC, "--cap", "-1"],  # values that start with "-": argparse reads them as numbers
+    ["certify", "hadamard-lemma", "--n", "4", "--trials", "3", "--seed", "-3"],
+    ["construct", "w", "--n", "2", "--out", ""],  # an empty value
+    ["fd", "minc", "--instance", "--notion", "ef"],  # an option where a value belongs
+    ["fd", "minc", "--instance", "-I.json", "--notion", "ef"],  # a value that reads as an option
+    ["construct", "w", "--n"],  # a value missing at the end
+    ["wdisc", "exact", "--matrix", "M.json", "--p", "1/0"],  # a type that raises InputError
+    ["construct", "w", "--n", "3"],  # a type that raises ArgumentTypeError
+    ["experiment", "--float-view", "--n", "2", "--p", "1/2"],  # a flag before an option
+    ["experiment", "--n", "2", "--p", "1/2", "--float-view", "x"],  # a value after a flag
+    ["experiment", "--n", "2", "--p", "1/2", "--float-view", "--float-view"],
 ]
 
 
 @pytest.mark.parametrize("argv", EDGE_CASES, ids=" ".join)
 def test_edge_cases_parse_as_the_tree(argv):
     assert_parsed_as_the_tree(argv)
+
+
+# One canonical argv per leaf, each option spelled out with a value that
+# its type and choices accept, and the argv shapes the benchmark issues.
+CANONICAL = [
+    ["construct", "stacked", "--p", "1/2", "--n", "2"],
+    ["construct", "hadamard", "--n", "4", "--out", "H.json"],
+    ["construct", "w", "--out", "", "--n", "8"],
+    ["wdisc", "exact", "--matrix", "M.json", "--p", "1/3"],
+    ["wdisc", "exact", "--matrix", "M.json", "--p", "2/4", "--cap", "5", "--p", "1"],
+    ["wdisc", "heur", "--matrix", "M.json", "--p", "1/3", "--oracle", "greedy", "--iters", "10", "--seed", "2"],
+    ["odisc", "exact", "--matrix", "A.json", "--matrix", "B.json"],
+    ["odisc", "exact", "--matrix", "A.json", "--k", "3", "--cap", "9", "--threads", "2"],
+    ["odisc", "color", "--matrix", "A.json", "--k", "2", "--oracle", "local-search", "--iters", "5", "--seed", "1",
+     "--cap", "4"],
+    ["certify", "wdisc-lb", "--p", "1/4", "--n", "4", "--cap", "8"],
+    ["certify", "multicolor-lb", "--k", "3", "--n", "2", "--threads", "1", "--cap", "9"],
+    ["certify", "hadamard-lemma", "--n", "8", "--trials", "5", "--seed", "1"],
+    ["fd", "gen", "--kind", "prop", "--matrix", "M.json", "--k", "2", "--istar", "1", "--sizes", "4,1", "--out", "I.json"],
+    ["fd", "gen", "--kind", "cd", "--matrix", "M.json", "--k", "3", "--out", "I.json"],
+    ["fd", "check", "--instance", "I.json", "--allocation", "A.json", "--notion", "prop", "--c", "1"],
+    MINC,
+    ["fd", "minc", "--notion", "cd", "--instance", "I.json", "--cap", "10", "--threads", "2"],
+    ["fd", "allocate", "--instance", "I.json", "--oracle", "local-search", "--iters", "300"],
+    ["fd", "allocate", "--instance", "I.json", "--seed", "4", "--cap", "3"],
+    ["experiment", "--n", "2,4,8", "--p", "1/2,1/3,1/5", "--k", "2,3"],
+    ["experiment", "--n", "2", "--p", "1/2", "--solver", "exact,greedy", "--seed", "1", "--iters", "5", "--cap", "9",
+     "--threads", "1", "--csv", "out.csv", "--timings", "--float-view"],
+]
+
+
+def test_canonical_command_lines_parse_without_argparse(monkeypatch):
+    """Every canonical argv, one at least per leaf, is read against its
+    leaf's actions alone, with the attributes the tree's parse gives it."""
+    assert {tuple(argv[:2]) if argv[0] != "experiment" else ("experiment",) for argv in CANONICAL} == set(leaf_words())
+    expected = [vars(build_parser().parse_args(argv)) for argv in CANONICAL]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a canonical argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    for argv, attributes in zip(CANONICAL, expected):
+        assert vars(cli._parse(argv)) == attributes, argv
+    assert ["A.json", "B.json"] in [attributes.get("matrix") for attributes in expected]
 
 
 def test_refused_calls_leave_nothing_behind(tmp_path, monkeypatch):
