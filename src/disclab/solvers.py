@@ -22,7 +22,10 @@ with w fixed per call so that no borrow crosses a field: a child node is
 one subtraction of a packed column, and every node is kept offset by the
 incumbent's low bar, so the interval rule is two masked tests on the
 fields' top bits, the lower one a single mask. Values are unpacked only at
-a leaf, which the rule admits only when it beats the incumbent. No search
+a leaf, which the rule admits only when it beats the incumbent, and every
+search unpacks through one reader per row count (`_unpacker`): the first
+HEAD = 16 fields in locals and the rest in a loop, compiled on first use
+and bound to a packing's width once, on its first unpack. No search
 recurses: per depth each keeps the packed values of the admitted node and
 the count or color tried there, plus one upper gate (the mass later depths
 can still subtract, plus the incumbent's bars), so a node costs a few int
@@ -41,15 +44,19 @@ identical-column group matters): the value search finds the optimum, and
 feasibility searches, each stopping at the first selection within the
 optimum, rebuild the witness column by column in original order, each over
 the groups of the columns after the one being fixed, through the value
-search's kernel (a search over fewer groups enters it behind pass-through
-levels, so one call compiles at most one kernel). Most of them fail at
-their root, so two masked tests decide the root before any grouping: the
-lower test, and the upper test against the packed mass of every later
-column (`_lex_least`). Every search reads its groups off one column order,
-by descending mass, sorted once per call. That keeps the documented
-tie-break: the lexicographically smallest optimal x. A new incumbent is
-unpacked in place and shifts the live nodes and the gates of the interval
-rule; no search rebuilds them.
+search's kernel (a search over fewer groups runs it with pass-through
+levels after its own, entered only by the selection it finds, so one call
+compiles at most one kernel). Most of them fail at their root, so two
+masked tests decide the root first: the lower test, and the upper test
+against the packed mass of every later column (`_lex_least`). Every
+search reads its groups off one column order, by descending mass, sorted
+once per call, and the value search groups the columns once: the
+feasibility searches read their groups off a witness table built from
+that grouping (each column's previous identical column and the count of
+identical columns from it on), never regrouping a column. That keeps the
+documented tie-break: the lexicographically smallest optimal x. A new
+incumbent is unpacked in place and shifts the live nodes and the gates of
+the interval rule; no search rebuilds them.
 
 The heuristic oracle's steepest descent (`_descent`) is a generated kernel
 too, one per row count up to HEAD = 16 rows, compiled once per process.
@@ -75,9 +82,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, compress, islice
-from operator import lshift
+from operator import lshift, mul
 
 from .errors import CapExceededError, DimensionMismatchError, InputError
 from .matrices import RatMatrix, check_blocks, check_selection, stack_vertical
@@ -271,12 +278,11 @@ class _Packing:
 
     The field offsets w*i are kept as a range, `shifts`, so a packing over
     many rows takes no memory per row: `pack` shifts each entry by its
-    offset and sums (`pack_at`), and `worst` unpacks every field and takes the larger
-    of the max field's and the min field's distance from 2^(w-1). `ones`
-    is built in closed form (`spaced_ones`), in time linear in its bits.
+    offset and sums (`pack_at`). `ones` is built in closed form
+    (`spaced_ones`), in time linear in its bits. `worst` is the packing's
+    reader, bound on first use: a packing that is never unpacked, as in
+    `fairdiv._zero_round`, builds none.
     """
-
-    __slots__ = ("width", "shifts", "ones", "top")
 
     def __init__(self, rows: int, bound: int):
         self.width = bound.bit_length() + 1
@@ -305,12 +311,14 @@ class _Packing:
     def pack_values(self, values) -> int:
         return self.pack(values) + self.top
 
-    def worst(self, packed: int) -> int:
-        """max |v_i| of packed row values: the fields hold v_i + 2^(w-1)."""
-        mask = (1 << self.width) - 1
-        fields = [(packed >> shift) & mask for shift in self.shifts]
-        half = 1 << (self.width - 1)
-        return max(max(fields) - half, half - min(fields))
+    @cached_property
+    def worst(self):
+        """The function from packed row values to max |v_i|: the fields
+        hold v_i + 2^(w-1). It is `_unpacker`'s reader for this packing's
+        row count, bound to its width once, so every search over the
+        packing calls the same function."""
+        rows = len(self.shifts)
+        return _unpacker(min(rows, _UNPACK_HEAD))(self.width, rows)
 
 
 def _group_columns(columns, order, after):
@@ -346,8 +354,12 @@ def _kernel_source(depth: int) -> str:
     a, ..., a + 19 form function `_levels_<a>`, for a = 0, 20, ...; each
     but the last enters the next from its innermost admitted node. A
     function takes that node, the incumbent, the low bar and the node count,
-    reads its gates off the masses `afters` plus the high and low bars,
-    2 * low + ones, and returns (incumbent, low bar, nodes, found): `found`
+    and the gates `afters` at the search's start: each depth's mass after
+    it plus the high and low bars then, 2 * low + ones, which afters[-1],
+    the last depth's, holds alone. `_levels_0` runs from the start and
+    takes its gates as they are; a later function adds to each how far
+    the bars have fallen since, 2 * low + ones - afters[-1]. It returns
+    (incumbent, low bar, nodes, found): `found`
     holds the counts of its groups and all later ones at its last new
     incumbent, or None if it found none. A new incumbent returns at once
     where the search stops, else it shifts the low bar and the function's
@@ -359,10 +371,13 @@ def _kernel_source(depth: int) -> str:
         stop = min(start + _NESTED_LOOPS, depth)
         levels = range(start, stop)
         counts = ", ".join(f"c{d}" for d in levels)
+        if not start:  # entered once, at the search's start
+            gates = [f"    {', '.join(f'g{d}' for d in levels)}, = afters[:{stop}]"]
+        else:  # entered at a node of the previous function, after its drops
+            gates = ["    lift = low + low + ones - afters[-1]", *(f"    g{d} = afters[{d}] + lift" for d in levels)]
         lines += [
             f"def _levels_{start}(v, best, low, nodes, first, afters, cols, sizes, ones, top, worst):",
-            "    bars = low + low + ones",
-            *(f"    g{d} = afters[{d}] + bars" for d in levels),
+            *gates,
             f"    {', '.join(f'k{d}' for d in levels)}, = cols[{start}:{stop}]",
             f"    {', '.join(f's{d}' for d in levels)}, = sizes[{start}:{stop}]",
             "    found = None",
@@ -433,10 +448,71 @@ def _compiled(source_of, entry: str):
 _kernel = _compiled(_kernel_source, "_levels_0")  # the search loop over `depth` groups
 
 
-def _search(packing, groups, values, limit, first, depth=None):
-    """Least max |row value| below `limit` over selections of the merged
-    columns `groups`, from packed row values `values`; with `first`, the
-    first selection found below `limit` instead.
+# HEAD, the fields an incumbent reader unrolls. Fields past HEAD are read in a
+# loop in the same reader, so a process compiles at most HEAD + 1 readers, one
+# per row count 0, ..., HEAD. Every weighted search of the `exact` benchmark has
+# at most 16 rows (3-8 in its random calls, n <= 16 in its certification grid),
+# so none of them reads a field in the loop.
+_UNPACK_HEAD = 16
+
+
+def _unpacker_source(rows: int) -> str:
+    """Python source of the incumbent reader with `rows` fields unrolled. It
+    depends on `rows` alone and holds no data.
+
+    `reader(width, rows)` binds a packing's width: the field mask, 2^(w-1)
+    and the offsets w, 2w, ... of the unrolled fields, and, in the
+    HEAD-field reader, the offsets of the fields past HEAD. The function it
+    returns takes packed row values and keeps the largest and the smallest
+    field in locals, `high` and `low`: each unrolled field is read by one
+    shift and one mask and compared with them, and the fields past HEAD go
+    through the same comparisons in a loop in the same function. It
+    returns the larger of their distances from 2^(w-1), which is max |v_i|,
+    and a packing of no rows reads 0. A chain of comparisons costs less
+    than storing the fields and calling `max` and `min` over them.
+    """
+    compare = [
+        "        if field > high:",
+        "            high = field",
+        "        elif field < low:",
+        "            low = field",
+    ]
+    lines = [
+        "def reader(width, rows):",
+        "    mask = (1 << width) - 1",
+        "    half = 1 << width - 1",
+    ]
+    if rows > 1:
+        lines.append(f"    {', '.join(f's{i}' for i in range(1, rows))}, = range(width, width * {rows}, width)")
+    if rows == _UNPACK_HEAD:
+        lines.append(f"    tail = range(width * {rows}, width * rows, width)")
+    lines.append("    def worst(packed):")
+    if not rows:
+        lines.append("        return 0")
+    else:
+        lines.append("        high = low = packed & mask")
+        for i in range(1, rows):
+            lines += [f"        field = packed >> s{i} & mask", *compare]
+        if rows == _UNPACK_HEAD:
+            lines += ["        for shift in tail:", "            field = packed >> shift & mask"]
+            lines += ["    " + line for line in compare]
+        lines += [
+            "        high -= half",
+            "        low = half - low",
+            "        return high if high > low else low",
+        ]
+    lines.append("    return worst")
+    return "\n".join(lines) + "\n"
+
+
+_unpacker = _compiled(_unpacker_source, "reader")  # rows 0, ..., _UNPACK_HEAD
+
+
+def _search(packing, cols, sizes, values, limit, first, depth=None):
+    """Least max |row value| below `limit` over selections of merged
+    identical columns, group g holding sizes[g] copies of the packed column
+    cols[g], from packed row values `values`; with `first`, the first
+    selection found below `limit` instead.
 
     Only how many columns of an identical group are selected matters, so the
     search branches on each group's count 0, 1, ..., groups in the given
@@ -450,9 +526,10 @@ def _search(packing, groups, values, limit, first, depth=None):
     Every node is kept offset by the low bar (see `_Packing`), so a child's
     lower test is one mask; a depth's gate is the packed mass of the groups
     after it plus the high and low bars, so its upper test is one
-    subtraction and one mask. A new incumbent is unpacked in place, and the
-    low bar and the live nodes shift down by its drop times `ones`, the
-    gates by twice that.
+    subtraction and one mask. The masses are one `accumulate` over the
+    groups from the last. A new incumbent is read by the packing's reader
+    (`_Packing.worst`) in place, and the low bar and the live nodes shift
+    down by its drop times `ones`, the gates by twice that.
 
     Each step pays only the tests that can fail. The root counts as a node
     and takes one lower test before the kernel; its upper test is left to
@@ -465,79 +542,144 @@ def _search(packing, groups, values, limit, first, depth=None):
     group subtracted; where either fails, the depth's loop ends and the
     depth above advances its own count.
 
-    A search over fewer groups than `depth` (by default their number) runs
-    `depth`'s kernel behind leading pass-through levels: each has size 0
-    and a gate equal to the root, so it admits its one child, the root
-    itself, and ends; its node is subtracted from the count. So the
-    witness searches of `_lex_least` share the value search's kernel.
-    Returns (value, selected, nodes): `selected` lists the chosen indices,
-    each group's 1s on its latest indices, and is None when no selection
-    gets below `limit`.
+    A `first` search over fewer groups than `depth` runs `depth`'s kernel
+    with trailing pass-through levels, each of size 0 with no column and
+    no mass after it. A node admitted at the last real level has every row
+    below the limit, and the same node passes each pass-through level's
+    gate, equal to the last real level's, so the first such node is the
+    selection found, one node per pass-through level too; those nodes are
+    subtracted from the count. No other node enters a pass-through level,
+    since the search stops at the selection it finds. So the witness
+    searches of `_lex_least` share the value search's kernel and pay
+    nothing for the levels they lack until they find a selection. Any
+    other search runs the kernel of its own depth.
+    Returns (value, counts, nodes): counts[g] is how many columns of group g
+    the selection takes, and counts is None when no selection gets below
+    `limit`.
     """
-    if not groups:
-        value = packing.worst(values)
-        return (value, [], 1) if value < limit else (limit, None, 1)
+    worst = packing.worst
+    if not cols:
+        value = worst(values)
+        return (value, (), 1) if value < limit else (limit, None, 1)
     ones, top = packing.ones, packing.top
     low = (limit - 1) * ones
     root = values + low
     if root & top != top:
         return limit, None, 1
-    skip = 0 if depth is None else depth - len(groups)
-    cols = [0] * skip + [col for col, _members in groups]
-    sizes = [0] * skip + [len(members) for _col, members in groups]
-    # afters[d]: the packed mass of the groups after d; a pass-through level's makes its gate the root
-    afters = [values - low - ones] * skip + [0] * len(groups)
-    for d in range(len(cols) - 1, skip, -1):
-        afters[d - 1] = afters[d] + sizes[d] * cols[d]
-    best, _low, nodes, found = _kernel(len(cols))(
-        root, limit, low, 1 - skip, first, afters, cols, sizes, ones, top, packing.worst)
+    # afters[d]: the packed mass of the groups after d, plus the high and low bars
+    afters = list(accumulate(map(mul, reversed(sizes), reversed(cols)), initial=low + low + ones))[-2::-1]
+    pads = depth - len(cols) if first and depth is not None else 0
+    if pads:  # trailing pass-through levels: no column and no mass
+        cols = cols + [0] * pads
+        sizes = sizes + [0] * pads
+        afters += afters[-1:] * pads
+    best, _low, nodes, found = _kernel(len(cols))(root, limit, low, 1, first, afters, cols, sizes, ones, top, worst)
     if found is None:
         return best, None, nodes
-    selected = []
-    for (_col, members), count in zip(groups, found[skip:]):
-        selected.extend(members[len(members) - count:])
-    return best, selected, nodes
+    return best, found[:len(found) - pads], nodes - pads
 
 
-def _lex_least(packing, columns, order, start, target, selected):
+def _witness_table(groups, m):
+    """The witness table of the value search's groups over columns 0, ...,
+    m - 1, per column j: twin[j], the last column before j identical to
+    it, or -1 (`previous_equal` of the columns); sizes[j], the number of
+    columns identical to j from j on; and last[j], the last of them. Those
+    columns are last[j], twin[last[j]], ..., sizes[j] of them, down to j.
+    A column with no copy keeps -1, 1 and itself."""
+    twin = [-1] * m
+    sizes = [1] * m
+    last = list(range(m))
+    for _col, group in groups:
+        if len(group) > 1:
+            end = group[-1]
+            for rank, j in enumerate(group):
+                twin[j] = group[rank - 1] if rank else -1
+                sizes[j] = len(group) - rank
+                last[j] = end
+    return twin, sizes, last
+
+
+def _mark(known, heads, counts, twin, last):
+    """Set known[i] = 1 on the selection that takes counts[g] columns of the
+    group headed by heads[g], each group's latest columns: the first
+    counts[g] of last[j], twin[last[j]], ... for j = heads[g]."""
+    for j, count in zip(heads, counts):
+        i = last[j]
+        while count:
+            known[i] = 1
+            i = twin[i]
+            count -= 1
+
+
+def _heads(order, twin, d):
+    """The first column of each group of `_group_columns(columns, order,
+    d)`, in that function's order, read off the witness table's `twin` (see
+    `_lex_least`)."""
+    return [j for j in order if j > d and twin[j] <= d]
+
+
+def _lex_least(packing, columns, order, groups, start, target, counts):
     """Lexicographically smallest x whose max |row value| is at most `target`,
-    the optimum, given one optimal selection `selected`.
+    the optimum, given the value search's `groups` (`_group_columns(columns,
+    order, -1)`) and the `counts` of one optimal selection, each group's 1s
+    on its latest columns.
 
     `known` stays an optimal selection that agrees with the fixed prefix.
     Where known[d] is 0, x_d = 0 is fixed at once. Where it is 1, a `first`
-    search with x_d = 0 over the groups of columns d+1, ..., read off the
-    search's column `order` (`_group_columns`), decides: on success x_d = 0
-    and its selection becomes the tail of `known`, otherwise x_d = 1.
+    search with x_d = 0 over the groups of columns d+1, ..., decides: on
+    success x_d = 0 and its selection becomes the tail of `known`,
+    otherwise x_d = 1.
 
     Most such searches fail at their root, so the root is decided first,
-    before any grouping, by two masked tests under limit = target + 1, on
-    the prefix's values kept offset by the low bar (see `_Packing`): the
-    lower test, and the upper test against the packed mass S of every
-    column after d plus both bars (`after`, suffix sums built once per
-    call). If either fails, the search would have returned no selection
-    after one node, so one node is counted and x_d = 1 is fixed. Proof:
-    where the lower test fails, `_search` returns before its loop. Where
-    the upper test fails, some row i has v_i - S_i >= limit: that row
-    cannot get below the limit even with every later column selected. A
-    depth-0 child selects c <= |G| columns of the first group G, and its
-    gate leaves out of the mass exactly that group, S - |G|*G, so the row
-    its gate tests is v_i - c*G_i - (S_i - |G|*G_i) >= v_i - S_i >= limit.
-    So every depth-0 child fails its gate and counts no node, and the
-    search ends with its root alone.
+    by two masked tests under limit = target + 1, on the prefix's values
+    kept offset by the low bar (see `_Packing`): the lower test, and the
+    upper test against the packed mass S of every column after d plus both
+    bars (`after`, suffix sums built once per call). If either fails, the
+    search would have returned no selection after one node, so one node is
+    counted and x_d = 1 is fixed. Proof: where the lower test fails,
+    `_search` returns before its loop. Where the upper test fails, some row
+    i has v_i - S_i >= limit: that row cannot get below the limit even with
+    every later column selected. A depth-0 child selects c <= |G| columns
+    of the first group G, and its gate leaves out of the mass exactly that
+    group, S - |G|*G, so the row its gate tests is
+    v_i - c*G_i - (S_i - |G|*G_i) >= v_i - S_i >= limit. So every depth-0
+    child fails its gate and counts no node, and the search ends with its
+    root alone.
+
+    A search that runs reads its groups off one witness table per call
+    (`_witness_table`, built from the value search's groups): the columns j
+    of `order` with j > d whose previous identical column twin[j] is at
+    most d (`_heads`), each with the sizes[j] identical columns from j on,
+    and a selection's counts go back to columns through the table
+    (`_mark`).
+    These are exactly `_group_columns(columns, order, d)`, in its order.
+    Proof: `_group_columns` keeps the columns above d, merges identical
+    ones, lists each group's members in the order they appear in `order`
+    and orders the groups by their first appearance there. Identical
+    columns have equal mass, and `order` breaks ties of mass by index, so
+    a group's members above d appear in ascending index order: the group
+    is the columns identical to its least member above d, from it on, and
+    it appears where that member does. That member is the j > d whose
+    previous identical column is at most d (or none, -1): the least
+    member above d has none above d before it, and every later member has
+    one. So `_heads` lists one j per group, in the groups' order, and the
+    columns identical to j from j on are the group. That holds for every d,
+    including a group that falls behind one of equal mass once its first
+    member is fixed, since its new least member sits later in `order`.
 
     Every search that runs gets the plain values back, node - low, and
     enters the value search's kernel: its depth is the number of distinct
     columns, at least the groups of any later ones.
     """
     m = len(columns)
+    twin, sizes, last = _witness_table(groups, m)
     known = [0] * m
-    for j in selected:
-        known[j] = 1
+    _mark(known, [group[0] for _col, group in groups], counts, twin, last)
     top, ones = packing.top, packing.ones
     low = target * ones
     # after[d]: the packed mass of columns d, ..., m - 1, plus high and low
     after = list(accumulate(reversed(columns), initial=(2 * target + 1) * ones))[::-1]
-    depth = len(set(columns))
+    depth = len(groups)
     node = start + low
     nodes = 0
     for d in range(m):
@@ -547,15 +689,15 @@ def _lex_least(packing, columns, order, start, target, selected):
             nodes += 1
             node -= columns[d]
             continue
-        groups = _group_columns(columns, order, d)
-        _value, tail, searched = _search(packing, groups, node - low, target + 1, True, depth)
+        heads = _heads(order, twin, d)
+        _value, found, searched = _search(packing, [columns[j] for j in heads], [sizes[j] for j in heads],
+                                          node - low, target + 1, True, depth)
         nodes += searched
-        if tail is None:
+        if found is None:
             node -= columns[d]
         else:
             known[d:] = [0] * (m - d)
-            for j in tail:
-                known[j] = 1
+            _mark(known, heads, found, twin, last)
     return tuple(known), nodes
 
 
@@ -604,8 +746,11 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, cap: int = DEFAULT_CAP) -> Wdisc
     order = sorted(range(matrix.cols), key=masses.__getitem__, reverse=True)  # stable: ties by index
     packed = [pd * packing.pack(col) for col in columns]
     root = packing.pack_values([pn * total for total in sums])
-    value, selected, nodes_value = _search(packing, _group_columns(packed, order, -1), root, limit, False)
-    witness, nodes_witness = _lex_least(packing, packed, order, root, value, selected)
+    groups = _group_columns(packed, order, -1)
+    cols = [col for col, _members in groups]
+    sizes = [len(members) for _col, members in groups]
+    value, counts, nodes_value = _search(packing, cols, sizes, root, limit, False)
+    witness, nodes_witness = _lex_least(packing, packed, order, groups, root, value, counts)
     return WdiscResult(
         value=Fraction(value, matrix.den * pd),
         witness=witness,
@@ -966,15 +1111,16 @@ def _odisc_dfs(columns, sums, offsets, opener, twin):
 
     One loop walks the tree depth first, keeping per depth the packed values
     of the node being branched, offset by the low bar (see `_Packing`), and,
-    in chi, the color tried; as in `_search`, a new incumbent is unpacked
-    in place and shifts the low bar and the live nodes down by its drop,
-    the upper gates by twice that. Every child tried counts as a node,
+    in chi, the color tried; as in `_search`, a new incumbent is read in
+    place by the packing's reader (`_Packing.worst`, the one `_search`
+    calls) and shifts the low bar and the live nodes down by its drop, the
+    upper gates by twice that. Every child tried counts as a node,
     admitted or not, until the incumbent is 0.
     """
     k = len(opener)
     limit = k * max(sums) + 1
     packing = _Packing.scaled(sums, 1, k, limit)
-    pack, width, field_shifts, ones, top = packing.pack, packing.width, packing.shifts, packing.ones, packing.top
+    pack, width, ones, top, worst = packing.pack, packing.width, packing.ones, packing.top, packing.worst
     m = len(columns)
     # tables[c]: the columns of color c + 1's block, packed unshifted
     tables = [tuple(k * pack(col[lo:hi]) for col in columns) for lo, hi in zip(offsets, offsets[1:])]
@@ -984,8 +1130,6 @@ def _odisc_dfs(columns, sums, offsets, opener, twin):
     gates = [(2 * limit - 1) * ones] * m  # gates[d]: the packed mass of the columns after d, plus high and low
     for d in range(m - 1, 0, -1):
         gates[d - 1] = gates[d] + k * pack(columns[d])
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
     best, witness, nodes = limit, None, 1
     node = [root] * m  # node[d]: the admitted node whose column d is being colored
     chi = [0] * m
@@ -1009,9 +1153,7 @@ def _odisc_dfs(columns, sums, offsets, opener, twin):
             continue
         chi[d] = color
         if d == last:
-            plain = child - low
-            fields = [(plain >> shift) & mask for shift in field_shifts]
-            value = max(max(fields) - half, half - min(fields))
+            value = worst(child - low)
             witness = tuple(chi)
             if not value:
                 best = value

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -744,6 +745,30 @@ def test_brute_force_bound_calls_pinned(monkeypatch):
         for instance in instances:
             brute_force_min_c(instance, tag)
         assert (len(calls), sum(tried)) == (pinned, zero), tag
+
+
+def test_zero_round_builds_no_reader(monkeypatch):
+    """The packed zero round builds a `_Packing` but never unpacks one, so
+    `fd minc` compiles and binds no incumbent reader: with the reader
+    factory made to raise, min c runs on complement-pair and random
+    instances for every notion, and no reader is compiled."""
+    from disclab import solvers
+
+    rounds = []
+    zero_round = fairdiv._zero_round
+    monkeypatch.setattr(fairdiv, "_zero_round", lambda *args: rounds.append(1) or zero_round(*args))
+    solvers._unpacker.cache_clear()
+    monkeypatch.setattr(solvers, "_unpacker", mock.Mock(side_effect=AssertionError("a reader was built")))
+    amat = build_stacked(Fraction(1, 10), 2).matrix
+    instances = [gen_ef_lb_instance(amat, 2, (4, 1)), gen_prop_lb_instance(amat, 2, 1, (4, 1)), gen_cd_instance(amat, 2)]
+    rng = random.Random(35)
+    instances += [random_instance(rng, m=rng.randint(3, 6)) for _ in range(6)]
+    for instance in instances:
+        for tag in NOTION_TAGS:
+            brute_force_min_c(instance, tag)
+    assert len(rounds) == len(instances) * len(NOTION_TAGS)
+    monkeypatch.undo()
+    assert solvers._unpacker.cache_info().currsize == 0
 
 
 def first_zero_allocation(inst, tag):

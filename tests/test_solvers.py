@@ -35,14 +35,19 @@ from disclab import solvers
 from disclab.matrices import stack_vertical
 from disclab.solvers import (
     _DESCENT_HEAD,
+    _UNPACK_HEAD,
     _Packing,
     _descent,
     _descent_kernel,
     _draw_threshold,
     _group_columns,
+    _heads,
     _search,
+    _unpacker,
+    _witness_table,
     check_search,
     pack_at,
+    previous_equal,
     spaced_ones,
 )
 
@@ -605,11 +610,10 @@ RANDOM_WDISC_NODES = [
 ]
 
 
-def test_wdisc_exact_pinned_on_random_matrices():
-    """The search tree does not move off the construction either: value,
-    witness and node count on random matrices with duplicated columns."""
+def _random_wdisc_matrices():
+    """The seeded matrices of RANDOM_WDISC_NODES, trial by trial."""
     rng = random.Random(2025)
-    for trial, (p, value, witness, nodes) in enumerate(RANDOM_WDISC_NODES):
+    for _trial in RANDOM_WDISC_NODES:
         rows, cols, den = rng.randint(3, 8), rng.randint(12, 20), rng.choice((2, 3, 4))
         columns = []
         for _ in range(cols):
@@ -617,7 +621,13 @@ def test_wdisc_exact_pinned_on_random_matrices():
                 columns.append(rng.choice(columns))
             else:
                 columns.append([Fraction(rng.randint(0, den), den) for _ in range(rows)])
-        matrix = RatMatrix.from_rows(list(zip(*columns)))
+        yield RatMatrix.from_rows(list(zip(*columns)))
+
+
+def test_wdisc_exact_pinned_on_random_matrices():
+    """The search tree does not move off the construction either: value,
+    witness and node count on random matrices with duplicated columns."""
+    for trial, (matrix, (p, value, witness, nodes)) in enumerate(zip(_random_wdisc_matrices(), RANDOM_WDISC_NODES)):
         result = wdisc_exact(matrix, Fraction(p))
         expected = (Fraction(value), tuple(map(int, witness)), nodes)
         assert (result.value, result.witness, result.nodes_explored) == expected, trial
@@ -672,28 +682,123 @@ def test_wdisc_exact_regroups_the_columns_after_each_fixed_one():
     assert (result.value, result.witness, result.nodes_explored) == (half, (0, 0, 0, 1), 9)
 
 
+def test_wdisc_exact_reorders_a_group_behind_one_of_equal_mass():
+    """Columns 0, 1 and 5 are copies, as are 3 and 4, all of mass 1/2, and
+    column 2 is heavier. The value search takes {2}, {0, 1, 5}, {3, 4};
+    once x_1 is fixed, the copies' group starts at column 5 and falls
+    behind {3, 4}. Value, witness and node count as pinned."""
+    half = Fraction(1, 2)
+    matrix = RatMatrix.from_rows([[half, half, half, 0, 0, half], [0, 0, 1, half, half, 0]])
+    for p, value in ((Fraction(2, 5), Fraction(1, 5)), (half, 0)):
+        result = wdisc_exact(matrix, p)
+        assert (result.value, result.witness, result.nodes_explored) == (value, (0, 0, 1, 0, 0, 1), 14), p
+
+
+def test_witness_searches_group_no_columns():
+    """With `_group_columns` made to raise after the value search's call,
+    every witness search reads its groups off the witness table: value,
+    witness and node count stay as pinned, on the reordering matrices and
+    on RANDOM_WDISC_NODES."""
+    grouped = []
+
+    def value_search_only(columns, order, after):
+        if grouped:
+            raise AssertionError("a witness search grouped its columns")
+        grouped.append(after)
+        return _group_columns(columns, order, after)
+
+    half = Fraction(1, 2)
+    cases = [
+        (RatMatrix.from_rows([[half, half, half, 0, 0, half], [0, 0, 1, half, half, 0]]), "2/5", "1/5", "001001", 14),
+        (RatMatrix.from_rows([[1, half, 1, 1], [half, half, 1, half], [1, 1, 1, 1], [1, 0, half, 1]]),
+         "1/5", "1/2", "0001", 9),
+    ]
+    cases += [(matrix, *pinned) for matrix, pinned in zip(_random_wdisc_matrices(), RANDOM_WDISC_NODES)]
+    with mock.patch.object(solvers, "_group_columns", value_search_only):
+        for trial, (matrix, p, value, witness, nodes) in enumerate(cases):
+            grouped.clear()
+            result = wdisc_exact(matrix, Fraction(p))
+            expected = (Fraction(value), tuple(map(int, witness)), nodes)
+            assert (result.value, result.witness, result.nodes_explored) == expected, trial
+            assert grouped == [-1], trial
+
+
+def _field_reference(values):
+    """max |v_i| over the row values, 0 over no rows."""
+    return max(map(abs, values), default=0)
+
+
+def test_reader_matches_a_per_field_reference():
+    """The packing's reader returns max |v_i| for every row count 0, ...,
+    HEAD + 4, through the unrolled fields and the loop past HEAD, with
+    fields at 0 and at +-(2^(w-1) - 1), the extremes no borrow reaches."""
+    rng = random.Random(35)
+    for rows in range(_UNPACK_HEAD + 5):
+        for half in (2, 2**5, 2**40):
+            packing = _Packing(rows, half - 1)
+            assert 1 << packing.width - 1 == half
+            extremes = (0, half - 1, -(half - 1))
+            cases = [[value] * rows for value in extremes]
+            cases += [[rng.choice(extremes) for _ in range(rows)] for _ in range(8)]
+            cases += [[rng.randint(-(half - 1), half - 1) for _ in range(rows)] for _ in range(8)]
+            for row in range(rows):
+                for value in extremes[1:]:
+                    cases.append([0] * row + [value] + [0] * (rows - row - 1))
+            for values in cases:
+                assert packing.worst(packing.pack_values(values)) == _field_reference(values), (rows, values)
+
+
+def test_reader_compiles_at_most_head_plus_one_readers():
+    """Readers are keyed by min(rows, HEAD): packings of every row count
+    from 0 to HEAD + 10 compile one reader per count up to HEAD, and every
+    taller packing reads its first HEAD fields through the HEAD-field one."""
+    _unpacker.cache_clear()
+    for rows in range(_UNPACK_HEAD + 11):
+        packing = _Packing(rows, 7)
+        values = [i % 15 - 7 for i in range(rows)]
+        assert packing.worst(packing.pack_values(values)) == _field_reference(values)
+        assert packing.worst is packing.worst  # bound once per packing
+    assert _unpacker.cache_info().currsize == _UNPACK_HEAD + 1
+    assert _unpacker.cache_info().misses == _UNPACK_HEAD + 1
+
+
 def test_search_refuses_a_root_below_the_floor():
     """A root with a row at or below -limit is refused before the loop: no
     selection, one node. One above the floor is admitted, and its empty
     selection is the optimum, since the column only lowers the -3 row."""
     packing = _Packing(2, 12)  # 2 * max(|2| + 1, |-3| + 1) + 4
-    groups = [(packing.pack((1, 1)), [0])]
-    assert _search(packing, groups, packing.pack_values((2, -3)), 3, True) == (3, None, 1)
-    assert _search(packing, groups, packing.pack_values((2, -3)), 4, False) == (3, [], 2)
+    cols, sizes = [packing.pack((1, 1))], [1]
+    assert _search(packing, cols, sizes, packing.pack_values((2, -3)), 3, True) == (3, None, 1)
+    assert _search(packing, cols, sizes, packing.pack_values((2, -3)), 4, False) == (3, (0,), 2)
 
 
-def _lex_least_by_search(packing, columns, order, start, target, selected):
-    """The witness rebuild with no root test: a `first` search over the
-    groups after every open column, as `_lex_least` is documented to equal."""
+def _group_search(packing, groups, values, limit, first, depth=None):
+    """`_search` over `_group_columns`-style groups, (column, members
+    ascending): (value, the selected indices, each group's 1s on its latest
+    members, or None, nodes)."""
+    cols = [col for col, _members in groups]
+    sizes = [len(members) for _col, members in groups]
+    value, counts, nodes = _search(packing, cols, sizes, values, limit, first, depth)
+    if counts is None:
+        return value, None, nodes
+    selected = [j for (_col, members), count in zip(groups, counts) for j in members[len(members) - count:]]
+    return value, selected, nodes
+
+
+def _lex_least_by_search(packing, columns, order, groups, start, target, counts):
+    """The witness rebuild with no root test and no witness table: a `first`
+    search over `_group_columns` after every open column, as `_lex_least`
+    is documented to equal."""
     m = len(columns)
     known = [0] * m
-    for j in selected:
-        known[j] = 1
+    for (_col, members), count in zip(groups, counts):
+        for j in members[len(members) - count:]:
+            known[j] = 1
     values, nodes = start, 0
     for d in range(m):
         if not known[d]:
             continue
-        _value, tail, searched = _search(packing, _group_columns(columns, order, d), values, target + 1, True)
+        _value, tail, searched = _group_search(packing, _group_columns(columns, order, d), values, target + 1, True)
         nodes += searched
         if tail is None:
             values -= columns[d]
@@ -763,8 +868,44 @@ def test_search_through_a_deeper_kernel_matches_its_own_depth_property(matrix, p
     values = packing.pack_values([pn * total for total in sums]) - sum(compress(columns, prefix))
     groups = _group_columns(columns, order, after)
     limit = data.draw(st.integers(1, limit))
-    own = _search(packing, groups, values, limit, first)
-    assert _search(packing, groups, values, limit, first, len(groups) + extra) == own
+    own = _group_search(packing, groups, values, limit, first)
+    assert _group_search(packing, groups, values, limit, first, len(groups) + extra) == own
+
+
+def _table_groups(columns, order, d):
+    """The groups of the witness searches after column d, read off the
+    witness table as `_lex_least` reads them: (column, its identical
+    columns from the group's head on, ascending)."""
+    groups = _group_columns(columns, order, -1)
+    twin, sizes, last = _witness_table(groups, len(columns))
+    read = []
+    for j in _heads(order, twin, d):
+        run, i = [], last[j]
+        for _ in range(sizes[j]):
+            run.append(i)
+            i = twin[i]
+        read.append((columns[j], run[::-1]))
+    return read
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplicated_columns(),
+       st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(5, 6), Fraction(1)]))
+def test_witness_table_reads_the_groups_after_every_column_property(matrix, p):
+    """For every d, the groups read off the witness table equal
+    `_group_columns(columns, order, d)`, in order, on the packed columns
+    and column order `wdisc_exact` builds; its twin list is
+    `previous_equal` of the columns."""
+    pn, pd = p.numerator, p.denominator
+    sums = list(map(sum, matrix.nums))
+    packing = _Packing.scaled(sums, pn, pd, pn * max(sums) + 1)
+    columns = [pd * packing.pack(col) for col in zip(*matrix.nums)]
+    masses = list(map(sum, zip(*matrix.nums)))
+    order = sorted(range(matrix.cols), key=masses.__getitem__, reverse=True)
+    twin, _sizes, _last = _witness_table(_group_columns(columns, order, -1), matrix.cols)
+    assert twin == previous_equal(columns)
+    for d in range(-1, matrix.cols):
+        assert _table_groups(columns, order, d) == _group_columns(columns, order, d), d
 
 
 def _column_formula_width(nums, pn, pd, limit):
