@@ -64,7 +64,9 @@ Each scan ranks the rows by |value| and unpacks the first HEAD of them,
 index and value, into locals, so every flip and swap test is one chained
 comparison over locals, worst row first; rows past HEAD are tested in a
 loop inside the same kernel, and a taller matrix runs the HEAD-row kernel.
-Moves, scan order, tie-break and node counts match the independent
+A scan tests only the candidates that move the worst row toward 0, the
+only ones that can win, and counts m + |ones| * |zeros| nodes all the
+same. Moves, scan order, tie-break and node counts match the independent
 reference, `naive_descent` in tests/naive.py.
 
 A scan's move depends on the selection alone, not on the descent that
@@ -776,10 +778,11 @@ _DESCENT_HEAD = 16
 # The most columns for which a local search keeps a memo of its scans (see
 # `_descent`). Restarts reach scanned selections often only on few columns: on
 # the seed-1 `allocate` benchmark pass the memo answers >= 62% of the candidate
-# tests at <= 8 columns, 33% at 12, 12% at 16, 3% at 20 and <= 1% from 24 on,
-# and above 16 columns the lookups and the key upkeep cost about 3% of a scan
-# for what little they save. The limit also bounds the memo's memory: one entry
-# per selection, so at most 2^16 entries whatever the budget.
+# tests at <= 8 columns, 33% at 12, 12% at 16, 3% at 20 and <= 1% from 24 on.
+# With scans restricted to the worst row's movers, a memo above 16 columns
+# costs 2.6% of those calls' CPU, and dropping it on 13-16 columns costs 7.5%.
+# The limit also bounds the memo's memory: one entry per selection, so at most
+# 2^16 entries whatever the budget.
 _DESCENT_MEMO_COLUMNS = 16
 
 _DESCENT_TEMPLATE = """\
@@ -807,9 +810,23 @@ def descent(values, columns, x, budget, nodes, memo):
             best_score = abs(v0)
             below = -best_score
             best_move = None
-            for j in range(m):
-                col = columns[j]
-                if x[j]:
+            if v0 > 0:
+                zeros_worst = [(b, w) for b in zeros if (w := columns[b][r0])]
+                for j, _ in zeros_worst:
+                    col = columns[j]
+                    if {flip_zero}:
+                        for i in tail:
+                            if not below < values[i] - col[i] < best_score:
+                                break
+                        else:
+                            best_score = max(map(abs, map(sub, values, col)))
+                            below = -best_score
+                            best_move = (j,)
+                swap_ones = ones
+            elif v0 < 0:
+                swap_ones = [a for a in ones if columns[a][r0]]
+                for j in swap_ones:
+                    col = columns[j]
                     if {flip_one}:
                         for i in tail:
                             if not below < values[i] + col[i] < best_score:
@@ -818,16 +835,10 @@ def descent(values, columns, x, budget, nodes, memo):
                             best_score = max(map(abs, map(add, values, col)))
                             below = -best_score
                             best_move = (j,)
-                elif {flip_zero}:
-                    for i in tail:
-                        if not below < values[i] - col[i] < best_score:
-                            break
-                    else:
-                        best_score = max(map(abs, map(sub, values, col)))
-                        below = -best_score
-                        best_move = (j,)
-            zeros_worst = [(b, columns[b][r0]) for b in zeros]
-            for a in ones:
+                zeros_worst = [(b, columns[b][r0]) for b in zeros]
+            else:
+                swap_ones = ()
+            for a in swap_ones:
                 ca = columns[a]
                 base = v0 + ca[r0]
                 lo = base - best_score
@@ -912,13 +923,13 @@ _descent_kernel = _compiled(_descent_source, "descent")  # rows 1, ..., _DESCENT
 def _descent(values, columns, x, budget, nodes, memo=None):
     """Steepest-descent on single-bit flips and 1<->0 pair swaps, in place.
 
-    Returns the number of moves used; candidate evaluations accumulate in
-    nodes[0], m + |ones| * |zeros| per scan: one per flip and one per pair
-    swap considered, in the scan that finds no move and in a recalled scan
-    too. Each move takes the first candidate, in scan order
-    (flips by column, then swaps by (one, zero) column pair), whose max
-    |row value| is strictly below the best score so far, so runs are
-    reproducible.
+    Returns the number of moves used; nodes[0] gains m + |ones| * |zeros|
+    per scan, one per flip and one per pair swap, whether the scan tests
+    the candidate or rules it out by sign (below), in the scan that finds
+    no move and in a recalled scan too. Each move takes the first
+    candidate, in scan order (flips by column, then swaps by (one, zero)
+    column pair), whose max |row value| is strictly below the best score
+    so far, so runs are reproducible.
 
     A candidate beats the best score s exactly when every one of its row
     values v has -s < v < s, so it is tested row by row on plain ints, worst
@@ -930,6 +941,19 @@ def _descent(values, columns, x, budget, nodes, memo=None):
     column b moves the value to base - B, where base adds a's entry to it
     and B is b's entry, so its test is base - s < B < base + s, with both
     bounds fixed per a until s falls.
+
+    Only candidates that move the worst row r0 toward 0 are tested. Let v0
+    be its value; s0 = |v0| >= s throughout the scan. Entries are
+    nonnegative. If v0 > 0, a one-flip leaves r0 at v0 + c >= s0, and a
+    swap selecting a zero-column b with entry 0 in r0 at v0 + c - 0 >= s0,
+    as does such a zero-flip. If v0 < 0, symmetrically, a zero-flip leaves
+    r0 at v0 - c <= -s0, and a one-flip or swap dropping a one-column with
+    entry 0 in r0 at <= -s0. If v0 = 0, s = 0 and nothing passes. Each such
+    candidate fails the interval test on r0, so the scan runs its flips
+    over the "movers" alone (v0 > 0: the zero-columns with a positive entry
+    in r0; v0 < 0: such one-columns), its swaps over ones x movers or
+    movers x zeros, and nothing at v0 = 0. Movers stay in ascending order,
+    so the candidates tested, in order, are the full scan's minus losers.
 
     The ascending lists of the one and zero columns, and the row order by
     descending |value|, are built once per call and kept across moves: an

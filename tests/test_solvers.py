@@ -294,6 +294,56 @@ def test_descent_matches_naive_descent_move_for_move():
         assert len(memo) == scanned
 
 
+def _mover_scan(values, columns, x, r0):
+    """The flips and swaps a descent scan tests when r0 is its worst row:
+    with v0 > 0 the zero-columns with a positive entry in r0 ("movers") and
+    the swaps ones x movers, with v0 < 0 the one-columns with a positive
+    entry in r0 and the swaps movers x zeros, with v0 = 0 nothing."""
+    ones = [j for j in range(len(x)) if x[j]]
+    zeros = [j for j in range(len(x)) if not x[j]]
+    v0 = values[r0]
+    if v0 > 0:
+        movers = [b for b in zeros if columns[b][r0]]
+        return {(j,) for j in movers}, {(a, b) for a in ones for b in movers}
+    if v0 < 0:
+        movers = [a for a in ones if columns[a][r0]]
+        return {(j,) for j in movers}, {(a, b) for a in movers for b in zeros}
+    return set(), set()
+
+
+def test_mover_rule_drops_only_candidates_that_cannot_win():
+    """Every flip and swap the mover rule leaves out scores >= max |v|, on
+    plain ints: values of both signs, worst rows of either sign, v0 = 0,
+    tied worst rows of opposite sign (each taken as r0), and zero entries
+    in r0."""
+    rng = random.Random(47)
+    cases = [([0, 0], [[0, 1], [2, 0]], [1, 0]), ([3, -3], [[1, 0], [0, 2], [3, 3]], [1, 0, 1])]
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 8)
+        columns = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
+        x = [rng.randint(0, 1) for _ in range(m)]
+        values = [rng.randint(-4, 4) for _ in range(n)]
+        if rng.random() < 0.2:
+            values = [rng.choice((-2, 2)) for _ in range(n)]  # ties of opposite sign
+        cases.append((values, columns, x))
+    signs = set()
+    for values, columns, x in cases:
+        s0 = max(map(abs, values))
+        m = len(x)
+        flips = {(j,): [v + (col[i] if x[j] else -col[i]) for i, v in enumerate(values)]
+                 for j, col in enumerate(columns)}
+        swaps = {(a, b): [v + columns[a][i] - columns[b][i] for i, v in enumerate(values)]
+                 for a in range(m) if x[a] for b in range(m) if not x[b]}
+        for r0 in (r for r, v in enumerate(values) if abs(v) == s0):
+            signs.add((values[r0] > 0) - (values[r0] < 0))
+            kept_flips, kept_swaps = _mover_scan(values, columns, x, r0)
+            for move, after in [*flips.items(), *swaps.items()]:
+                if move not in kept_flips and move not in kept_swaps:
+                    assert max(map(abs, after)) >= s0, (values, columns, x, r0, move)
+    assert signs == {-1, 0, 1}
+
+
 def test_descent_compiles_at_most_head_kernels():
     """Kernels are keyed by min(rows, HEAD): descents on every row count
     from 1 to HEAD + 10 compile one kernel per count up to HEAD, and every
