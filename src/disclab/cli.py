@@ -21,10 +21,8 @@ its command words name (`fd minc`, `experiment`). When the rest of argv is
 in the canonical form, each token one of the leaf's option strings spelled
 out and each value one that does not start with "-" and that the option's
 type and choices accept, `run` reads it against the leaf's actions without
-calling argparse. Otherwise it parses the rest with that leaf alone; on any
-refusal (a usage error, help, arguments left over, or no leaf named) it
-parses argv with the whole tree instead, so every message and exit code is
-the tree's own.
+calling argparse. Any other argv is parsed by the whole tree, so every
+message and exit code is the tree's own.
 """
 
 from __future__ import annotations
@@ -404,11 +402,9 @@ def _parse(argv) -> argparse.Namespace:
     hands that leaf exactly the rest of argv, starting from the attributes
     it sets from those words; a leaf that reads it all leaves nothing for
     the levels above to check. `_match` reads the rest when it is in the
-    canonical form, with no argparse call. Otherwise the leaf parses it,
-    and when that fails too (no leaf named, a leaf that exits on a usage
-    error or help, or arguments left over) what the leaf printed is dropped
-    and the whole tree parses argv, so every message and exit code is the
-    tree's own.
+    canonical form, with no argparse call. Any other argv (no leaf named,
+    or a rest `_match` refuses) is parsed by the whole tree, so every
+    message and exit code is the tree's own.
     """
     parser, leaves = _parser()
     words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
@@ -416,13 +412,6 @@ def _parse(argv) -> argparse.Namespace:
         args = _match(words, argv[len(words):])
         if args is not None:
             return args
-        leaf, attributes = leaves[words]
-        try:
-            args, extras = leaf.parse_known_args(argv[len(words):], argparse.Namespace(**attributes))
-            if not extras:
-                return args
-        except SystemExit:
-            _printed.__dict__.pop("messages", None)
     return parser.parse_args(argv)
 
 

@@ -48,15 +48,12 @@ search's kernel (a search over fewer groups runs it with pass-through
 levels after its own, entered only by the selection it finds, so one call
 compiles at most one kernel). Most of them fail at their root, so two
 masked tests decide the root first: the lower test, and the upper test
-against the packed mass of every later column (`_lex_least`). Every
-search reads its groups off one column order, by descending mass, sorted
-once per call, and the value search groups the columns once: the
-feasibility searches read their groups off a witness table built from
-that grouping (each column's previous identical column and the count of
-identical columns from it on), never regrouping a column. That keeps the
-documented tie-break: the lexicographically smallest optimal x. A new
-incumbent is unpacked in place and shifts the live nodes and the gates of
-the interval rule; no search rebuilds them.
+against the packed mass of every later column (`_lex_least`), and only
+a search that survives them groups its columns. Every search reads its
+groups off one column order, by descending mass, sorted once per call.
+That keeps the documented tie-break: the lexicographically smallest
+optimal x. A new incumbent is unpacked in place and shifts the live nodes
+and the gates of the interval rule; no search rebuilds them.
 
 The heuristic oracle's steepest descent (`_descent`) is a generated kernel
 too, one per row count up to HEAD = 16 rows, compiled once per process.
@@ -324,16 +321,17 @@ class _Packing:
 
 
 def _group_columns(columns, order, after):
-    """Merge identical columns among the indices above `after` into
-    (column, its indices ascending), groups in order of first appearance in
-    `order`. With `order` all indices by descending mass, ties by index,
-    that is groups by descending mass, ties by first index: dropping a
-    group's first member can move it behind a group of equal mass."""
+    """Merge identical columns among the indices above `after` into a dict
+    from each column to its indices ascending, groups in order of first
+    appearance in `order`. With `order` all indices by descending mass,
+    ties by index, that is groups by descending mass, ties by first index:
+    dropping a group's first member can move it behind a group of equal
+    mass."""
     members = {}
     for j in order:
         if j > after:
             members.setdefault(columns[j], []).append(j)
-    return list(members.items())
+    return members
 
 
 _NESTED_LOOPS = 20  # CPython compiles at most 20 statically nested loops in one function
@@ -510,11 +508,10 @@ def _unpacker_source(rows: int) -> str:
 _unpacker = _compiled(_unpacker_source, "reader")  # rows 0, ..., _UNPACK_HEAD
 
 
-def _search(packing, cols, sizes, values, limit, first, depth=None):
-    """Least max |row value| below `limit` over selections of merged
-    identical columns, group g holding sizes[g] copies of the packed column
-    cols[g], from packed row values `values`; with `first`, the first
-    selection found below `limit` instead.
+def _search(packing, groups, values, limit, first, depth=None):
+    """Least max |row value| below `limit` over selections of the merged
+    columns `groups` (`_group_columns`), from packed row values `values`;
+    with `first`, the first selection found below `limit` instead.
 
     Only how many columns of an identical group are selected matters, so the
     search branches on each group's count 0, 1, ..., groups in the given
@@ -555,133 +552,75 @@ def _search(packing, cols, sizes, values, limit, first, depth=None):
     searches of `_lex_least` share the value search's kernel and pay
     nothing for the levels they lack until they find a selection. Any
     other search runs the kernel of its own depth.
-    Returns (value, counts, nodes): counts[g] is how many columns of group g
-    the selection takes, and counts is None when no selection gets below
-    `limit`.
+    Returns (value, selected, nodes): `selected` lists the chosen indices,
+    each group's 1s on its latest indices, and is None when no selection
+    gets below `limit`.
     """
     worst = packing.worst
-    if not cols:
+    if not groups:
         value = worst(values)
-        return (value, (), 1) if value < limit else (limit, None, 1)
+        return (value, [], 1) if value < limit else (limit, None, 1)
     ones, top = packing.ones, packing.top
     low = (limit - 1) * ones
     root = values + low
     if root & top != top:
         return limit, None, 1
+    cols = list(groups)
+    sizes = list(map(len, groups.values()))
     # afters[d]: the packed mass of the groups after d, plus the high and low bars
     afters = list(accumulate(map(mul, reversed(sizes), reversed(cols)), initial=low + low + ones))[-2::-1]
     pads = depth - len(cols) if first and depth is not None else 0
     if pads:  # trailing pass-through levels: no column and no mass
-        cols = cols + [0] * pads
-        sizes = sizes + [0] * pads
+        cols += [0] * pads
+        sizes += [0] * pads
         afters += afters[-1:] * pads
     best, _low, nodes, found = _kernel(len(cols))(root, limit, low, 1, first, afters, cols, sizes, ones, top, worst)
     if found is None:
         return best, None, nodes
-    return best, found[:len(found) - pads], nodes - pads
+    selected = []
+    for members, count in zip(groups.values(), found):
+        selected.extend(members[len(members) - count:])
+    return best, selected, nodes - pads
 
 
-def _witness_table(groups, m):
-    """The witness table of the value search's groups over columns 0, ...,
-    m - 1, per column j: twin[j], the last column before j identical to
-    it, or -1 (`previous_equal` of the columns); sizes[j], the number of
-    columns identical to j from j on; and last[j], the last of them. Those
-    columns are last[j], twin[last[j]], ..., sizes[j] of them, down to j.
-    A column with no copy keeps -1, 1 and itself."""
-    twin = [-1] * m
-    sizes = [1] * m
-    last = list(range(m))
-    for _col, group in groups:
-        if len(group) > 1:
-            end = group[-1]
-            for rank, j in enumerate(group):
-                twin[j] = group[rank - 1] if rank else -1
-                sizes[j] = len(group) - rank
-                last[j] = end
-    return twin, sizes, last
-
-
-def _mark(known, heads, counts, twin, last):
-    """Set known[i] = 1 on the selection that takes counts[g] columns of the
-    group headed by heads[g], each group's latest columns: the first
-    counts[g] of last[j], twin[last[j]], ... for j = heads[g]."""
-    for j, count in zip(heads, counts):
-        i = last[j]
-        while count:
-            known[i] = 1
-            i = twin[i]
-            count -= 1
-
-
-def _heads(order, twin, d):
-    """The first column of each group of `_group_columns(columns, order,
-    d)`, in that function's order, read off the witness table's `twin` (see
-    `_lex_least`)."""
-    return [j for j in order if j > d and twin[j] <= d]
-
-
-def _lex_least(packing, columns, order, groups, start, target, counts):
+def _lex_least(packing, columns, order, start, target, selected, depth):
     """Lexicographically smallest x whose max |row value| is at most `target`,
-    the optimum, given the value search's `groups` (`_group_columns(columns,
-    order, -1)`) and the `counts` of one optimal selection, each group's 1s
-    on its latest columns.
+    the optimum, given one optimal selection `selected`.
 
     `known` stays an optimal selection that agrees with the fixed prefix.
     Where known[d] is 0, x_d = 0 is fixed at once. Where it is 1, a `first`
-    search with x_d = 0 over the groups of columns d+1, ..., decides: on
-    success x_d = 0 and its selection becomes the tail of `known`,
-    otherwise x_d = 1.
+    search with x_d = 0 over the groups of columns d+1, ..., read off the
+    search's column `order` (`_group_columns`), decides: on success x_d = 0
+    and its selection becomes the tail of `known`, otherwise x_d = 1.
 
     Most such searches fail at their root, so the root is decided first,
-    by two masked tests under limit = target + 1, on the prefix's values
-    kept offset by the low bar (see `_Packing`): the lower test, and the
-    upper test against the packed mass S of every column after d plus both
-    bars (`after`, suffix sums built once per call). If either fails, the
-    search would have returned no selection after one node, so one node is
-    counted and x_d = 1 is fixed. Proof: where the lower test fails,
-    `_search` returns before its loop. Where the upper test fails, some row
-    i has v_i - S_i >= limit: that row cannot get below the limit even with
-    every later column selected. A depth-0 child selects c <= |G| columns
-    of the first group G, and its gate leaves out of the mass exactly that
-    group, S - |G|*G, so the row its gate tests is
-    v_i - c*G_i - (S_i - |G|*G_i) >= v_i - S_i >= limit. So every depth-0
-    child fails its gate and counts no node, and the search ends with its
-    root alone.
-
-    A search that runs reads its groups off one witness table per call
-    (`_witness_table`, built from the value search's groups): the columns j
-    of `order` with j > d whose previous identical column twin[j] is at
-    most d (`_heads`), each with the sizes[j] identical columns from j on,
-    and a selection's counts go back to columns through the table
-    (`_mark`).
-    These are exactly `_group_columns(columns, order, d)`, in its order.
-    Proof: `_group_columns` keeps the columns above d, merges identical
-    ones, lists each group's members in the order they appear in `order`
-    and orders the groups by their first appearance there. Identical
-    columns have equal mass, and `order` breaks ties of mass by index, so
-    a group's members above d appear in ascending index order: the group
-    is the columns identical to its least member above d, from it on, and
-    it appears where that member does. That member is the j > d whose
-    previous identical column is at most d (or none, -1): the least
-    member above d has none above d before it, and every later member has
-    one. So `_heads` lists one j per group, in the groups' order, and the
-    columns identical to j from j on are the group. That holds for every d,
-    including a group that falls behind one of equal mass once its first
-    member is fixed, since its new least member sits later in `order`.
+    before any grouping, by two masked tests under limit = target + 1, on
+    the prefix's values kept offset by the low bar (see `_Packing`): the
+    lower test, and the upper test against the packed mass S of every
+    column after d plus both bars (`after`, suffix sums built once per
+    call). If either fails, the search would have returned no selection
+    after one node, so one node is counted and x_d = 1 is fixed. Proof:
+    where the lower test fails, `_search` returns before its loop. Where
+    the upper test fails, some row i has v_i - S_i >= limit: that row
+    cannot get below the limit even with every later column selected. A
+    depth-0 child selects c <= |G| columns of the first group G, and its
+    gate leaves out of the mass exactly that group, S - |G|*G, so the row
+    its gate tests is v_i - c*G_i - (S_i - |G|*G_i) >= v_i - S_i >= limit.
+    So every depth-0 child fails its gate and counts no node, and the
+    search ends with its root alone.
 
     Every search that runs gets the plain values back, node - low, and
-    enters the value search's kernel: its depth is the number of distinct
-    columns, at least the groups of any later ones.
+    enters the value search's kernel: its `depth` is the value search's
+    number of groups, at least the groups of any later columns.
     """
     m = len(columns)
-    twin, sizes, last = _witness_table(groups, m)
     known = [0] * m
-    _mark(known, [group[0] for _col, group in groups], counts, twin, last)
+    for j in selected:
+        known[j] = 1
     top, ones = packing.top, packing.ones
     low = target * ones
     # after[d]: the packed mass of columns d, ..., m - 1, plus high and low
     after = list(accumulate(reversed(columns), initial=(2 * target + 1) * ones))[::-1]
-    depth = len(groups)
     node = start + low
     nodes = 0
     for d in range(m):
@@ -691,15 +630,15 @@ def _lex_least(packing, columns, order, groups, start, target, counts):
             nodes += 1
             node -= columns[d]
             continue
-        heads = _heads(order, twin, d)
-        _value, found, searched = _search(packing, [columns[j] for j in heads], [sizes[j] for j in heads],
-                                          node - low, target + 1, True, depth)
+        groups = _group_columns(columns, order, d)
+        _value, tail, searched = _search(packing, groups, node - low, target + 1, True, depth)
         nodes += searched
-        if found is None:
+        if tail is None:
             node -= columns[d]
         else:
             known[d:] = [0] * (m - d)
-            _mark(known, heads, found, twin, last)
+            for j in tail:
+                known[j] = 1
     return tuple(known), nodes
 
 
@@ -749,10 +688,8 @@ def wdisc_exact(matrix: RatMatrix, p: Fraction, cap: int = DEFAULT_CAP) -> Wdisc
     packed = [pd * packing.pack(col) for col in columns]
     root = packing.pack_values([pn * total for total in sums])
     groups = _group_columns(packed, order, -1)
-    cols = [col for col, _members in groups]
-    sizes = [len(members) for _col, members in groups]
-    value, counts, nodes_value = _search(packing, cols, sizes, root, limit, False)
-    witness, nodes_witness = _lex_least(packing, packed, order, groups, root, value, counts)
+    value, selected, nodes_value = _search(packing, groups, root, limit, False)
+    witness, nodes_witness = _lex_least(packing, packed, order, root, value, selected, len(groups))
     return WdiscResult(
         value=Fraction(value, matrix.den * pd),
         witness=witness,

@@ -1,8 +1,7 @@
 """`cli.run` reads a canonical argv against the actions of the leaf its
-command words name, without argparse; it parses any other argv with that
-leaf, and with the whole `build_parser` tree whenever the leaf refuses.
-Every way, the result is the tree's own, down to every message and exit
-code.
+command words name, without argparse, and parses any other argv with the
+whole `build_parser` tree. Either way, the result is the tree's own, down
+to every message and exit code.
 
 The reference is a fresh tree from `build_parser()`, parsing all of argv.
 """

@@ -134,17 +134,20 @@ def test_hadamard_lemma_sparse_path_matches_dense(log2, monkeypatch):
         assert lhs == sum(v * v for v in image) and holds
 
 
+WEIGHTS = sorted({Fraction(a, b) for b in range(1, 7) for a in range(b + 1)})  # the 13 a/b in [0, 1], b <= 6
+
+
 @st.composite
 def lemma_cases(draw):
-    """(W, z) at order n <= 16: W a lifted Sylvester matrix or any rationals
-    in [0, 1]; z all ints, or rationals with ints among them, mostly zero
+    """(W, z) at order n <= 16: W a lifted Sylvester matrix or cells drawn
+    from WEIGHTS; z all ints, or rationals with ints among them, mostly zero
     or mostly not, so that both the sparse and the dense path run."""
     log2 = draw(st.integers(0, 4))
     n = 1 << log2
     if draw(st.booleans()):
         w = lift_w(hadamard_sylvester(log2))
     else:
-        entry = st.fractions(min_value=0, max_value=1, max_denominator=6)
+        entry = st.sampled_from(WEIGHTS)
         w = RatMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
     if draw(st.booleans()):
         value = st.integers(-9, 9)

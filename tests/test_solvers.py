@@ -41,13 +41,10 @@ from disclab.solvers import (
     _descent_kernel,
     _draw_threshold,
     _group_columns,
-    _heads,
     _search,
     _unpacker,
-    _witness_table,
     check_search,
     pack_at,
-    previous_equal,
     spaced_ones,
 )
 
@@ -744,35 +741,6 @@ def test_wdisc_exact_reorders_a_group_behind_one_of_equal_mass():
         assert (result.value, result.witness, result.nodes_explored) == (value, (0, 0, 1, 0, 0, 1), 14), p
 
 
-def test_witness_searches_group_no_columns():
-    """With `_group_columns` made to raise after the value search's call,
-    every witness search reads its groups off the witness table: value,
-    witness and node count stay as pinned, on the reordering matrices and
-    on RANDOM_WDISC_NODES."""
-    grouped = []
-
-    def value_search_only(columns, order, after):
-        if grouped:
-            raise AssertionError("a witness search grouped its columns")
-        grouped.append(after)
-        return _group_columns(columns, order, after)
-
-    half = Fraction(1, 2)
-    cases = [
-        (RatMatrix.from_rows([[half, half, half, 0, 0, half], [0, 0, 1, half, half, 0]]), "2/5", "1/5", "001001", 14),
-        (RatMatrix.from_rows([[1, half, 1, 1], [half, half, 1, half], [1, 1, 1, 1], [1, 0, half, 1]]),
-         "1/5", "1/2", "0001", 9),
-    ]
-    cases += [(matrix, *pinned) for matrix, pinned in zip(_random_wdisc_matrices(), RANDOM_WDISC_NODES)]
-    with mock.patch.object(solvers, "_group_columns", value_search_only):
-        for trial, (matrix, p, value, witness, nodes) in enumerate(cases):
-            grouped.clear()
-            result = wdisc_exact(matrix, Fraction(p))
-            expected = (Fraction(value), tuple(map(int, witness)), nodes)
-            assert (result.value, result.witness, result.nodes_explored) == expected, trial
-            assert grouped == [-1], trial
-
-
 def _field_reference(values):
     """max |v_i| over the row values, 0 over no rows."""
     return max(map(abs, values), default=0)
@@ -817,38 +785,24 @@ def test_search_refuses_a_root_below_the_floor():
     selection, one node. One above the floor is admitted, and its empty
     selection is the optimum, since the column only lowers the -3 row."""
     packing = _Packing(2, 12)  # 2 * max(|2| + 1, |-3| + 1) + 4
-    cols, sizes = [packing.pack((1, 1))], [1]
-    assert _search(packing, cols, sizes, packing.pack_values((2, -3)), 3, True) == (3, None, 1)
-    assert _search(packing, cols, sizes, packing.pack_values((2, -3)), 4, False) == (3, (0,), 2)
+    groups = {packing.pack((1, 1)): [0]}
+    assert _search(packing, groups, packing.pack_values((2, -3)), 3, True) == (3, None, 1)
+    assert _search(packing, groups, packing.pack_values((2, -3)), 4, False) == (3, [], 2)
 
 
-def _group_search(packing, groups, values, limit, first, depth=None):
-    """`_search` over `_group_columns`-style groups, (column, members
-    ascending): (value, the selected indices, each group's 1s on its latest
-    members, or None, nodes)."""
-    cols = [col for col, _members in groups]
-    sizes = [len(members) for _col, members in groups]
-    value, counts, nodes = _search(packing, cols, sizes, values, limit, first, depth)
-    if counts is None:
-        return value, None, nodes
-    selected = [j for (_col, members), count in zip(groups, counts) for j in members[len(members) - count:]]
-    return value, selected, nodes
-
-
-def _lex_least_by_search(packing, columns, order, groups, start, target, counts):
-    """The witness rebuild with no root test and no witness table: a `first`
-    search over `_group_columns` after every open column, as `_lex_least`
+def _lex_least_by_search(packing, columns, order, start, target, selected, _depth):
+    """The witness rebuild with no root test: a `first` search over the
+    groups after every open column, each at its own depth, as `_lex_least`
     is documented to equal."""
     m = len(columns)
     known = [0] * m
-    for (_col, members), count in zip(groups, counts):
-        for j in members[len(members) - count:]:
-            known[j] = 1
+    for j in selected:
+        known[j] = 1
     values, nodes = start, 0
     for d in range(m):
         if not known[d]:
             continue
-        _value, tail, searched = _group_search(packing, _group_columns(columns, order, d), values, target + 1, True)
+        _value, tail, searched = _search(packing, _group_columns(columns, order, d), values, target + 1, True)
         nodes += searched
         if tail is None:
             values -= columns[d]
@@ -918,44 +872,8 @@ def test_search_through_a_deeper_kernel_matches_its_own_depth_property(matrix, p
     values = packing.pack_values([pn * total for total in sums]) - sum(compress(columns, prefix))
     groups = _group_columns(columns, order, after)
     limit = data.draw(st.integers(1, limit))
-    own = _group_search(packing, groups, values, limit, first)
-    assert _group_search(packing, groups, values, limit, first, len(groups) + extra) == own
-
-
-def _table_groups(columns, order, d):
-    """The groups of the witness searches after column d, read off the
-    witness table as `_lex_least` reads them: (column, its identical
-    columns from the group's head on, ascending)."""
-    groups = _group_columns(columns, order, -1)
-    twin, sizes, last = _witness_table(groups, len(columns))
-    read = []
-    for j in _heads(order, twin, d):
-        run, i = [], last[j]
-        for _ in range(sizes[j]):
-            run.append(i)
-            i = twin[i]
-        read.append((columns[j], run[::-1]))
-    return read
-
-
-@settings(max_examples=200, deadline=None)
-@given(duplicated_columns(),
-       st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(5, 6), Fraction(1)]))
-def test_witness_table_reads_the_groups_after_every_column_property(matrix, p):
-    """For every d, the groups read off the witness table equal
-    `_group_columns(columns, order, d)`, in order, on the packed columns
-    and column order `wdisc_exact` builds; its twin list is
-    `previous_equal` of the columns."""
-    pn, pd = p.numerator, p.denominator
-    sums = list(map(sum, matrix.nums))
-    packing = _Packing.scaled(sums, pn, pd, pn * max(sums) + 1)
-    columns = [pd * packing.pack(col) for col in zip(*matrix.nums)]
-    masses = list(map(sum, zip(*matrix.nums)))
-    order = sorted(range(matrix.cols), key=masses.__getitem__, reverse=True)
-    twin, _sizes, _last = _witness_table(_group_columns(columns, order, -1), matrix.cols)
-    assert twin == previous_equal(columns)
-    for d in range(-1, matrix.cols):
-        assert _table_groups(columns, order, d) == _group_columns(columns, order, d), d
+    own = _search(packing, groups, values, limit, first)
+    assert _search(packing, groups, values, limit, first, len(groups) + extra) == own
 
 
 def _column_formula_width(nums, pn, pd, limit):
