@@ -14,7 +14,10 @@ reduces to covering a value deficit with a top-c removal. One integer
 routine (`_MinC`) does this for every caller: every agent's numerators are
 multiplied by k so that utilities, bundle values and the 1/k share are
 ints, and its goods are ranked once, so a top-c removal is a scan of that
-ranking that stops when the deficit is covered.
+ranking that stops when the deficit is covered. Every caller and notion
+hands it bundle values in one bundle-major table: for each bundle, every
+agent's value of its goods, or None while it holds none (worth 0 to
+everyone), so only the bundles that hold goods are read.
 The same routine bounds c from below on a partial allocation (the unplaced
 goods can shrink a deficit by at most their value); checking a given c is
 comparing it with the allocation's minimum. The exact minimum over all
@@ -271,7 +274,10 @@ def min_c_for_allocation(instance: FairDivInstance, allocation: Allocation, tag:
     c best goods (per that agent) removed; PROPc compares against the 1/k
     share minus the c best goods outside the bundle; CDc runs the EF
     comparison for every agent in the instance against every ordered bundle
-    pair, regardless of the agent's group.
+    pair, regardless of the agent's group. The bundle values go into the
+    table `_MinC.bound` reads, bundle-major: every agent's value of each
+    bundle that holds goods, and None for an empty one, so an allocation
+    with few non-empty bundles costs no N x k table.
     """
     core = _MinC(instance, tag)
     _check_allocation(instance, allocation)
@@ -279,14 +285,10 @@ def min_c_for_allocation(instance: FairDivInstance, allocation: Allocation, tag:
     for b, bundle in enumerate(allocation.bundles):
         for g in bundle:
             assignment[g] = b
-    if tag == "PROP":
-        values = [sum(units[g] for g in allocation.bundles[i]) for i, units, _share, _ranking in core.agents]
-    else:
-        values = [
-            [sum(units[g] for g in bundle) for bundle in allocation.bundles]
-            for _i, units, _share, _ranking in core.agents
-        ]
-    return core.bound(assignment, values, [0] * len(values), instance.m + 1)
+    by_good = list(zip(*[units for _i, units, _share, _ranking in core.agents]))
+    values = [list(map(sum, zip(*map(by_good.__getitem__, bundle)))) if bundle else None
+              for bundle in allocation.bundles]
+    return core.bound(assignment, values, [0] * len(core.agents), instance.m + 1)
 
 
 def _check_tag(tag: str) -> None:
@@ -324,15 +326,16 @@ class _MinC:
     are ints.
     `agents[a]` is (group, units, share, ranking) with `ranking` the goods
     agent a values above 0, ordered by (-utility, index): the c best goods
-    of any set are its first c members in that order. Agents run group
-    after group, group i's from `spans[i]` to `spans[i + 1]` - 1.
+    of any set are its first c members in that order, and agents run
+    group after group. Every notion takes bundle values in one table,
+    bundle-major: `values[b]` lists every agent's value of the goods in
+    bundle b, or is None while b holds none.
     """
 
     def __init__(self, instance: FairDivInstance, tag: str):
         _check_tag(tag)
         k = instance.k
         self.tag = tag
-        self.spans = list(itertools.accumulate(instance.group_sizes, initial=0))
         self.agents = []
         for i, group in enumerate(instance.by_group(instance.agents.nums)):
             for nums in group:
@@ -345,39 +348,55 @@ class _MinC:
     def bound(self, assignment, values, remaining, limit):
         """Lower bound on min c over every completion of a partial allocation.
 
-        `assignment[g]` is good g's bundle (-1 while unplaced), `values[a][b]`
-        agent a's value of the goods placed in bundle b (for PROP, which
-        reads only the own bundle, `values[a]` is that value alone), and
-        `remaining[a]` its value of the unplaced goods. Placing those goods
-        lowers a pair's deficit by at most remaining[a] and only adds goods
-        to the removal side, which never lowers the c it needs, so each pair
-        needs at least the least c whose top-c removal from its placed goods
-        covers the deficit minus remaining[a]:
+        `assignment[g]` is good g's bundle (-1 while unplaced), `values[b]`
+        every agent's value of the goods placed in bundle b (None while b
+        holds no good; such a bundle is worth 0 to every agent), and
+        `remaining[a]` agent a's value of the unplaced goods. Placing those
+        goods lowers a pair's deficit by at most remaining[a] and only adds
+        goods to the removal side, which never lowers the c it needs, so
+        each pair needs at least the least c whose top-c removal from its
+        placed goods covers the deficit minus remaining[a]:
 
         - EF/CD (own, other): removal from `other`, deficit
           v(other) - v(own); CD takes the worst own, the least-valued bundle.
         - PROP: removal from the placed goods outside the own bundle, those
           assigned neither to it nor to -1, deficit share - v(own).
 
-        With nothing unplaced this is the allocation's exact min c. Returns
-        `limit` as soon as one pair reaches it.
+        Only the bundles that hold goods are read: an empty bundle is never
+        an EF/CD `other` with a deficit, and for CD it is the worst bundle
+        whenever there is one. With nothing unplaced this is the
+        allocation's exact min c. Returns `limit` as soon as one pair
+        reaches it.
         """
         need = 0
-        if self.tag == "PROP":
-            for (i, units, share, ranking), own, slack in zip(self.agents, values, remaining):
-                c = _cover(units, ranking, assignment, (i, -1),
-                           share - own - slack, limit, outside=True)
+        if self.tag == "CD":
+            # base[a]: agent a's value of the worst bundle (0 while one is empty) and of the unplaced goods
+            base = remaining if None in values else list(map(operator.add, map(min, zip(*values)), remaining))
+            for other, vals in enumerate(values):
+                if vals is not None:
+                    for (_i, units, _share, ranking), value, low in zip(self.agents, vals, base):
+                        if value > low:
+                            c = _cover(units, ranking, assignment, (other,), value - low, limit)
+                            if c > need:
+                                if c >= limit:
+                                    return limit
+                                need = c
+            return need
+        prop = self.tag == "PROP"
+        # EF's `other` bundles: those that hold goods
+        others = [] if prop else [(b, vals) for b, vals in enumerate(values) if vals is not None]
+        for a, ((i, units, share, ranking), slack) in enumerate(zip(self.agents, remaining)):
+            own = values[i]
+            base = slack if own is None else own[a] + slack
+            if prop and share > base:
+                c = _cover(units, ranking, assignment, (i, -1), share - base, limit, outside=True)
                 if c > need:
                     if c >= limit:
                         return limit
                     need = c
-            return need
-        worst = self.tag == "CD"
-        for (i, units, _share, ranking), vals, slack in zip(self.agents, values, remaining):
-            base = (min(vals) if worst else vals[i]) + slack
-            for other, value in enumerate(vals):
-                if value > base:
-                    c = _cover(units, ranking, assignment, (other,), value - base, limit)
+            for other, vals in others:
+                if vals[a] > base:
+                    c = _cover(units, ranking, assignment, (other,), vals[a] - base, limit)
                     if c > need:
                         if c >= limit:
                             return limit
@@ -526,8 +545,10 @@ def _bound_round(core: _MinC, by_good, remaining, opener, twin, floor, limit):
 
     One loop assigns goods in base-k order (good 0 most significant,
     bundles ascending) over the canonical allocations, its stack the
-    assignment itself, keeping per-agent bundle values incrementally (for
-    PROP each agent's own bundle only, the one value its bound reads). After
+    assignment itself, keeping the bundle values `core.bound` reads in one
+    table for every notion: `values[b]`, every agent's value of bundle b's
+    goods, or None while b holds none. Placing or removing a good changes
+    one entry, by one `map` over the good's column `by_good[g]`. After
     each placement `core.bound` over every completion is computed, scanning
     stops once it reaches the incumbent, which starts at `limit`, and the
     subtree is pruned when it does; at a leaf the same routine gives the
@@ -538,12 +559,7 @@ def _bound_round(core: _MinC, by_good, remaining, opener, twin, floor, limit):
     """
     k = len(opener)
     m = len(by_good)
-    prop = core.tag == "PROP"
-    if prop:  # values[a]: agent a's value of its own bundle, which only placements in it change
-        values = [0] * len(core.agents)
-        spans = core.spans
-    else:
-        values = [[0] * k for _ in core.agents]
+    values = [None] * k  # values[b]: every agent's value of bundle b's goods, None while it holds none
     sizes = [0] * k  # sizes[b]: the goods placed in bundle b
     best_c, best = limit, None
     assignment = [-1] * m
@@ -553,12 +569,7 @@ def _bound_round(core: _MinC, by_good, remaining, opener, twin, floor, limit):
         b = assignment[good]
         if b >= 0:  # take good out of the bundle it was tried in
             sizes[b] -= 1
-            if prop:
-                lo, hi = spans[b], spans[b + 1]
-                values[lo:hi] = map(operator.sub, values[lo:hi], by_good[good][lo:hi])
-            else:
-                for vals, u in zip(values, by_good[good]):
-                    vals[b] -= u
+            values[b] = list(map(operator.sub, values[b], by_good[good])) if sizes[b] else None
             b += 1
         else:
             b = assignment[twin[good]] if twin[good] >= 0 else 0
@@ -572,12 +583,7 @@ def _bound_round(core: _MinC, by_good, remaining, opener, twin, floor, limit):
             continue
         assignment[good] = b
         sizes[b] += 1
-        if prop:
-            lo, hi = spans[b], spans[b + 1]
-            values[lo:hi] = map(operator.add, values[lo:hi], by_good[good][lo:hi])
-        else:
-            for vals, u in zip(values, by_good[good]):
-                vals[b] += u
+        values[b] = by_good[good] if values[b] is None else list(map(operator.add, values[b], by_good[good]))
         c = core.bound(assignment, values, remaining[good + 1], best_c)
         if c >= best_c:
             continue

@@ -316,12 +316,11 @@ def test_brute_force_ignores_agent_order_within_a_group(monkeypatch):
         assert runs[0] == runs[1], tag
 
 
-def bound_values(core, table):
-    """The values `_MinC.bound` reads from `table`, each agent's value of
-    every bundle: the table itself, or for PROP each agent's own bundle."""
-    if core.tag == "PROP":
-        return [vals[i] for (i, _units, _s, _r), vals in zip(core.agents, table)]
-    return table
+def bound_values(core, bundles):
+    """The table `_MinC.bound` reads, bundle-major: for each bundle, every
+    agent's value of its goods, or None for a bundle that holds no good."""
+    return [[sum(units[g] for g in bundle) for _i, units, _s, _r in core.agents] if bundle else None
+            for bundle in bundles]
 
 
 def test_brute_force_leaf_matches_public_checker():
@@ -337,11 +336,10 @@ def test_brute_force_leaf_matches_public_checker():
             allocation = Allocation.from_bundles(bundles, inst.m)
             for tag in ("EF", "PROP", "CD"):
                 core = _MinC(inst, tag)
-                values = bound_values(core, [[sum(units[g] for g in bundle) for bundle in bundles]
-                                             for _i, units, _s, _r in core.agents])
+                values = bound_values(core, bundles)
                 expected = naive_min_c(inst, bundles, tag)
                 exact[tag, assignment] = expected
-                zeros = [0] * len(values)
+                zeros = [0] * len(core.agents)
                 assert core.bound(list(assignment), values, zeros, inst.m + 1) == expected
                 assert min_c_for_allocation(inst, allocation, tag) == expected
         for tag in ("EF", "PROP", "CD"):
@@ -349,8 +347,8 @@ def test_brute_force_leaf_matches_public_checker():
             for placed in range(inst.m):
                 for prefix in product(range(inst.k), repeat=placed):
                     assignment = list(prefix) + [-1] * (inst.m - placed)
-                    values = bound_values(core, [[sum(units[g] for g in range(placed) if prefix[g] == b)
-                                                  for b in range(inst.k)] for _i, units, _s, _r in core.agents])
+                    values = bound_values(core, [[g for g in range(placed) if prefix[g] == b]
+                                                 for b in range(inst.k)])
                     remaining = [sum(units[placed:]) for _i, units, _s, _r in core.agents]
                     bound = core.bound(assignment, values, remaining, inst.m + 1)
                     completions = [c for (t, full), c in exact.items()
@@ -863,14 +861,18 @@ def test_min_c_core_memory_is_linear_in_k():
     """The PROP bound keeps no table of the bundles outside each bundle: at
     k = 2,048 groups of one agent, building the integer core peaks under
     4 MB of traced memory (0.9 MB on Python 3.11; k tuples of the k - 1
-    other bundles took 152 MB). Nor does it keep every agent's value of
-    every bundle: the min-c search and the checker each peak under 4 MB too
-    (1.5 and 0.7 MB on Python 3.11; an N x k table of bundle values took
-    35.0 and 38.1 MB)."""
+    other bundles took 152 MB). Nor does any notion keep every agent's
+    value of every bundle, only of the bundles that hold goods: the PROP
+    min-c search and the checker for every notion each peak under 4 MB too
+    (1.3 and 0.8 MB on Python 3.11; an N x k table of bundle values took
+    35.0 MB and, for the EF and CD checks of goods 0 and 1 in the first two
+    bundles, 38.2 MB)."""
     inst = one_agent_per_group(2048, 2, 3)
     witness = brute_force_min_c(inst, "PROP")[1]
+    split = Allocation.from_bundles([[0], [1]] + [[]] * 2046, 2)
     for call in (lambda: _MinC(inst, "PROP"), lambda: brute_force_min_c(inst, "PROP"),
-                 lambda: min_c_for_allocation(inst, witness, "PROP")):
+                 lambda: min_c_for_allocation(inst, witness, "PROP"),
+                 lambda: min_c_for_allocation(inst, split, "EF"), lambda: min_c_for_allocation(inst, split, "CD")):
         tracemalloc.start()
         try:
             call()
